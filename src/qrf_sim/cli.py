@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -127,7 +128,22 @@ def _valid_z(z):
              f"z must lie in [-1, 1], got {z!r}")
 
 
+def _check_leaves(value, where: str):
+    # no config key takes a bool (json true passes isinstance(x, int)), and
+    # json accepts NaN and Infinity, which no parameter can use
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _check_leaves(item, f"{where}[{key}]" if where else key)
+        return
+    _require(not isinstance(value, bool), f"{where} must not be a boolean, got {value!r}")
+    _require(not isinstance(value, float) or math.isfinite(value),
+             f"{where} must be finite, got {value!r}")
+
+
 def _validate(experiment: str, cfg: dict):
+    _check_leaves(cfg, "")
+    if "seeds" in cfg:
+        resolve_seeds(cfg["seeds"])
     if "l" in cfg:
         _valid_l(cfg["l"])
     if "z" in cfg:
@@ -155,12 +171,16 @@ def _validate(experiment: str, cfg: dict):
 
 
 def resolve_seeds(spec) -> list[int]:
-    if isinstance(spec, list):
-        _require(all(isinstance(s, int) for s in spec), "seeds must be integers")
-        return spec
+    """A nonempty seed list from a list or {base, count}; Philox keys are
+    non-negative.  Bools are rejected before this by _check_leaves."""
     if isinstance(spec, dict) and set(spec) <= {"base", "count"}:
-        return list(range(spec.get("base", 0), spec.get("base", 0) + spec["count"]))
-    raise ConfigError(f"seeds must be a list of ints or {{base, count}}, got {spec!r}")
+        base, count = spec.get("base", 0), spec.get("count")
+        _require(isinstance(base, int) and isinstance(count, int) and base >= 0 and count >= 1,
+                 f"seeds needs integers base >= 0 and count >= 1, got {spec!r}")
+        return list(range(base, base + count))
+    _require(isinstance(spec, list) and spec and all(isinstance(s, int) and s >= 0 for s in spec),
+             "seeds must be a nonempty list of non-negative integers or {base, count}")
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +194,19 @@ def _pool_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _initial_state(build, *args):
+    """Call a state constructor: a parameter it rejects or lacks is a config error,
+    a built state failing the density-matrix checks stays a numerical one."""
+    try:
+        return build(*args)
+    except (ConfigError, DensityMatrixError):
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"state is missing parameter {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"initial state: {exc}") from exc
+
+
 def run_fig1(cfg: dict, threads: int):
     """Exact selective rotation angles of a mixed-Dicke frame versus the
     closed-form prediction, over an inclination grid."""
@@ -182,7 +215,7 @@ def run_fig1(cfg: dict, threads: int):
     thetas = np.linspace(cfg["theta_start"], cfg["theta_stop"], cfg["theta_points"])
 
     def one(theta: float):
-        rho = mixed_dicke_state(l, cfg["k1"], cfg["k2"], cfg["p"], theta)
+        rho = _initial_state(mixed_dicke_state, l, cfg["k1"], cfg["k2"], cfg["p"], theta)
         frame = summarize_frame(rho, ops)
         exact = []
         for outcome in (+1, -1):
@@ -330,22 +363,19 @@ def _build_custom_state(cfg: dict, ops):
     state = dict(cfg["state"])
     family = state.pop("family", "coherent")
     l, theta = cfg["l"], cfg["theta"]
-    try:
-        if family == "coherent":
-            _require(not state, f"unknown state keys {sorted(state)}")
-            return coherent_state(l, theta)
-        if family == "rotated_dicke":
-            return rotated_dicke_state(l, state.pop("k"), theta)
-        if family == "mixed_dicke":
-            return mixed_dicke_state(l, state.pop("k1"), state.pop("k2"), state.pop("p"), theta)
-        if family == "thermal":
-            return thermal_partial_coherent(l, state.pop("r"), theta)
-        if family == "quadratic_bloch":
-            spec = QuadraticBlochSpec(np.asarray(state.pop("R"), dtype=float),
-                                      np.asarray(state.pop("T"), dtype=float))
-            return quadratic_bloch_state(l, spec)
-    except KeyError as exc:
-        raise ConfigError(f"state family {family!r} is missing parameter {exc}") from exc
+    if family == "coherent":
+        _require(not state, f"unknown state keys {sorted(state)}")
+        return coherent_state(l, theta)
+    if family == "rotated_dicke":
+        return rotated_dicke_state(l, state.pop("k"), theta)
+    if family == "mixed_dicke":
+        return mixed_dicke_state(l, state.pop("k1"), state.pop("k2"), state.pop("p"), theta)
+    if family == "thermal":
+        return thermal_partial_coherent(l, state.pop("r"), theta)
+    if family == "quadratic_bloch":
+        spec = QuadraticBlochSpec(np.asarray(state.pop("R"), dtype=float),
+                                  np.asarray(state.pop("T"), dtype=float))
+        return quadratic_bloch_state(l, spec)
     raise ConfigError(f"unknown state family {family!r}")
 
 
@@ -368,7 +398,7 @@ def _parse_strategy(spec: dict):
 def run_custom(cfg: dict, threads: int):
     """Generic run: any state family, average or stochastic evolution."""
     ops = build_spin_operators(cfg["l"])
-    rho0 = _build_custom_state(cfg, ops)
+    rho0 = _initial_state(_build_custom_state, cfg, ops)
     l = cfg["l"]
     if cfg["mode"] == "average":
         schedule = schedule_measurements(cfg["n_steps"], cfg["z"])

@@ -40,9 +40,10 @@ except ImportError:  # pragma: no cover - exercised only without numba installed
 
 
 def _apply_numpy(rho, m, a, c_id, c_plus, c_minus, c_zz, c_anti, c_comm):
-    mi = m[:, None]
-    mj = m[None, :]
-    out = (c_id + c_zz * (mi * mj) + c_anti * (mi + mj) + c_comm * (mi - mj)) * rho
+    # c_id + c_zz m_i m_j + c_anti (m_i + m_j) + c_comm (m_i - m_j) = w_i + u_i m_j
+    w = c_id + (c_anti + c_comm) * m
+    u = c_zz * m + (c_anti - c_comm)
+    out = (w[:, None] + np.outer(u, m)) * rho
     aa = np.outer(a[1:], a[1:])
     out[:-1, :-1] += c_plus * aa * rho[1:, 1:]
     out[1:, 1:] += c_minus * aa * rho[:-1, :-1]

@@ -1,16 +1,17 @@
 """Frame descriptors (polarization, inclination, rotated quadratic moments)
-and the operational success probability."""
+and the operational success probability.  The first and second moments are
+exact Re Tr[rho op] for any square rho; every such op lives on the diagonals
+|k| <= 2, so they read only those diagonals of rho, O(d) work per call."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .channels import build_projectors
+from .channels import PAULI, build_projectors
 from .predictions import RotationPrediction
-from .spin import SpinOperators, SpinQuantum, build_spin_operators
+from .spin import SpinOperators
 
 UNPOLARIZED_EPS = 1e-10
 OUT_OF_PLANE_THRESHOLD = 1e-8
@@ -38,32 +39,34 @@ class FrameSummary:
         return self.out_of_plane <= OUT_OF_PLANE_THRESHOLD
 
 
-def _expect(rho: np.ndarray, op: np.ndarray) -> float:
-    # Tr[rho op] without forming the product matrix
-    return float(np.einsum("ij,ji->", rho, op).real)
+def _band_pair(rho: np.ndarray, k: int, coeff: np.ndarray) -> tuple:
+    # (Tr[rho A], Tr[rho A^T]) for the real A with coeff on its k-th superdiagonal
+    return np.diagonal(rho, -k) @ coeff, np.diagonal(rho, k) @ coeff
 
 
 def mean_angular_momentum(rho: np.ndarray, ops: SpinOperators) -> np.ndarray:
-    """Expectation vector (<Lx>, <Ly>, <Lz>)."""
-    return np.array([_expect(rho, ops.Lx), _expect(rho, ops.Ly), _expect(rho, ops.Lz)])
-
-
-@lru_cache(maxsize=None)
-def _symmetrized_products(twice_l: int) -> tuple:
-    ops = build_spin_operators(SpinQuantum(twice_l))
-    mats = (ops.Lx, ops.Ly, ops.Lz)
-    return tuple(tuple(0.5 * (mats[a] @ mats[b] + mats[b] @ mats[a]) for b in range(3))
-                 for a in range(3))
+    """Expectation vector (<Lx>, <Ly>, <Lz>), each Re Tr[rho L_a]."""
+    plus, minus = _band_pair(rho, 1, ops.ladder[1:])  # <L+>, <L->
+    lz = np.diagonal(rho) @ ops.m_diag
+    return np.array([0.5 * (plus + minus).real, 0.5 * (plus - minus).imag, lz.real])
 
 
 def quadratic_moments(rho: np.ndarray, ops: SpinOperators) -> np.ndarray:
-    """Symmetrized second moments M_ij = <{L_i, L_j}>/2 in the background frame."""
-    prods = _symmetrized_products(ops.l.twice_l)
-    M = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            M[a, b] = M[b, a] = _expect(rho, prods[a][b])
-    return M
+    """Symmetrized second moments M_ij = Re Tr[rho {L_i, L_j}]/2 in the
+    background frame, from L+- = Lx +- i Ly expanded to second order."""
+    m, a = ops.m_diag, ops.ladder
+    pp, mm = _band_pair(rho, 2, a[1:-1] * a[2:])              # <L+^2>, <L-^2>
+    zp, zm = _band_pair(rho, 1, a[1:] * (m[:-1] + m[1:]))     # <{Lz,L+}>, <{Lz,L-}>
+    diag = np.diagonal(rho)
+    # diag(L-L+)[i] = a[i]^2 and diag(L+L-)[i] = a[i+1]^2, with a[0] = 0
+    pm = ((diag[1:] + diag[:-1]) @ (a[1:] * a[1:])).real      # <L+L- + L-L+>
+    xx = 0.25 * (pm + (pp + mm).real)
+    yy = 0.25 * (pm - (pp + mm).real)
+    xy = 0.25 * (pp - mm).imag
+    xz = 0.25 * (zp + zm).real
+    yz = 0.25 * (zp - zm).imag
+    zz = (diag @ (m * m)).real
+    return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
 
 
 def summarize_frame(rho: np.ndarray, ops: SpinOperators) -> FrameSummary:
@@ -146,12 +149,10 @@ def p_succ_trace(rho: np.ndarray, ops: SpinOperators, n_hat: np.ndarray) -> floa
     if abs(np.linalg.norm(n_hat) - 1.0) > 1e-9:
         raise ValueError(f"n_hat must be a unit vector, |n| = {np.linalg.norm(n_hat)!r}")
     pair = build_projectors(ops)
-    sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-    sz = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+    n_sigma = n_hat[0] * PAULI["x"] + n_hat[1] * PAULI["y"] + n_hat[2] * PAULI["z"]
     ident = np.eye(2, dtype=np.complex128)
-    xi_plus = 0.5 * (ident + n_hat[0] * sx + n_hat[1] * sy + n_hat[2] * sz)
-    xi_minus = 0.5 * (ident - n_hat[0] * sx - n_hat[1] * sy - n_hat[2] * sz)
+    xi_plus = 0.5 * (ident + n_sigma)
+    xi_minus = 0.5 * (ident - n_sigma)
     val = np.trace(pair.pi_plus @ np.kron(rho, xi_plus)).real
     val += np.trace(pair.pi_minus @ np.kron(rho, xi_minus)).real
     return float(0.5 * val)

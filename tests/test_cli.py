@@ -178,6 +178,19 @@ def test_unknown_config_key_is_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("experiment, payload", [
+    ("fig2", {"l": True, "n_steps": True}),
+    ("fig2", {"gamma": float("nan")}),
+    ("fig1", {"k1": 0.3}),
+    ("fig5", {"seeds": [-1]}),
+], ids=["bool-as-int", "nan-gamma", "bad-state-parameter", "negative-seed"])
+def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, payload):
+    rc, _ = run(tmp_path, experiment, payload)
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config-error: ")
+
+
 def test_missing_config_is_exit_2(tmp_path):
     rc = main(["fig2", "--config", str(tmp_path / "absent.json")])
     assert rc == 2

@@ -9,6 +9,7 @@ from qrf_sim.metrics import (
     mean_angular_momentum,
     p_succ,
     p_succ_trace,
+    quadratic_moments,
     rotation_between,
     summarize_frame,
     usable_lifetime,
@@ -17,6 +18,26 @@ from qrf_sim.spin import build_spin_operators, coherent_state, dicke_state, rota
 from qrf_sim.trajectory import LifetimeCapExceeded
 
 from helpers import random_density
+
+
+@pytest.mark.parametrize("twice_l", [1, 2, 3, 5, 16])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_moments_match_dense_operator_traces(twice_l, hermitian):
+    # twice_l = 1 leaves the +-2 diagonals empty; the non-hermitian input
+    # catches a readout that uses only one side of the diagonal
+    rng = np.random.default_rng(twice_l)
+    ops = build_spin_operators(twice_l / 2)
+    if hermitian:
+        rho = random_density(ops.d, rng)
+    else:
+        rho = rng.normal(size=(ops.d, ops.d)) + 1j * rng.normal(size=(ops.d, ops.d))
+    mats = (ops.Lx, ops.Ly, ops.Lz)
+    want_v = np.array([np.trace(rho @ L).real for L in mats])
+    want_M = np.array([[0.5 * np.trace(rho @ (A @ B + B @ A)).real for B in mats]
+                       for A in mats])
+    tol = 1e-12 * max(1.0, (twice_l / 2) ** 2) * np.abs(rho).max()
+    assert np.abs(mean_angular_momentum(rho, ops) - want_v).max() <= tol
+    assert np.abs(quadratic_moments(rho, ops) - want_M).max() <= tol
 
 
 def test_summary_of_coherent_state_is_identity():
