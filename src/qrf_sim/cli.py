@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .channels import selective_channel, average_channel, unitary_channel
+from .channels import selective_channel, average_channel
 from .metrics import mean_angular_momentum, summarize_frame, usable_lifetime
 from .predictions import selective_angles_partially_coherent
 from .spin import (
@@ -48,6 +48,7 @@ from .trajectory import (
     NumericalInvariantError,
     UnitaryAfterEachPlus,
     UnitaryEveryK,
+    apply_step,
     ensemble_statistics,
     run_average,
     run_ensemble,
@@ -142,6 +143,15 @@ def _check_leaves(value, where: str):
 
 def _validate(experiment: str, cfg: dict):
     _check_leaves(cfg, "")
+    # a key whose default is a number, or a list of numbers, takes the same
+    for key, default in DEFAULTS[experiment].items():
+        value = cfg[key]
+        if isinstance(default, (int, float)):
+            _require(isinstance(value, (int, float)), f"{key} must be a number, got {value!r}")
+        elif isinstance(default, list):
+            _require(isinstance(value, list) and value
+                     and all(isinstance(v, (int, float)) for v in value),
+                     f"{key} must be a nonempty list of numbers, got {value!r}")
     if "seeds" in cfg:
         resolve_seeds(cfg["seeds"])
     if "l" in cfg:
@@ -158,9 +168,6 @@ def _validate(experiment: str, cfg: dict):
         _require(0.0 <= cfg["p"] <= 1.0, f"p must lie in [0, 1], got {cfg['p']!r}")
         _require(0.0 < cfg["theta_start"] < cfg["theta_stop"] < PI,
                  "theta grid must satisfy 0 < start < stop < pi")
-    if experiment == "fig3":
-        _require(isinstance(cfg["gammas"], list) and len(cfg["gammas"]) >= 1,
-                 "gammas must be a nonempty list")
     if experiment == "scaling":
         for l in cfg["l_list"]:
             _valid_l(l)
@@ -194,17 +201,18 @@ def _pool_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _initial_state(build, *args):
-    """Call a state constructor: a parameter it rejects or lacks is a config error,
-    a built state failing the density-matrix checks stays a numerical one."""
+def _construct(what: str, build, *args):
+    """Call a constructor fed from the config: a parameter it rejects or lacks
+    is a config error, a built state failing the density-matrix checks stays
+    a numerical one."""
     try:
         return build(*args)
     except (ConfigError, DensityMatrixError):
         raise
     except KeyError as exc:
-        raise ConfigError(f"state is missing parameter {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"initial state: {exc}") from exc
+        raise ConfigError(f"{what} is missing parameter {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def run_fig1(cfg: dict, threads: int):
@@ -215,7 +223,8 @@ def run_fig1(cfg: dict, threads: int):
     thetas = np.linspace(cfg["theta_start"], cfg["theta_stop"], cfg["theta_points"])
 
     def one(theta: float):
-        rho = _initial_state(mixed_dicke_state, l, cfg["k1"], cfg["k2"], cfg["p"], theta)
+        rho = _construct("initial state", mixed_dicke_state,
+                         l, cfg["k1"], cfg["k2"], cfg["p"], theta)
         frame = summarize_frame(rho, ops)
         exact = []
         for outcome in (+1, -1):
@@ -276,15 +285,16 @@ def run_fig4(cfg: dict, threads: int):
     l = cfg["l"]
     ops = build_spin_operators(l)
     rho0 = coherent_state(l, cfg["theta"])
-    n, k, z = cfg["n_measure"], cfg["k"], cfg["z"]
+    n, z = cfg["n_measure"], cfg["z"]
+    kicks = UnitaryEveryK(cfg["k"], cfg["gamma"]).corrections
 
     def trace(corrected: bool):
         cur = rho0
         pts = [mean_angular_momentum(cur, ops) / l]
-        for i in range(1, n + 1):
+        for i in range(n):
             cur = average_channel(cur, z, ops)
-            if corrected and i % k == 0:
-                cur = unitary_channel(cur, -z, ops, cfg["gamma"])
+            for step in kicks(i, z, None) if corrected else ():
+                cur = apply_step(cur, step, ops)
             pts.append(mean_angular_momentum(cur, ops) / l)
         return np.array(pts)
 
@@ -360,45 +370,52 @@ def run_scaling(cfg: dict, threads: int):
 
 
 def _build_custom_state(cfg: dict, ops):
+    _require(isinstance(cfg["state"], dict), f"state must be an object, got {cfg['state']!r}")
     state = dict(cfg["state"])
     family = state.pop("family", "coherent")
     l, theta = cfg["l"], cfg["theta"]
     if family == "coherent":
-        _require(not state, f"unknown state keys {sorted(state)}")
-        return coherent_state(l, theta)
-    if family == "rotated_dicke":
-        return rotated_dicke_state(l, state.pop("k"), theta)
-    if family == "mixed_dicke":
-        return mixed_dicke_state(l, state.pop("k1"), state.pop("k2"), state.pop("p"), theta)
-    if family == "thermal":
-        return thermal_partial_coherent(l, state.pop("r"), theta)
-    if family == "quadratic_bloch":
+        rho = coherent_state(l, theta)
+    elif family == "rotated_dicke":
+        rho = rotated_dicke_state(l, state.pop("k"), theta)
+    elif family == "mixed_dicke":
+        rho = mixed_dicke_state(l, state.pop("k1"), state.pop("k2"), state.pop("p"), theta)
+    elif family == "thermal":
+        rho = thermal_partial_coherent(l, state.pop("r"), theta)
+    elif family == "quadratic_bloch":
         spec = QuadraticBlochSpec(np.asarray(state.pop("R"), dtype=float),
                                   np.asarray(state.pop("T"), dtype=float))
-        return quadratic_bloch_state(l, spec)
-    raise ConfigError(f"unknown state family {family!r}")
+        rho = quadratic_bloch_state(l, spec)
+    else:
+        raise ConfigError(f"unknown state family {family!r}")
+    _require(not state, f"unknown keys for state family {family!r}: {sorted(state)}")
+    return rho
 
 
 def _parse_strategy(spec: dict):
+    _require(isinstance(spec, dict), f"strategy must be an object, got {spec!r}")
     spec = dict(spec)
     kind = spec.pop("kind", "none")
     if kind == "none":
-        return None
-    if kind == "alternating":
-        return AlternatingAntipolarized()
-    if kind == "unitary_every_k":
-        return UnitaryEveryK(spec.pop("k", 2), spec.pop("gamma", PI))
-    if kind == "unitary_after_each_plus":
-        return UnitaryAfterEachPlus(spec.pop("gamma", PI))
-    if kind == "conditional":
-        return ConditionalTuned(spec.pop("theta_known", None))
-    raise ConfigError(f"unknown strategy kind {kind!r}")
+        strategy = None
+    elif kind == "alternating":
+        strategy = AlternatingAntipolarized()
+    elif kind == "unitary_every_k":
+        strategy = _construct("strategy", UnitaryEveryK, spec.pop("k", 2), spec.pop("gamma", PI))
+    elif kind == "unitary_after_each_plus":
+        strategy = _construct("strategy", UnitaryAfterEachPlus, spec.pop("gamma", PI))
+    elif kind == "conditional":
+        strategy = _construct("strategy", ConditionalTuned, spec.pop("theta_known", None))
+    else:
+        raise ConfigError(f"unknown strategy kind {kind!r}")
+    _require(not spec, f"unknown keys for strategy kind {kind!r}: {sorted(spec)}")
+    return strategy
 
 
 def run_custom(cfg: dict, threads: int):
     """Generic run: any state family, average or stochastic evolution."""
     ops = build_spin_operators(cfg["l"])
-    rho0 = _initial_state(_build_custom_state, cfg, ops)
+    rho0 = _construct("initial state", _build_custom_state, cfg, ops)
     l = cfg["l"]
     if cfg["mode"] == "average":
         schedule = schedule_measurements(cfg["n_steps"], cfg["z"])

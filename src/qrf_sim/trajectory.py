@@ -30,7 +30,8 @@ RNG_ALGORITHM = "numpy-philox4x64"
 
 
 class NumericalInvariantError(RuntimeError):
-    """A state invariant broke down during a run (positivity, finiteness)."""
+    """A run left the finite domain, drew an outcome probability outside
+    [0, 1] or selected a branch of nonpositive weight."""
 
 
 class LifetimeCapExceeded(RuntimeError):
@@ -79,29 +80,19 @@ def schedule_unitaries(n: int, z: float, gamma: float) -> list:
     return [UnitaryStep(z, gamma) for _ in range(n)]
 
 
-def schedule_corrected_every_k(n: int, z: float, k: int, gamma: float = np.pi) -> list:
-    """n measurements of the primary source with an antipolarized unitary
-    kick inserted after every k-th measurement."""
-    steps: list = []
-    for i in range(n):
-        steps.append(MeasureStep(z))
-        if (i + 1) % k == 0:
-            steps.append(UnitaryStep(-z, gamma, corrective=True))
-    return steps
+# corrections(i, z, outcome): the steps a strategy applies after primary measurement
+# i (from 0) of a z-polarized source; outcome is None under average evolution.
 
-
-def schedule_alternating(n: int, z: float) -> list:
-    """n primary measurements, each followed by an antipolarized one."""
-    steps: list = []
-    for _ in range(n):
-        steps.append(MeasureStep(z))
-        steps.append(MeasureStep(-z, corrective=True))
-    return steps
+def _no_average_evolution(strategy) -> ValueError:
+    return ValueError(f"strategy {strategy!r} is outcome-dependent and has no average evolution")
 
 
 @dataclass(frozen=True)
 class AlternatingAntipolarized:
     """Follow every measurement with a measurement of an antipolarized source."""
+
+    def corrections(self, i: int, z: float, outcome) -> tuple:
+        return (MeasureStep(-z, corrective=True),)
 
 
 @dataclass(frozen=True)
@@ -116,10 +107,13 @@ class UnitaryEveryK:
     gamma: float = np.pi
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k!r}")
+        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if not np.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
+
+    def corrections(self, i: int, z: float, outcome) -> tuple:
+        return (UnitaryStep(-z, self.gamma, corrective=True),) if (i + 1) % self.k == 0 else ()
 
 
 @dataclass(frozen=True)
@@ -132,6 +126,11 @@ class UnitaryAfterEachPlus:
         if not np.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
+    def corrections(self, i: int, z: float, outcome) -> tuple:
+        if outcome is None:
+            raise _no_average_evolution(self)
+        return (UnitaryStep(-z, self.gamma, corrective=True),) if outcome > 0 else ()
+
 
 @dataclass(frozen=True)
 class ConditionalTuned:
@@ -143,6 +142,10 @@ class ConditionalTuned:
     """
 
     theta_known: float | None = None
+
+    def __post_init__(self):
+        if self.theta_known is not None and not 0.0 < self.theta_known < np.pi:
+            raise ValueError(f"theta_known must lie in (0, pi), got {self.theta_known!r}")
 
 
 @dataclass(frozen=True)
@@ -244,15 +247,13 @@ def average_lifetime_stepper(rho0: np.ndarray, q, ops: SpinOperators, threshold:
     Only outcome-independent strategies make sense under average evolution.
     """
     z = as_polarization(q)
-    if not (strategy is None or isinstance(strategy, (UnitaryEveryK, AlternatingAntipolarized))):
-        raise ValueError(f"strategy {strategy!r} is outcome-dependent and has no average evolution")
+    if isinstance(strategy, ConditionalTuned):
+        raise _no_average_evolution(strategy)
     cur = rho0
     for n in range(1, step_cap + 1):
         cur = _checked(average_channel(cur, z, ops))
-        if isinstance(strategy, AlternatingAntipolarized):
-            cur = _checked(average_channel(cur, -z, ops))
-        elif isinstance(strategy, UnitaryEveryK) and n % strategy.k == 0:
-            cur = _checked(unitary_channel(cur, -z, ops, strategy.gamma))
+        for step in strategy.corrections(n - 1, z, None) if strategy is not None else ():
+            cur = _checked(apply_step(cur, step, ops))
         if p_succ(cur, ops, n_hat) < threshold:
             return n
     raise LifetimeCapExceeded(step_cap)
@@ -376,21 +377,7 @@ def run_stochastic(rho0: np.ndarray, n_measure: int, q, strategy, seed: int,
         outcomes.append(outcome)
         corrective_flags.append(False)
 
-        if isinstance(strategy, AlternatingAntipolarized):
-            bar_outcome, cur = _measure(rng, cur, -z, ops)
-            outcomes.append(bar_outcome)
-            corrective_flags.append(True)
-            events.append(CorrectionEvent(i, "measure_antipolarized", source_z=-z,
-                                          outcome=bar_outcome))
-        elif isinstance(strategy, UnitaryEveryK):
-            if (i + 1) % strategy.k == 0:
-                cur = _checked(unitary_channel(cur, -z, ops, strategy.gamma))
-                events.append(CorrectionEvent(i, "unitary", gamma=strategy.gamma, source_z=-z))
-        elif isinstance(strategy, UnitaryAfterEachPlus):
-            if outcome > 0:
-                cur = _checked(unitary_channel(cur, -z, ops, strategy.gamma))
-                events.append(CorrectionEvent(i, "unitary", gamma=strategy.gamma, source_z=-z))
-        elif isinstance(strategy, ConditionalTuned):
+        if isinstance(strategy, ConditionalTuned):
             choice = conditional_correction_step(cur, theta_target, outcome, ops,
                                                  z_mag=abs(z) if z != 0.0 else 1.0)
             cur = choice.corrected_rho
@@ -398,7 +385,16 @@ def run_stochastic(rho0: np.ndarray, n_measure: int, q, strategy, seed: int,
                                           source_z=choice.source_sign * (abs(z) or 1.0),
                                           residual=choice.residual, outcome=outcome))
         elif strategy is not None:
-            raise TypeError(f"unknown correction strategy {strategy!r}")
+            for step in strategy.corrections(i, z, outcome):
+                if isinstance(step, MeasureStep):
+                    bar_outcome, cur = _measure(rng, cur, step.z, ops)
+                    outcomes.append(bar_outcome)
+                    corrective_flags.append(step.corrective)
+                    events.append(CorrectionEvent(i, "measure_antipolarized", source_z=step.z,
+                                                  outcome=bar_outcome))
+                else:
+                    cur = _checked(apply_step(cur, step, ops))
+                    events.append(CorrectionEvent(i, "unitary", gamma=step.gamma, source_z=step.z))
 
         snapshots.append(summarize_frame(cur, ops))
         probs.append(p_succ(cur, ops, n_hat))

@@ -183,7 +183,23 @@ def test_unknown_config_key_is_exit_2(tmp_path):
     ("fig2", {"gamma": float("nan")}),
     ("fig1", {"k1": 0.3}),
     ("fig5", {"seeds": [-1]}),
-], ids=["bool-as-int", "nan-gamma", "bad-state-parameter", "negative-seed"])
+    ("custom", {"mode": "stochastic", "strategy": {"kind": "unitary_every_k", "typo": 1}}),
+    ("custom", {"state": {"family": "thermal", "r": 0.5, "typo": 1}}),
+    ("custom", {"state": {"family": "thermal", "r": "x"}}),
+    ("custom", {"mode": "stochastic", "strategy": {"kind": "unitary_every_k", "k": 0}}),
+    ("custom", {"mode": "stochastic", "strategy": {"kind": "unitary_every_k", "k": "2"}}),
+    ("custom", {"mode": "stochastic", "strategy": "none"}),
+    ("custom", {"mode": "stochastic", "strategy": {"kind": "conditional", "theta_known": 5.0}}),
+    ("fig2", {"gamma": "abc"}),
+    ("fig1", {"p": "x"}),
+    ("fig3", {"gammas": ["x"]}),
+    ("scaling", {"l_list": []}),
+    ("scaling", {"thresholds": []}),
+], ids=["bool-as-int", "nan-gamma", "bad-state-parameter", "negative-seed",
+        "strategy-unknown-key", "state-unknown-key", "string-state-parameter",
+        "strategy-k-zero", "strategy-k-string", "strategy-not-object",
+        "conditional-theta-out-of-range", "string-gamma", "string-p", "string-in-gammas",
+        "empty-l-list", "empty-thresholds"])
 def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, payload):
     rc, _ = run(tmp_path, experiment, payload)
     assert rc == 2

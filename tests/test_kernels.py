@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from qrf_sim import kernels
-from qrf_sim.kernels import apply_structured, backend_name, set_backend
+from qrf_sim.kernels import apply_structured
 from qrf_sim.spin import build_spin_operators
 
 from helpers import random_density
@@ -28,38 +27,6 @@ def test_structured_matches_dense_operator_products(twice_l):
     got = apply_structured(rho, ops.m_diag, ops.ladder, coeffs)
     want = dense_reference(rho, ops, coeffs)
     assert np.abs(got - want).max() < 1e-12
-
-
-def test_backends_agree():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    rng = np.random.default_rng(3)
-    ops = build_spin_operators(12)
-    rho = random_density(ops.d, rng)
-    coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
-    try:
-        set_backend("numba")
-        got_nb = apply_structured(rho, ops.m_diag, ops.ladder, coeffs)
-        set_backend("numpy")
-        got_np = apply_structured(rho, ops.m_diag, ops.ladder, coeffs)
-    finally:
-        set_backend(None)
-    assert np.abs(got_nb - got_np).max() < 1e-13
-
-
-def test_backend_selection_and_env(monkeypatch):
-    try:
-        assert set_backend("numpy") == "numpy"
-        assert backend_name() == "numpy"
-        monkeypatch.setenv("QRF_SIM_BACKEND", "numpy")
-        assert set_backend(None) == "numpy"
-        monkeypatch.setenv("QRF_SIM_BACKEND", "auto")
-        set_backend(None)
-        with pytest.raises(ValueError):
-            set_backend("fortran")
-    finally:
-        monkeypatch.delenv("QRF_SIM_BACKEND", raising=False)
-        set_backend(None)
 
 
 def test_kernel_works_on_nonhermitian_input():

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qrf_sim.channels import average_channel, selective_channel, unitary_channel
+from qrf_sim.channels import (
+    average_channel,
+    average_channel_tensor,
+    selective_channel,
+    unitary_channel,
+    unitary_channel_tensor,
+)
 from qrf_sim.metrics import (
     UnpolarizedFrame,
     axis_angle_fit,
@@ -15,7 +21,13 @@ from qrf_sim.metrics import (
     usable_lifetime,
 )
 from qrf_sim.spin import build_spin_operators, coherent_state, dicke_state, rotated_dicke_state
-from qrf_sim.trajectory import LifetimeCapExceeded
+from qrf_sim.trajectory import (
+    AlternatingAntipolarized,
+    ConditionalTuned,
+    LifetimeCapExceeded,
+    UnitaryAfterEachPlus,
+    UnitaryEveryK,
+)
 
 from helpers import random_density
 
@@ -207,3 +219,35 @@ def test_usable_lifetime_scales_with_threshold():
     loose = usable_lifetime(rho, 1.0, ops, 0.85, None)
     tight = usable_lifetime(rho, 1.0, ops, 0.93, None)
     assert 0 < tight < loose
+
+
+@pytest.mark.parametrize("l", [2, 3.5])
+@pytest.mark.parametrize("strategy", [UnitaryEveryK(2), UnitaryEveryK(3, 1.1),
+                                      AlternatingAntipolarized()],
+                         ids=["every-2", "every-3-gamma-1.1", "alternating"])
+def test_usable_lifetime_with_strategy_matches_tensor_replay(l, strategy):
+    ops = build_spin_operators(l)
+    rho = coherent_state(l, np.pi / 2)
+    x_hat = np.array([1.0, 0.0, 0.0])
+    # several crossings, so a kick moved by one step changes some lifetime
+    p0 = p_succ_trace(rho, ops, x_hat)
+    thresholds = [0.5 + f * (p0 - 0.5) for f in (0.5, 0.2, 0.1)]
+    series, cur = [], rho
+    while not series or series[-1] >= min(thresholds):
+        cur = average_channel_tensor(cur, 1.0, ops)
+        if isinstance(strategy, AlternatingAntipolarized):
+            cur = average_channel_tensor(cur, -1.0, ops)
+        elif (len(series) + 1) % strategy.k == 0:
+            cur = unitary_channel_tensor(cur, -1.0, ops, strategy.gamma)
+        series.append(p_succ_trace(cur, ops, x_hat))
+    for threshold in thresholds:
+        want = next(n for n, p in enumerate(series, start=1) if p < threshold)
+        assert usable_lifetime(rho, 1.0, ops, threshold, strategy) == want
+
+
+@pytest.mark.parametrize("strategy", [UnitaryAfterEachPlus(), ConditionalTuned()],
+                         ids=["after-each-plus", "conditional"])
+def test_usable_lifetime_rejects_outcome_dependent_strategy(strategy):
+    ops = build_spin_operators(2)
+    with pytest.raises(ValueError, match="no average evolution"):
+        usable_lifetime(coherent_state(2, np.pi / 2), 1.0, ops, 0.7, strategy)

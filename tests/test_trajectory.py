@@ -17,8 +17,6 @@ from qrf_sim.trajectory import (
     run_average,
     run_ensemble,
     run_stochastic,
-    schedule_alternating,
-    schedule_corrected_every_k,
     schedule_measurements,
     validate_schedule,
 )
@@ -29,11 +27,11 @@ OPS16 = build_spin_operators(16)
 
 
 def test_schedule_builders_and_validation():
-    s = schedule_corrected_every_k(4, 1.0, 2)
-    kinds = [(type(x).__name__, x.corrective) for x in s]
-    assert kinds == [("MeasureStep", False), ("MeasureStep", False), ("UnitaryStep", True),
-                     ("MeasureStep", False), ("MeasureStep", False), ("UnitaryStep", True)]
-    assert len(schedule_alternating(3, 1.0)) == 6
+    every2 = [UnitaryEveryK(2).corrections(i, 1.0, None) for i in range(4)]
+    kick = UnitaryStep(-1.0, np.pi, corrective=True)
+    assert every2 == [(), (kick,), (), (kick,)]
+    assert [AlternatingAntipolarized().corrections(i, 1.0, None) for i in range(3)] \
+        == [(MeasureStep(-1.0, corrective=True),)] * 3
     with pytest.raises(ValueError):
         validate_schedule([])
     with pytest.raises(TypeError):
@@ -47,6 +45,8 @@ def test_strategy_validation():
         UnitaryEveryK(0, np.pi)
     with pytest.raises(ValueError):
         UnitaryAfterEachPlus(np.nan)
+    with pytest.raises(ValueError):
+        ConditionalTuned(5.0)
 
 
 def test_run_average_fixed_point():
