@@ -45,6 +45,7 @@ from .trajectory import (
     AlternatingAntipolarized,
     ConditionalTuned,
     LifetimeCapExceeded,
+    NoAverageEvolution,
     NumericalInvariantError,
     UnitaryAfterEachPlus,
     UnitaryEveryK,
@@ -293,7 +294,7 @@ def run_fig4(cfg: dict, threads: int):
         pts = [mean_angular_momentum(cur, ops) / l]
         for i in range(n):
             cur = average_channel(cur, z, ops)
-            for step in kicks(i, z, None) if corrected else ():
+            for step in kicks(i, z, None, cur, ops, cfg["theta"]) if corrected else ():
                 cur = apply_step(cur, step, ops)
             pts.append(mean_angular_momentum(cur, ops) / l)
         return np.array(pts)
@@ -392,7 +393,9 @@ def _build_custom_state(cfg: dict, ops):
     return rho
 
 
-def _parse_strategy(spec: dict):
+def _parse_strategy(spec: dict, gamma: float, theta0: float):
+    """The strategy object of a spec; gamma is the kick angle a spec without
+    one gets, theta0 the conditional target a spec without theta_known gets."""
     _require(isinstance(spec, dict), f"strategy must be an object, got {spec!r}")
     spec = dict(spec)
     kind = spec.pop("kind", "none")
@@ -401,11 +404,11 @@ def _parse_strategy(spec: dict):
     elif kind == "alternating":
         strategy = AlternatingAntipolarized()
     elif kind == "unitary_every_k":
-        strategy = _construct("strategy", UnitaryEveryK, spec.pop("k", 2), spec.pop("gamma", PI))
+        strategy = _construct("strategy", UnitaryEveryK, spec.pop("k", 2), spec.pop("gamma", gamma))
     elif kind == "unitary_after_each_plus":
-        strategy = _construct("strategy", UnitaryAfterEachPlus, spec.pop("gamma", PI))
+        strategy = _construct("strategy", UnitaryAfterEachPlus, spec.pop("gamma", gamma))
     elif kind == "conditional":
-        strategy = _construct("strategy", ConditionalTuned, spec.pop("theta_known", None))
+        strategy = _construct("strategy", ConditionalTuned, spec.pop("theta_known", theta0))
     else:
         raise ConfigError(f"unknown strategy kind {kind!r}")
     _require(not spec, f"unknown keys for strategy kind {kind!r}: {sorted(spec)}")
@@ -416,17 +419,22 @@ def run_custom(cfg: dict, threads: int):
     """Generic run: any state family, average or stochastic evolution."""
     ops = build_spin_operators(cfg["l"])
     rho0 = _construct("initial state", _build_custom_state, cfg, ops)
+    theta0 = _construct("initial state", summarize_frame, rho0, ops).theta
+    strat = _parse_strategy(cfg["strategy"], cfg["gamma"], theta0)
     l = cfg["l"]
     if cfg["mode"] == "average":
         schedule = schedule_measurements(cfg["n_steps"], cfg["z"])
-        run = run_average(rho0, schedule, ops, record_every=cfg["record_every"])
+        try:
+            run = run_average(rho0, schedule, ops, record_every=cfg["record_every"],
+                              strategy=strat)
+        except NoAverageEvolution as exc:
+            raise ConfigError(f"mode 'average': {exc}") from exc
         rows = [(int(step), s.mean_L[0] / l, s.mean_L[1] / l, s.mean_L[2] / l,
                  s.r, s.theta, float(p))
                 for step, s, p in zip(run.step_indices, run.summaries, run.p_succ_series)]
         return ["step", "Lx_over_l", "Ly_over_l", "Lz_over_l", "r", "theta", "p_succ"], rows, {}
     if cfg["mode"] == "stochastic":
         seeds = resolve_seeds(cfg["seeds"])
-        strat = _parse_strategy(cfg["strategy"])
         records = run_ensemble(rho0, cfg["n_measure"], cfg["z"], strat, seeds, ops,
                                threads=threads)
         st = ensemble_statistics(records)
@@ -511,29 +519,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    threads = args.threads
-    if os.environ.get("QRF_SIM_THREADS"):
-        try:
-            threads = int(os.environ["QRF_SIM_THREADS"])
-        except ValueError:
-            print(f"config-error: QRF_SIM_THREADS must be an integer, "
-                  f"got {os.environ['QRF_SIM_THREADS']!r}", file=sys.stderr)
-            return 2
+def _threads(flag: int) -> int:
+    """The worker thread count: QRF_SIM_THREADS when set, else --threads."""
+    text = os.environ.get("QRF_SIM_THREADS")
+    source, value = ("QRF_SIM_THREADS", text) if text else ("--threads", flag)
+    try:
+        threads = int(value)
+    except ValueError:
+        raise ConfigError(f"{source} must be an integer, got {value!r}") from None
+    _require(threads >= 1, f"{source} must be a positive integer, got {threads}")
+    return threads
+
+
+def _flag_overrides(args) -> dict:
+    """Config overrides from the command-line flags; a flag that sets no key
+    of the experiment is an error rather than silently ignored."""
+    keys = DEFAULTS[args.experiment]
     overrides: dict = {}
     if args.seeds is not None:
+        _require("seeds" in keys, f"--seeds does not apply to {args.experiment}: it has no seeds")
         try:
             overrides["seeds"] = [int(s) for s in args.seeds.split(",") if s]
         except ValueError:
-            print(f"config-error: --seeds must be comma-separated integers", file=sys.stderr)
-            return 2
+            raise ConfigError("--seeds must be comma-separated integers") from None
     if args.gamma is not None:
+        _require("gamma" in keys or "gammas" in keys,
+                 f"--gamma does not apply to {args.experiment}: it has no kick angle")
         overrides["gamma"] = args.gamma
         overrides["gammas"] = [args.gamma]
+    return overrides
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.experiment, args.config, overrides)
-        columns, rows, sidecar = RUNNERS[args.experiment](cfg, max(1, threads))
+        threads = _threads(args.threads)
+        cfg = load_config(args.experiment, args.config, _flag_overrides(args))
+        columns, rows, sidecar = RUNNERS[args.experiment](cfg, threads)
         out = args.out or f"{args.experiment}.csv"
         side = write_outputs(out, args.experiment, cfg, columns, rows, sidecar)
     except ConfigError as exc:

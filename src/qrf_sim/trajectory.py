@@ -55,6 +55,7 @@ class UnitaryStep:
     z: float
     gamma: float
     corrective: bool = False
+    residual: float | None = None  # the inclination error a tuned kick leaves
 
     def __post_init__(self):
         if not np.isfinite(self.gamma):
@@ -80,18 +81,21 @@ def schedule_unitaries(n: int, z: float, gamma: float) -> list:
     return [UnitaryStep(z, gamma) for _ in range(n)]
 
 
-# corrections(i, z, outcome): the steps a strategy applies after primary measurement
-# i (from 0) of a z-polarized source; outcome is None under average evolution.
+# corrections(i, z, outcome, rho, ops, theta0): the steps applied after primary measurement
+# i (from 0) of a z source left the state rho; outcome is None under average evolution.
 
-def _no_average_evolution(strategy) -> ValueError:
-    return ValueError(f"strategy {strategy!r} is outcome-dependent and has no average evolution")
+class NoAverageEvolution(ValueError):
+    """An outcome-dependent strategy was asked for its average evolution."""
+
+    def __init__(self, strategy):
+        super().__init__(f"strategy {strategy!r} is outcome-dependent and has no average evolution")
 
 
 @dataclass(frozen=True)
 class AlternatingAntipolarized:
     """Follow every measurement with a measurement of an antipolarized source."""
 
-    def corrections(self, i: int, z: float, outcome) -> tuple:
+    def corrections(self, i: int, z: float, outcome, rho=None, ops=None, theta0=None) -> tuple:
         return (MeasureStep(-z, corrective=True),)
 
 
@@ -112,7 +116,7 @@ class UnitaryEveryK:
         if not np.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
-    def corrections(self, i: int, z: float, outcome) -> tuple:
+    def corrections(self, i: int, z: float, outcome, rho=None, ops=None, theta0=None) -> tuple:
         return (UnitaryStep(-z, self.gamma, corrective=True),) if (i + 1) % self.k == 0 else ()
 
 
@@ -126,19 +130,19 @@ class UnitaryAfterEachPlus:
         if not np.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
-    def corrections(self, i: int, z: float, outcome) -> tuple:
+    def corrections(self, i: int, z: float, outcome, rho=None, ops=None, theta0=None) -> tuple:
         if outcome is None:
-            raise _no_average_evolution(self)
+            raise NoAverageEvolution(self)
         return (UnitaryStep(-z, self.gamma, corrective=True),) if outcome > 0 else ()
 
 
 @dataclass(frozen=True)
 class ConditionalTuned:
-    """Outcome-by-outcome correction tuned to a known inclination.
-
-    After every measurement the source sign and kick angle minimizing the
-    inclination error against the tracked target are applied; the target
-    defaults to the initial inclination of the run.
+    """Outcome-by-outcome correction tuned to a known inclination (default:
+    the run's initial one, theta0).  Its kick, from conditional_correction_step,
+    solves a + b cos gamma + c sin gamma = 0 for a hit, or else for the
+    stationary inclination, <L> being affine in (1, cos gamma, sin gamma);
+    residual ties go to the kick keeping most polarization along the target.
     """
 
     theta_known: float | None = None
@@ -146,6 +150,14 @@ class ConditionalTuned:
     def __post_init__(self):
         if self.theta_known is not None and not 0.0 < self.theta_known < np.pi:
             raise ValueError(f"theta_known must lie in (0, pi), got {self.theta_known!r}")
+
+    def corrections(self, i: int, z: float, outcome, rho=None, ops=None, theta0=None) -> tuple:
+        if outcome is None:
+            raise NoAverageEvolution(self)
+        z_mag = abs(z) or 1.0
+        choice = conditional_correction_step(
+            rho, theta0 if self.theta_known is None else self.theta_known, outcome, ops, z_mag)
+        return (UnitaryStep(choice.source_sign * z_mag, choice.gamma, True, choice.residual),)
 
 
 @dataclass(frozen=True)
@@ -213,12 +225,14 @@ def apply_step(rho: np.ndarray, step, ops: SpinOperators) -> np.ndarray:
 
 
 def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
-                record_every: int = 1, n_hat: np.ndarray | None = None) -> AverageRun:
+                record_every: int = 1, n_hat: np.ndarray | None = None,
+                strategy=None) -> AverageRun:
     """Deterministic evolution under the average maps of a schedule.
 
-    Snapshots (frame summary and p_succ against n_hat, defaulting to the
-    initial direction) are recorded every record_every steps and always for
-    the initial and final states.
+    The strategy's corrections (outcome None) follow every schedule step and
+    are not counted as steps.  Snapshots (frame summary and p_succ against
+    n_hat, defaulting to the initial direction) are recorded every
+    record_every steps and always for the initial and final states.
     """
     validate_schedule(schedule)
     if record_every < 1:
@@ -232,6 +246,9 @@ def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
     cur = rho0
     for i, step in enumerate(schedule, start=1):
         cur = _checked(apply_step(cur, step, ops))
+        for fix in strategy.corrections(i - 1, step.z, None, cur, ops, summary0.theta) \
+                if strategy else ():
+            cur = _checked(apply_step(cur, fix, ops))
         if i % record_every == 0 or i == len(schedule):
             indices.append(i)
             summaries.append(summarize_frame(cur, ops))
@@ -247,12 +264,11 @@ def average_lifetime_stepper(rho0: np.ndarray, q, ops: SpinOperators, threshold:
     Only outcome-independent strategies make sense under average evolution.
     """
     z = as_polarization(q)
-    if isinstance(strategy, ConditionalTuned):
-        raise _no_average_evolution(strategy)
+    theta0 = float(np.arctan2(n_hat[0], n_hat[2]))
     cur = rho0
     for n in range(1, step_cap + 1):
         cur = _checked(average_channel(cur, z, ops))
-        for step in strategy.corrections(n - 1, z, None) if strategy is not None else ():
+        for step in strategy.corrections(n - 1, z, None, cur, ops, theta0) if strategy else ():
             cur = _checked(apply_step(cur, step, ops))
         if p_succ(cur, ops, n_hat) < threshold:
             return n
@@ -263,59 +279,59 @@ def average_lifetime_stepper(rho0: np.ndarray, q, ops: SpinOperators, threshold:
 # conditional correction
 # ---------------------------------------------------------------------------
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_minimize(f, a: float, b: float, tol: float):
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _trig_roots(a: float, b: float, c: float) -> tuple:
+    """The roots in gamma of a + b cos(gamma) + c sin(gamma) = 0, if any."""
+    h = np.hypot(b, c)
+    if h == 0.0 or abs(a) > h:
+        return ()
+    phi, half_width = np.arctan2(c, b), np.arccos(-a / h)
+    return (phi + half_width, phi - half_width)
 
 
 def conditional_correction_step(rho: np.ndarray, theta_known: float, outcome,
-                                ops: SpinOperators, z_mag: float = 1.0,
-                                gamma_tol: float = 1e-6) -> CorrectionChoice:
+                                ops: SpinOperators, z_mag: float = 1.0) -> CorrectionChoice:
     """Best single unitary kick returning a post-measurement state to a known
-    inclination.
+    inclination t, in closed form.
 
-    Scans both source signs with golden-section search over gamma in
-    (0, 2pi), minimizing |theta_after - theta_known| of the exact channel.
-    When the state is already on target nothing is applied (gamma = 0); when
-    full correction is out of reach the best achievable kick is returned
-    together with its residual.
+    The channel is affine in (1, cos gamma, sin gamma), so either source sign
+    kicks <L> = (x, y, z) to exactly P + Q cos gamma + R sin gamma, where
+    P = (v0 + v_pi)/2, Q = (v0 - v_pi)/2, R = v_pi/2 - P from the current v0
+    and trial kicks at pi and pi/2.  Candidates: no kick and, per sign, the
+    roots of the hit condition x cos t - z sin t = 0 and of the stationary
+    condition x z' - z x' = Q^R + (P^R) cos gamma - (P^Q) sin gamma = 0
+    (^ the X-Z cross product), met by the best reachable inclination.  The
+    least residual |atan2(x, z) - t| wins; residuals within 1e-12 of it tie
+    and go to the largest forward component x sin t + z cos t.  That rule is
+    load-bearing: both signs usually hit, and which one is taken sets the
+    trajectory.  Remaining ties go to the first of no kick, sign +1, hit
+    roots, phi + arccos.  On target, gamma = 0 and rho itself are returned.
     """
     if not 0.0 < theta_known < np.pi:
         raise ValueError(f"theta_known must lie in (0, pi), got {theta_known!r}")
+    cos_t, sin_t = np.cos(theta_known), np.sin(theta_known)
 
-    def inclination_error(state):
-        v = mean_angular_momentum(state, ops)
+    def error(v):
         return abs(np.arctan2(v[0], v[2]) - theta_known)
 
-    baseline = inclination_error(rho)
-    if baseline <= 1e-12:
-        return CorrectionChoice(0.0, +1, rho, baseline)
-    best = CorrectionChoice(0.0, +1, rho, baseline)
-    for sign in (+1, -1):
-        def err(gamma):
-            return inclination_error(unitary_channel(rho, sign * z_mag, ops, gamma))
-
-        gamma, resid = _golden_minimize(err, 1e-9, 2.0 * np.pi - 1e-9, gamma_tol)
-        if resid < best.residual:
-            best = CorrectionChoice(
-                float(gamma), sign, hygiene(unitary_channel(rho, sign * z_mag, ops, gamma)),
-                float(resid),
-            )
-    return best
+    v0 = mean_angular_momentum(rho, ops)
+    candidates = [(0.0, +1, v0)]
+    for sign in (+1, -1) if error(v0) > 1e-12 else ():
+        v_pi, v_half = (mean_angular_momentum(unitary_channel(rho, sign * z_mag, ops, g), ops)
+                        for g in (np.pi, 0.5 * np.pi))
+        P, Q = 0.5 * (v0 + v_pi), 0.5 * (v0 - v_pi)
+        R = v_half - P
+        hit = _trig_roots(*(u[0] * cos_t - u[2] * sin_t for u in (P, Q, R)))
+        stationary = _trig_roots(Q[0] * R[2] - Q[2] * R[0], P[0] * R[2] - P[2] * R[0],
+                                 P[2] * Q[0] - P[0] * Q[2])
+        candidates += [(g, sign, P + Q * np.cos(g) + R * np.sin(g))
+                       for g in np.mod(hit + stationary, 2.0 * np.pi)]
+    least = min(error(v) for _, _, v in candidates)
+    gamma, sign, _ = max((c for c in candidates if error(c[2]) <= least + 1e-12),
+                         key=lambda c: c[2][0] * sin_t + c[2][2] * cos_t)
+    if gamma == 0.0:
+        return CorrectionChoice(0.0, +1, rho, error(v0))
+    kicked = hygiene(unitary_channel(rho, sign * z_mag, ops, gamma))
+    return CorrectionChoice(float(gamma), sign, kicked, error(mean_angular_momentum(kicked, ops)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,11 +376,8 @@ def run_stochastic(rho0: np.ndarray, n_measure: int, q, strategy, seed: int,
     z = as_polarization(q)
     rng = np.random.default_rng(np.random.Philox(key=seed))
     summary0 = summarize_frame(rho0, ops)
-    v0 = summary0.mean_L
+    v0, theta0 = summary0.mean_L, summary0.theta
     n_hat = v0 / np.linalg.norm(v0)
-    theta_target = summary0.theta
-    if isinstance(strategy, ConditionalTuned) and strategy.theta_known is not None:
-        theta_target = strategy.theta_known
 
     outcomes: list[int] = []
     corrective_flags: list[bool] = []
@@ -376,25 +389,18 @@ def run_stochastic(rho0: np.ndarray, n_measure: int, q, strategy, seed: int,
         outcome, cur = _measure(rng, cur, z, ops)
         outcomes.append(outcome)
         corrective_flags.append(False)
-
-        if isinstance(strategy, ConditionalTuned):
-            choice = conditional_correction_step(cur, theta_target, outcome, ops,
-                                                 z_mag=abs(z) if z != 0.0 else 1.0)
-            cur = choice.corrected_rho
-            events.append(CorrectionEvent(i, "conditional", gamma=choice.gamma,
-                                          source_z=choice.source_sign * (abs(z) or 1.0),
-                                          residual=choice.residual, outcome=outcome))
-        elif strategy is not None:
-            for step in strategy.corrections(i, z, outcome):
-                if isinstance(step, MeasureStep):
-                    bar_outcome, cur = _measure(rng, cur, step.z, ops)
-                    outcomes.append(bar_outcome)
-                    corrective_flags.append(step.corrective)
-                    events.append(CorrectionEvent(i, "measure_antipolarized", source_z=step.z,
-                                                  outcome=bar_outcome))
-                else:
-                    cur = _checked(apply_step(cur, step, ops))
-                    events.append(CorrectionEvent(i, "unitary", gamma=step.gamma, source_z=step.z))
+        for step in strategy.corrections(i, z, outcome, cur, ops, theta0) if strategy else ():
+            if isinstance(step, MeasureStep):
+                bar_outcome, cur = _measure(rng, cur, step.z, ops)
+                outcomes.append(bar_outcome)
+                corrective_flags.append(step.corrective)
+                events.append(CorrectionEvent(i, "measure_antipolarized", source_z=step.z,
+                                              outcome=bar_outcome))
+            else:
+                cur = _checked(apply_step(cur, step, ops))
+                tuned = step.residual is not None  # a conditional kick records its outcome
+                events.append(CorrectionEvent(i, "conditional" if tuned else "unitary", step.gamma,
+                                              step.z, step.residual, outcome if tuned else None))
 
         snapshots.append(summarize_frame(cur, ops))
         probs.append(p_succ(cur, ops, n_hat))

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from qrf_sim.cli import main
+from qrf_sim.metrics import p_succ
+from qrf_sim.spin import build_spin_operators, coherent_state
+from qrf_sim.trajectory import MeasureStep, UnitaryStep, apply_step
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -178,7 +181,7 @@ def test_unknown_config_key_is_exit_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("experiment, payload", [
+BAD_CONFIGS = [
     ("fig2", {"l": True, "n_steps": True}),
     ("fig2", {"gamma": float("nan")}),
     ("fig1", {"k1": 0.3}),
@@ -195,13 +198,38 @@ def test_unknown_config_key_is_exit_2(tmp_path):
     ("fig3", {"gammas": ["x"]}),
     ("scaling", {"l_list": []}),
     ("scaling", {"thresholds": []}),
-], ids=["bool-as-int", "nan-gamma", "bad-state-parameter", "negative-seed",
-        "strategy-unknown-key", "state-unknown-key", "string-state-parameter",
-        "strategy-k-zero", "strategy-k-string", "strategy-not-object",
-        "conditional-theta-out-of-range", "string-gamma", "string-p", "string-in-gammas",
-        "empty-l-list", "empty-thresholds"])
-def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, payload):
-    rc, _ = run(tmp_path, experiment, payload)
+    ("custom", {"strategy": {"kind": "bogus"}}),
+    ("custom", {"strategy": {"kind": "unitary_after_each_plus"}}),
+    ("custom", {"strategy": {"kind": "conditional"}}),
+    ("custom", {"state": {"family": "thermal", "r": 0}}),
+    ("custom", {"mode": "stochastic", "theta": 0.0, "strategy": {"kind": "conditional"}}),
+]
+BAD_INVOCATIONS = [
+    ("fig1", {}, ("--gamma", "1.0"), {}),
+    ("scaling", {}, ("--gamma", "1.0"), {}),
+    ("fig2", {}, ("--seeds", "1,2"), {}),
+    ("fig2", {}, ("--threads", "-4"), {}),
+    ("fig2", {}, ("--threads", "0"), {}),
+    ("fig2", {}, (), {"QRF_SIM_THREADS": "-4"}),
+]
+
+
+@pytest.mark.parametrize("experiment, payload, extra, env", [
+    (exp, payload, (), {}) for exp, payload in BAD_CONFIGS] + BAD_INVOCATIONS,
+    ids=["bool-as-int", "nan-gamma", "bad-state-parameter", "negative-seed",
+         "strategy-unknown-key", "state-unknown-key", "string-state-parameter",
+         "strategy-k-zero", "strategy-k-string", "strategy-not-object",
+         "conditional-theta-out-of-range", "string-gamma", "string-p", "string-in-gammas",
+         "empty-l-list", "empty-thresholds", "average-unknown-strategy",
+         "average-outcome-dependent-strategy", "average-conditional-strategy",
+         "unpolarized-thermal-state", "conditional-default-target-out-of-range",
+         "gamma-flag-without-gamma", "gamma-flag-on-scaling", "seeds-flag-without-seeds",
+         "negative-threads", "zero-threads", "negative-env-threads"])
+def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                  experiment, payload, extra, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    rc, _ = run(tmp_path, experiment, payload, extra)
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config-error: ")
@@ -250,6 +278,45 @@ def test_custom_average_and_stochastic_modes(tmp_path):
     assert rc == 0
     _, header, rows = read_csv(out)
     assert header[0] == "step" and len(rows) == 7
+
+
+def test_custom_average_applies_strategy_like_a_step_replay(tmp_path):
+    l, theta, z, n = 8, 1.2, 0.5, 9
+    rc, out = run(tmp_path, "custom", {
+        "l": l, "theta": theta, "z": z, "n_steps": n,
+        "strategy": {"kind": "unitary_every_k", "k": 2, "gamma": 2.5},
+    })
+    assert rc == 0
+    _, header, rows = read_csv(out)
+    cols = np.array(rows, dtype=float)
+    assert list(cols[:, 0]) == list(range(n + 1))  # kicks are not counted as steps
+    ops = build_spin_operators(l)
+    cur = coherent_state(l, theta)
+    n_hat = np.array([np.sin(theta), 0.0, np.cos(theta)])
+    want = [p_succ(cur, ops, n_hat)]
+    for i in range(n):
+        cur = apply_step(cur, MeasureStep(z), ops)
+        if i % 2 == 1:
+            cur = apply_step(cur, UnitaryStep(-z, 2.5), ops)
+        want.append(p_succ(cur, ops, n_hat))
+    got = cols[:, header.index("p_succ")]
+    assert np.abs(got - want).max() <= 1e-12
+    rc, plain = run(tmp_path, "custom", {"l": l, "theta": theta, "z": z, "n_steps": n})
+    uncorrected = np.array(read_csv(plain)[2], dtype=float)[:, header.index("p_succ")]
+    assert np.abs(got - uncorrected).max() > 1e-3
+
+
+def test_custom_gamma_is_the_default_kick_angle(tmp_path):
+    cfg = {"mode": "stochastic", "n_measure": 6, "seeds": [0, 1],
+           "strategy": {"kind": "unitary_every_k", "k": 2}}
+    rc, flagged = run(tmp_path, "custom", cfg, extra=("--gamma", "1.0"))
+    assert rc == 0
+    flagged_rows = read_csv(flagged)[2]
+    explicit = {**cfg, "strategy": {**cfg["strategy"], "gamma": 1.0}}
+    rc, out = run(tmp_path, "custom", explicit)
+    assert rc == 0 and read_csv(out)[2] == flagged_rows
+    rc, out = run(tmp_path, "custom", cfg)
+    assert rc == 0 and read_csv(out)[2] != flagged_rows
 
 
 def test_float_formatting_17_digits(tmp_path):

@@ -3,8 +3,22 @@ import inspect
 import numpy as np
 import pytest
 
-from qrf_sim.channels import outcome_probabilities, unitary_channel
-from qrf_sim.spin import build_spin_operators, coherent_state, rotated_dicke_state
+import qrf_sim.trajectory as trajectory
+from qrf_sim.channels import (
+    build_projectors,
+    outcome_probabilities,
+    selective_channel,
+    unitary_channel,
+    unitary_channel_tensor,
+)
+from qrf_sim.metrics import mean_angular_momentum
+from qrf_sim.spin import (
+    build_spin_operators,
+    coherent_state,
+    rotated_dicke_state,
+    source_state,
+    thermal_partial_coherent,
+)
 from qrf_sim.trajectory import (
     AlternatingAntipolarized,
     ConditionalTuned,
@@ -166,7 +180,7 @@ def test_conditional_correction_fully_corrects_one_branch():
         post = selective_channel(rho, 1.0, OPS16, outcome).post_state
         choice = conditional_correction_step(post, theta0, outcome, OPS16)
         residuals[outcome] = choice.residual
-    assert min(residuals.values()) <= 1e-4
+    assert min(residuals.values()) <= 1e-12
     assert max(residuals.values()) > 1e-3  # the other branch is out of reach here
 
 
@@ -186,6 +200,81 @@ def test_conditional_correction_noop_when_on_target():
     assert choice.gamma == 0.0
     assert choice.residual <= 1e-12
     assert choice.corrected_rho is rho
+
+
+def kicked_polarization(rho, z, ops, gammas):
+    """<L> after the tensor-product unitary channel at every gamma of a scan.
+
+    U = pi_+ + e^{-i gamma} pi_-, so U W U^dag = pi_+ W pi_+ + pi_- W pi_-
+    + e^{-i gamma} pi_- W pi_+ + h.c.: two traces give the whole scan.
+    """
+    pair, d = build_projectors(ops), ops.d
+    W = np.kron(rho, source_state(z))
+
+    def moments(M):
+        frame = M.reshape(d, 2, d, 2).trace(axis1=1, axis2=3)
+        return np.array([np.trace(frame @ L) for L in (ops.Lx, ops.Ly, ops.Lz)])
+
+    still = moments(pair.pi_plus @ W @ pair.pi_plus + pair.pi_minus @ W @ pair.pi_minus)
+    cross = moments(pair.pi_minus @ W @ pair.pi_plus)
+    return still.real + 2.0 * (np.exp(-1j * gammas)[:, None] * cross).real
+
+
+def conditional_cases(l):
+    """(post-measurement state, source |z|, target) over states, z, outcomes, targets."""
+    ops = build_spin_operators(l)
+    states = [coherent_state(l, 1.0), thermal_partial_coherent(l, 0.6, 2.0),
+              unitary_channel(coherent_state(l, 1.3), 0.5, ops, 0.9)]  # out of plane
+    for rho in states:
+        v = mean_angular_momentum(rho, ops)
+        for z in (1.0, 0.3, -0.7):
+            for outcome in (+1, -1):
+                post = selective_channel(rho, z, ops, outcome).post_state
+                for target in (np.arctan2(v[0], v[2]), 0.4, 1.6, 2.7):
+                    yield ops, post, outcome, abs(z), float(target)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3.5, 8, 16])
+def test_conditional_correction_matches_dense_scan(l):
+    gammas = np.linspace(0.0, 2.0 * np.pi, 20002)  # 20001 points on [0, 2pi), closed
+    n_reached = 0
+    for ops, post, outcome, z_mag, target in conditional_cases(l):
+        choice = conditional_correction_step(post, target, outcome, ops, z_mag=z_mag)
+        w = mean_angular_momentum(choice.corrected_rho, ops)
+        residual = abs(np.arctan2(w[0], w[2]) - target)
+        forward = w[0] * np.sin(target) + w[2] * np.cos(target)
+        assert choice.residual == residual
+        for sign in (+1, -1):
+            v = kicked_polarization(post, sign * z_mag, ops, gammas)
+            probe = unitary_channel_tensor(post, sign * z_mag, ops, gammas[7777])
+            assert np.abs(v[7777] - mean_angular_momentum(probe, ops)).max() <= 1e-12 * l
+            assert residual <= np.abs(np.arctan2(v[:, 0], v[:, 2]) - target).min() + 1e-12
+            # a sign change of x cos(target) - z sin(target) on the forward side
+            # brackets a kick that hits the target
+            miss = v[:, 0] * np.cos(target) - v[:, 2] * np.sin(target)
+            ahead = v[:, 0] * np.sin(target) + v[:, 2] * np.cos(target)
+            hits = np.flatnonzero((np.sign(miss[:-1]) != np.sign(miss[1:]))
+                                  & (ahead[:-1] > 0) & (ahead[1:] > 0))
+            if hits.size:
+                n_reached += 1
+                assert residual <= 1e-12
+                assert forward >= np.minimum(ahead[hits], ahead[hits + 1]).max() - 1e-12 * l
+    assert n_reached > 0
+
+
+def test_conditional_correction_makes_at_most_five_channel_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3] if len(args) > 3 else kwargs["gamma"])
+        return unitary_channel(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "unitary_channel", counting)
+    theta0 = 2 * np.pi / 3
+    post = selective_channel(coherent_state(16, theta0), 1.0, OPS16, +1).post_state
+    choice = conditional_correction_step(post, theta0, +1, OPS16)
+    assert choice.gamma != 0.0
+    assert 0 < len(calls) <= 5
 
 
 def test_conditional_strategy_runs_and_records():
