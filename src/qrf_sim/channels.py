@@ -9,7 +9,10 @@ Each channel is implemented twice, on independent code paths:
   map as a banded O(d^2) update -- the default used everywhere else.
 
 The two routes agree to 1e-12 and disagreeing beyond that is treated as a
-bug in the structured coefficients, never in the tensor form.
+bug in the structured coefficients, never in the tensor form.  The
+structured functions also take ``bands=True``: the state is then the
+(3, d) band array of its diagonals 0-2 and the same coefficients go through
+the O(d) band kernel, which is how the run loops step the frame.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import apply_structured
+from .kernels import apply_band, apply_structured
 from .spin import SpinOperators, SpinQuantum, as_polarization, build_spin_operators, source_state
 
 OUTCOME_EPS = 1e-12
@@ -135,17 +138,24 @@ def _coeffs_unitary(z: float, d: int, gamma: float):
 # channels, structured route (default)
 # ---------------------------------------------------------------------------
 
-def average_channel(rho: np.ndarray, q, ops: SpinOperators) -> np.ndarray:
+def _apply(rho: np.ndarray, ops: SpinOperators, coeffs, bands: bool) -> np.ndarray:
+    if bands:
+        return apply_band(rho, ops.m_band, ops.ladder_band, coeffs)
+    return apply_structured(rho, ops.m_diag, ops.ladder, coeffs)
+
+
+def average_channel(rho: np.ndarray, q, ops: SpinOperators, *, bands: bool = False) -> np.ndarray:
     """Frame back-action of one measurement with the outcome discarded."""
     z = as_polarization(q)
-    return apply_structured(rho, ops.m_diag, ops.ladder, _coeffs_average(z, ops.d))
+    return _apply(rho, ops, _coeffs_average(z, ops.d), bands)
 
 
-def selective_unnormalized(rho: np.ndarray, q, ops: SpinOperators, outcome) -> np.ndarray:
+def selective_unnormalized(rho: np.ndarray, q, ops: SpinOperators, outcome, *,
+                           bands: bool = False) -> np.ndarray:
     """Unnormalized branch map; its trace is the outcome probability."""
     z = as_polarization(q)
     sign = _sign(outcome)
-    return apply_structured(rho, ops.m_diag, ops.ladder, _coeffs_selective(z, ops.d, sign))
+    return _apply(rho, ops, _coeffs_selective(z, ops.d, sign), bands)
 
 
 def selective_channel(rho: np.ndarray, q, ops: SpinOperators, outcome) -> SelectiveOutcome:
@@ -162,7 +172,8 @@ def selective_channel(rho: np.ndarray, q, ops: SpinOperators, outcome) -> Select
     return SelectiveOutcome(sign, p, sigma / p)
 
 
-def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float) -> np.ndarray:
+def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
+                    bands: bool = False) -> np.ndarray:
     """Frame back-action of the rotationally invariant unitary coupling.
 
     gamma is the accumulated phase between the two total-spin sectors;
@@ -171,13 +182,14 @@ def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float) -> np.
     z = as_polarization(q)
     if not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
-    return apply_structured(rho, ops.m_diag, ops.ladder, _coeffs_unitary(z, ops.d, gamma))
+    return _apply(rho, ops, _coeffs_unitary(z, ops.d, gamma), bands)
 
 
-def outcome_probabilities(rho: np.ndarray, q, ops: SpinOperators) -> tuple[float, float]:
+def outcome_probabilities(rho: np.ndarray, q, ops: SpinOperators, *,
+                          bands: bool = False) -> tuple[float, float]:
     """Exact finite-l outcome probabilities (p_plus, p_minus)."""
     z = as_polarization(q)
-    mean_lz = float(np.real(np.diag(rho) @ ops.m_diag))
+    mean_lz = float(np.real((rho[0] if bands else np.diag(rho)) @ ops.m_diag))
     p_plus = 0.5 + (2.0 * z * mean_lz + 1.0) / (2.0 * ops.d)
     return p_plus, 1.0 - p_plus
 
@@ -231,14 +243,18 @@ HYGIENE_TRIGGER = 1e-13
 HYGIENE_WARN = 1e-10
 
 
-def hygiene(rho: np.ndarray) -> np.ndarray:
+def hygiene(rho: np.ndarray, *, bands: bool = False) -> np.ndarray:
     """Re-hermitize and renormalize a state when float drift exceeds 1e-13.
 
     Used by the long stepping loops to stop rounding from accumulating;
-    corrections above 1e-10 are logged as suspicious.
+    corrections above 1e-10 are logged as suspicious.  A band array is
+    Hermitian by construction except for the imaginary part of its main
+    diagonal, so its check and correction are O(d); the drift measured is
+    the same |rho - rho^dag| entry the dense check finds there.
     """
-    herm_drift = np.abs(rho - rho.conj().T).max()
-    tr_drift = abs(rho.trace() - 1.0)
+    diag = rho[0] if bands else np.diagonal(rho)
+    herm_drift = 2.0 * np.abs(diag.imag).max() if bands else np.abs(rho - rho.conj().T).max()
+    tr_drift = abs(diag.sum() - 1.0)
     if herm_drift <= HYGIENE_TRIGGER and tr_drift <= HYGIENE_TRIGGER:
         return rho
     if herm_drift > HYGIENE_WARN or tr_drift > HYGIENE_WARN:
@@ -247,6 +263,10 @@ def hygiene(rho: np.ndarray) -> np.ndarray:
             herm_drift,
             tr_drift,
         )
+    if bands:
+        rho = rho.copy()
+        rho[0] = rho[0].real
+        return rho / rho[0].sum().real
     rho = 0.5 * (rho + rho.conj().T)
     return rho / rho.trace().real
 

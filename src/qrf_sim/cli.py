@@ -11,7 +11,9 @@ parameters).  All angles are radians.  Every output CSV embeds the config
 hash, RNG identifier and seed list as '#' header comments and is
 byte-reproducible for a fixed config; a JSON summary sidecar is written next
 to it.  Exit codes: 0 success, 2 config error, 3 numerical-invariant
-violation during the run.
+violation during the run (including an output value that is not finite).
+--threads and QRF_SIM_THREADS are accepted and validated but change
+nothing: every run is single-threaded and its bytes never depended on them.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .channels import selective_channel, average_channel
-from .metrics import mean_angular_momentum, summarize_frame, usable_lifetime
+from .channels import selective_channel
+from .metrics import summarize_frame, usable_lifetime
 from .predictions import selective_angles_partially_coherent
 from .spin import (
     DensityMatrixError,
@@ -49,7 +50,6 @@ from .trajectory import (
     NumericalInvariantError,
     UnitaryAfterEachPlus,
     UnitaryEveryK,
-    apply_step,
     ensemble_statistics,
     run_average,
     run_ensemble,
@@ -195,13 +195,6 @@ def resolve_seeds(spec) -> list[int]:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _pool_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _construct(what: str, build, *args):
     """Call a constructor fed from the config: a parameter it rejects or lacks
     is a config error, a built state failing the density-matrix checks stays
@@ -216,7 +209,7 @@ def _construct(what: str, build, *args):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def run_fig1(cfg: dict, threads: int):
+def run_fig1(cfg: dict):
     """Exact selective rotation angles of a mixed-Dicke frame versus the
     closed-form prediction, over an inclination grid."""
     l = cfg["l"]
@@ -235,7 +228,7 @@ def run_fig1(cfg: dict, threads: int):
         return (theta, exact[0], exact[1], formula[0], formula[1],
                 abs(exact[0] - formula[0]), abs(exact[1] - formula[1])), frame.r
 
-    results = _pool_map(one, list(thetas), threads)
+    results = [one(theta) for theta in thetas]
     rows = [r for r, _ in results]
     r_value = results[0][1]
     over = sum(1 for row in rows for e, f in ((row[1], row[3]), (row[2], row[4]))
@@ -248,7 +241,7 @@ def run_fig1(cfg: dict, threads: int):
     return columns, rows, sidecar
 
 
-def run_fig2(cfg: dict, threads: int):
+def run_fig2(cfg: dict):
     """Polarization components of the frame under repeated invariant unitary
     interactions (the axis tilts out of the X-Z plane for generic gamma)."""
     l = cfg["l"]
@@ -261,7 +254,7 @@ def run_fig2(cfg: dict, threads: int):
     return ["step", "Lx_over_l", "Ly_over_l", "Lz_over_l"], rows, {}
 
 
-def run_fig3(cfg: dict, threads: int):
+def run_fig3(cfg: dict):
     """Success probability under sequential measurements versus unitary
     interactions at the configured kick angles."""
     l = cfg["l"]
@@ -275,31 +268,22 @@ def run_fig3(cfg: dict, threads: int):
     arms = [("p_succ_measurement", schedule_measurements(n, cfg["z"]))]
     for g in cfg["gammas"]:
         arms.append((f"p_succ_unitary_gamma_{g:.6g}", schedule_unitaries(n, cfg["z"], g)))
-    curves = _pool_map(lambda arm: series(arm[1]), arms, threads)
+    curves = [series(schedule) for _, schedule in arms]
     rows = [tuple([step] + [float(curve[step]) for curve in curves]) for step in range(n + 1)]
     return ["step"] + [name for name, _ in arms], rows, {}
 
 
-def run_fig4(cfg: dict, threads: int):
+def run_fig4(cfg: dict):
     """Frame polarization trace with and without the antipolarized unitary
     kick after every k measurements (average evolution)."""
     l = cfg["l"]
     ops = build_spin_operators(l)
     rho0 = coherent_state(l, cfg["theta"])
-    n, z = cfg["n_measure"], cfg["z"]
-    kicks = UnitaryEveryK(cfg["k"], cfg["gamma"]).corrections
-
-    def trace(corrected: bool):
-        cur = rho0
-        pts = [mean_angular_momentum(cur, ops) / l]
-        for i in range(n):
-            cur = average_channel(cur, z, ops)
-            for step in kicks(i, z, None, cur, ops, cfg["theta"]) if corrected else ():
-                cur = apply_step(cur, step, ops)
-            pts.append(mean_angular_momentum(cur, ops) / l)
-        return np.array(pts)
-
-    unc, cor = _pool_map(trace, [False, True], threads)
+    n = cfg["n_measure"]
+    schedule = schedule_measurements(n, cfg["z"])
+    unc, cor = (np.array([s.mean_L / l for s in run_average(rho0, schedule, ops,
+                                                            strategy=strategy).summaries])
+                for strategy in (None, UnitaryEveryK(cfg["k"], cfg["gamma"])))
     rows = [(i, unc[i][0], unc[i][2], cor[i][0], cor[i][2]) for i in range(n + 1)]
     start = cor[0]
     point_dev = np.hypot(cor[:, 0] - start[0], cor[:, 2] - start[2]).max()
@@ -311,7 +295,7 @@ def run_fig4(cfg: dict, threads: int):
                            "corrected_max_direction_deviation": float(angle_dev)}
 
 
-def run_fig5(cfg: dict, threads: int):
+def run_fig5(cfg: dict):
     """Seed-averaged success probability for the uncorrected run and the two
     unitary correction policies; corrective steps are not counted on the
     measurement axis."""
@@ -325,7 +309,7 @@ def run_fig5(cfg: dict, threads: int):
                   ("after_each_plus", UnitaryAfterEachPlus(cfg["gamma"]))]
     stats = []
     for _, strat in strategies:
-        records = run_ensemble(rho0, n, cfg["z"], strat, seeds, ops, threads=threads)
+        records = run_ensemble(rho0, n, cfg["z"], strat, seeds, ops)
         stats.append(ensemble_statistics(records))
     columns = ["n_measurements"] + [f"p_succ_{name}" for name, _ in strategies] \
         + [f"p_succ_{name}_stderr" for name, _ in strategies]
@@ -339,7 +323,7 @@ def run_fig5(cfg: dict, threads: int):
     return columns, rows, sidecar
 
 
-def run_scaling(cfg: dict, threads: int):
+def run_scaling(cfg: dict):
     """Usable lifetime (measurements until p_succ crosses a threshold) as a
     function of l, with a log-log exponent fit per (z, threshold)."""
     combos = [(l, z, thr) for z in cfg["z_list"] for thr in cfg["thresholds"]
@@ -353,9 +337,11 @@ def run_scaling(cfg: dict, threads: int):
             life = usable_lifetime(rho0, z, ops, thr, None, step_cap=cfg["step_cap"])
         except LifetimeCapExceeded:
             life = cfg["step_cap"]
+        except ValueError as exc:  # a threshold at or above the initial p_succ
+            raise ConfigError(f"scaling at l = {l}, z = {z}: {exc}") from exc
         return (l, z, thr, life)
 
-    rows = _pool_map(one, combos, threads)
+    rows = [one(combo) for combo in combos]
     fits = []
     for z in cfg["z_list"]:
         for thr in cfg["thresholds"]:
@@ -415,7 +401,7 @@ def _parse_strategy(spec: dict, gamma: float, theta0: float):
     return strategy
 
 
-def run_custom(cfg: dict, threads: int):
+def run_custom(cfg: dict):
     """Generic run: any state family, average or stochastic evolution."""
     ops = build_spin_operators(cfg["l"])
     rho0 = _construct("initial state", _build_custom_state, cfg, ops)
@@ -435,8 +421,7 @@ def run_custom(cfg: dict, threads: int):
         return ["step", "Lx_over_l", "Ly_over_l", "Lz_over_l", "r", "theta", "p_succ"], rows, {}
     if cfg["mode"] == "stochastic":
         seeds = resolve_seeds(cfg["seeds"])
-        records = run_ensemble(rho0, cfg["n_measure"], cfg["z"], strat, seeds, ops,
-                               threads=threads)
+        records = run_ensemble(rho0, cfg["n_measure"], cfg["z"], strat, seeds, ops)
         st = ensemble_statistics(records)
         rows = [(step, float(st.theta[step]), float(st.theta_stderr[step]),
                  float(st.p_succ[step]), float(st.p_succ_stderr[step]))
@@ -471,6 +456,12 @@ def config_hash(cfg: dict) -> str:
 
 
 def write_outputs(out_path: str, experiment: str, cfg: dict, columns, rows, sidecar):
+    for i, row in enumerate(rows):
+        for name, value in zip(columns, row):
+            if not math.isfinite(value):
+                reason = " (the frame became unpolarized, so theta is undefined)" \
+                    if name.startswith("theta") else ""
+                raise NumericalInvariantError(f"output {name} is {value} in data row {i}{reason}")
     seeds = resolve_seeds(cfg["seeds"]) if "seeds" in cfg else None
     comments = [
         f"# qrf-sim version: {__version__}",
@@ -515,12 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seeds", default=None, help="comma-separated seed list override")
     parser.add_argument("--gamma", type=float, default=None, help="kick-angle override (radians)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (env QRF_SIM_THREADS overrides)")
+                        help="accepted for compatibility and validated; runs are "
+                             "single-threaded (env QRF_SIM_THREADS overrides)")
     return parser
 
 
 def _threads(flag: int) -> int:
-    """The worker thread count: QRF_SIM_THREADS when set, else --threads."""
+    """The validated thread count, QRF_SIM_THREADS when set, else --threads;
+    it has no effect on a run."""
     text = os.environ.get("QRF_SIM_THREADS")
     source, value = ("QRF_SIM_THREADS", text) if text else ("--threads", flag)
     try:
@@ -553,9 +546,9 @@ def _flag_overrides(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        threads = _threads(args.threads)
+        _threads(args.threads)
         cfg = load_config(args.experiment, args.config, _flag_overrides(args))
-        columns, rows, sidecar = RUNNERS[args.experiment](cfg, threads)
+        columns, rows, sidecar = RUNNERS[args.experiment](cfg)
         out = args.out or f"{args.experiment}.csv"
         side = write_outputs(out, args.experiment, cfg, columns, rows, sidecar)
     except ConfigError as exc:

@@ -1,4 +1,4 @@
-"""Structured channel-application kernel.
+"""Structured channel-application kernels.
 
 Every channel in this package is a fixed linear combination of six
 superoperators whose ingredients are the diagonal of Lz and the single
@@ -12,8 +12,16 @@ off-diagonal of the ladder operators:
         + c_comm  * (Lz rho - rho Lz)
 
 which is an O(d^2) banded update rather than an O(d^3) chain of dense
-products.  `apply_structured` does it in numpy: one outer product for the
-Lz terms and two shifted slices for the ladder terms.
+products.  `apply_structured` does it on a d x d matrix: one outer product
+for the Lz terms and two shifted slices for the ladder terms.
+
+Every such map commutes with rotations about Z, so it sends each diagonal
+rho[i, i+k] to itself with a tridiagonal update along it.  Everything the
+package records reads only the diagonals |k| <= 2, so the run loops carry a
+state as its band array B[..., k, i] = rho[i, i+k], k = 0, 1, 2, zero-padded
+to length d (the lower diagonals are the conjugates).  `apply_band` steps
+that array in O(d) with the same per-element expression as the dense kernel,
+so its output equals the dense kernel's diagonals bit for bit.
 """
 
 from __future__ import annotations
@@ -33,3 +41,30 @@ def apply_structured(rho: np.ndarray, m: np.ndarray, a: np.ndarray, coeffs) -> n
     out[:-1, :-1] += c_plus * aa * rho[1:, 1:]
     out[1:, 1:] += c_minus * aa * rho[:-1, :-1]
     return out
+
+
+def apply_band(B: np.ndarray, m_band: np.ndarray, ladder_band: np.ndarray, coeffs) -> np.ndarray:
+    """Apply the six-term structured superoperator to a (..., 3, d) band array.
+
+    m_band and ladder_band are the per-l tables of SpinOperators: element
+    (k, i) of the output is w_i + u_i m_{i+k} times B[k, i], plus the ladder
+    terms from B[k, i +- 1], in the dense kernel's order of operations.
+    """
+    c_id, c_plus, c_minus, c_zz, c_anti, c_comm = (complex(c) for c in coeffs)
+    B = np.asarray(B, dtype=np.complex128)
+    m = m_band[0]
+    w = c_id + (c_anti + c_comm) * m
+    u = c_zz * m + (c_anti - c_comm)
+    out = (w + u * m_band) * B
+    out[..., :-1] += c_plus * ladder_band * B[..., 1:]
+    out[..., 1:] += c_minus * ladder_band * B[..., :-1]
+    return out
+
+
+def to_bands(rho: np.ndarray) -> np.ndarray:
+    """The (3, d) band array of the diagonals 0, 1, 2 of a d x d matrix."""
+    d = rho.shape[0]
+    B = np.zeros((3, d), dtype=np.complex128)
+    for k in range(3):
+        B[k, :d - k] = np.diagonal(rho, k)
+    return B

@@ -1,17 +1,23 @@
 """Frame descriptors (polarization, inclination, rotated quadratic moments)
 and the operational success probability.  The first and second moments are
-exact Re Tr[rho op] for any square rho; every such op lives on the diagonals
-|k| <= 2, so they read only those diagonals of rho, O(d) work per call."""
+exact Re Tr[rho op]; every such op lives on the diagonals |k| <= 2, so they
+read only those diagonals, O(d) work per call.  The readers are written on
+band arrays (kernels.to_bands); a band array stands for a Hermitian matrix,
+and the optional ``lower`` band array supplies the lower diagonals of a
+non-Hermitian one.  The dense functions are wrappers that pass both
+triangles, so they stay exact for any square rho."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .channels import PAULI, build_projectors
+from .kernels import to_bands
 from .predictions import RotationPrediction
-from .spin import SpinOperators
+from .spin import SpinOperators, build_spin_operators
 
 UNPOLARIZED_EPS = 1e-10
 OUT_OF_PLANE_THRESHOLD = 1e-8
@@ -26,7 +32,9 @@ class FrameSummary:
     """Polarization vector, fractional magnitude r = |<L>|/l, inclination
     theta = atan2(<Lx>, <Lz>), out-of-plane fraction |<Ly>|/|<L>| and the
     symmetrized quadratic moments <{L'_i, L'_j}>/2 in the frame rotated to
-    put z' along the in-plane polarization."""
+    put z' along the in-plane polarization.  For an unpolarized frame,
+    |<L>| <= 1e-10, the direction is undefined and theta, out_of_plane and
+    quad are NaN."""
 
     mean_L: np.ndarray
     r: float
@@ -39,34 +47,83 @@ class FrameSummary:
         return self.out_of_plane <= OUT_OF_PLANE_THRESHOLD
 
 
-def _band_pair(rho: np.ndarray, k: int, coeff: np.ndarray) -> tuple:
-    # (Tr[rho A], Tr[rho A^T]) for the real A with coeff on its k-th superdiagonal
-    return np.diagonal(rho, -k) @ coeff, np.diagonal(rho, k) @ coeff
+@lru_cache(maxsize=None)
+def _readout(twice_l: int) -> np.ndarray:
+    """(d, 6) coefficients of the band readout B @ table: row i, column c is
+    the weight of rho[i, i+k] in the upper-triangle part of one moment, for
+    <Lz>, <Lz^2>, <L+L- + L-L+> (k = 0), <L->, <{Lz, L-}> (k = 1), <L-^2> (k = 2)."""
+    ops = build_spin_operators(twice_l / 2)
+    m, a = ops.m_diag, np.append(ops.ladder, [0.0, 0.0])  # a[d] = a[d+1] = 0
+    d = ops.d
+    table = np.zeros((d, 6), dtype=np.complex128)
+    table[:, 0] = m
+    table[:, 1] = m * m
+    table[:, 2] = a[:d] ** 2 + a[1:d + 1] ** 2
+    table[:-1, 3] = a[1:d]
+    table[:-1, 4] = a[1:d] * (m[:-1] + m[1:])
+    table[:, 5] = a[1:d + 1] * a[2:]
+    return table
+
+
+def _sums(B: np.ndarray, ops: SpinOperators, lower: np.ndarray | None):
+    # upper[k, c] and lower[k, c]: column c of the table read along the k-th
+    # upper (rho[i, i+k]) and lower (rho[i+k, i]) diagonal
+    table = _readout(ops.l.twice_l)
+    upper = B @ table
+    return upper, upper.conj() if lower is None else lower @ table
+
+
+def _mean_L(upper, lower) -> np.ndarray:
+    plus, minus = lower[1, 3], upper[1, 3]  # <L+>, <L->
+    return np.array([0.5 * (plus + minus).real, 0.5 * (plus - minus).imag, upper[0, 0].real])
+
+
+def band_mean_L(B: np.ndarray, ops: SpinOperators, lower: np.ndarray | None = None) -> np.ndarray:
+    """Expectation vector (<Lx>, <Ly>, <Lz>), each Re Tr[rho L_a]."""
+    return _mean_L(*_sums(B, ops, lower))
 
 
 def mean_angular_momentum(rho: np.ndarray, ops: SpinOperators) -> np.ndarray:
     """Expectation vector (<Lx>, <Ly>, <Lz>), each Re Tr[rho L_a]."""
-    plus, minus = _band_pair(rho, 1, ops.ladder[1:])  # <L+>, <L->
-    lz = np.diagonal(rho) @ ops.m_diag
-    return np.array([0.5 * (plus + minus).real, 0.5 * (plus - minus).imag, lz.real])
+    return band_mean_L(to_bands(rho), ops, to_bands(rho.T))
 
 
-def quadratic_moments(rho: np.ndarray, ops: SpinOperators) -> np.ndarray:
-    """Symmetrized second moments M_ij = Re Tr[rho {L_i, L_j}]/2 in the
-    background frame, from L+- = Lx +- i Ly expanded to second order."""
-    m, a = ops.m_diag, ops.ladder
-    pp, mm = _band_pair(rho, 2, a[1:-1] * a[2:])              # <L+^2>, <L-^2>
-    zp, zm = _band_pair(rho, 1, a[1:] * (m[:-1] + m[1:]))     # <{Lz,L+}>, <{Lz,L-}>
-    diag = np.diagonal(rho)
-    # diag(L-L+)[i] = a[i]^2 and diag(L+L-)[i] = a[i+1]^2, with a[0] = 0
-    pm = ((diag[1:] + diag[:-1]) @ (a[1:] * a[1:])).real      # <L+L- + L-L+>
+def _quadratic(upper, lower) -> np.ndarray:
+    # from L+- = Lx +- i Ly expanded to second order
+    pp, mm = lower[2, 5], upper[2, 5]                         # <L+^2>, <L-^2>
+    zp, zm = lower[1, 4], upper[1, 4]                         # <{Lz,L+}>, <{Lz,L-}>
+    pm = upper[0, 2].real                                     # <L+L- + L-L+>
     xx = 0.25 * (pm + (pp + mm).real)
     yy = 0.25 * (pm - (pp + mm).real)
     xy = 0.25 * (pp - mm).imag
     xz = 0.25 * (zp + zm).real
     yz = 0.25 * (zp - zm).imag
-    zz = (diag @ (m * m)).real
+    zz = upper[0, 1].real
     return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+
+
+def quadratic_moments(rho: np.ndarray, ops: SpinOperators) -> np.ndarray:
+    """Symmetrized second moments M_ij = Re Tr[rho {L_i, L_j}]/2 in the
+    background frame."""
+    return _quadratic(*_sums(to_bands(rho), ops, to_bands(rho.T)))
+
+
+def band_summary(B: np.ndarray, ops: SpinOperators,
+                 lower: np.ndarray | None = None) -> FrameSummary:
+    """Polarization, inclination and rotated quadratic moments of a band
+    array; an unpolarized frame gets NaN for its direction (see FrameSummary)."""
+    upper, lower = _sums(B, ops, lower)
+    v = _mean_L(upper, lower)
+    norm = np.linalg.norm(v)
+    if norm <= UNPOLARIZED_EPS:
+        return FrameSummary(v, float(norm / ops.l_value), np.nan, np.nan, np.full((3, 3), np.nan))
+    theta = float(np.arctan2(v[0], v[2]))
+    out_of_plane = abs(v[1]) / norm
+    c, s = np.cos(theta), np.sin(theta)
+    # rows are the rotated axes x', y', z' (z' along the in-plane polarization)
+    R = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    quad = R @ _quadratic(upper, lower) @ R.T
+    return FrameSummary(v, float(norm / ops.l_value), theta, float(out_of_plane), quad)
 
 
 def summarize_frame(rho: np.ndarray, ops: SpinOperators) -> FrameSummary:
@@ -74,19 +131,14 @@ def summarize_frame(rho: np.ndarray, ops: SpinOperators) -> FrameSummary:
 
     The inclination solves Tr[L'_x(theta) rho] = 0 for in-plane states;
     out-of-plane states (unitary dynamics) still get the projected angle but
-    carry a nonzero out_of_plane fraction.
+    carry a nonzero out_of_plane fraction.  Raises UnpolarizedFrame when the
+    frame has no direction.
     """
-    v = mean_angular_momentum(rho, ops)
-    norm = np.linalg.norm(v)
-    if norm <= UNPOLARIZED_EPS:
-        raise UnpolarizedFrame(f"|<L>| = {norm:.3e}; no direction to summarize")
-    theta = float(np.arctan2(v[0], v[2]))
-    out_of_plane = abs(v[1]) / norm
-    c, s = np.cos(theta), np.sin(theta)
-    # rows are the rotated axes x', y', z' (z' along the in-plane polarization)
-    R = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-    quad = R @ quadratic_moments(rho, ops) @ R.T
-    return FrameSummary(v, float(norm / ops.l_value), theta, float(out_of_plane), quad)
+    summary = band_summary(to_bands(rho), ops, to_bands(rho.T))
+    if np.isnan(summary.theta):
+        raise UnpolarizedFrame(f"|<L>| = {np.linalg.norm(summary.mean_L):.3e}; "
+                               "no direction to summarize")
+    return summary
 
 
 def background_moments(summary: FrameSummary) -> tuple[float, float]:
@@ -132,14 +184,21 @@ def axis_angle_fit(before: np.ndarray, after: np.ndarray) -> RotationPrediction:
     return RotationPrediction(float(np.arccos(cosang)), cross / ncross, "unitary")
 
 
-def p_succ(rho: np.ndarray, ops: SpinOperators, n_hat: np.ndarray) -> float:
+def band_p_succ(B: np.ndarray, ops: SpinOperators, n_hat: np.ndarray,
+                lower: np.ndarray | None = None) -> float:
     """Probability of reproducing the ideal outcome along direction n_hat,
     (1 + n_hat . <L>/(l + 1/2))/2."""
     n_hat = np.asarray(n_hat, dtype=float)
     if abs(np.linalg.norm(n_hat) - 1.0) > 1e-9:
         raise ValueError(f"n_hat must be a unit vector, |n| = {np.linalg.norm(n_hat)!r}")
-    v = mean_angular_momentum(rho, ops)
+    v = band_mean_L(B, ops, lower)
     return float(0.5 * (1.0 + n_hat @ v / (ops.l_value + 0.5)))
+
+
+def p_succ(rho: np.ndarray, ops: SpinOperators, n_hat: np.ndarray) -> float:
+    """Probability of reproducing the ideal outcome along direction n_hat,
+    (1 + n_hat . <L>/(l + 1/2))/2."""
+    return band_p_succ(to_bands(rho), ops, n_hat, to_bands(rho.T))
 
 
 def p_succ_trace(rho: np.ndarray, ops: SpinOperators, n_hat: np.ndarray) -> float:

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,7 +66,10 @@ class SpinOperators:
 
     ``m_diag`` is the diagonal of Lz and ``ladder`` holds the raising
     coefficients: ``ladder[k] = <m_{k-1}| L+ |m_k>`` with ``ladder[0] = 0``.
-    The two vectors are what the structured channel kernels consume.
+    The two vectors are what the dense structured kernel consumes.  The band
+    kernel reads them along the diagonals k = 0, 1, 2 instead:
+    ``m_band[k, i] = m_{i+k}`` and ``ladder_band[k, i] = ladder[i+1] *
+    ladder[i+k+1]``, zero where the index leaves the matrix.
     """
 
     l: SpinQuantum
@@ -76,6 +80,8 @@ class SpinOperators:
     Lminus: np.ndarray
     m_diag: np.ndarray
     ladder: np.ndarray
+    m_band: np.ndarray
+    ladder_band: np.ndarray
 
     @property
     def d(self) -> int:
@@ -106,7 +112,13 @@ def _build_spin_operators(twice_l: int) -> SpinOperators:
     Lminus = Lplus.conj().T
     Lx = (Lplus + Lminus) / 2.0
     Ly = (Lplus - Lminus) / 2.0j
-    return SpinOperators(l, Lx, Ly, Lz, Lplus, Lminus, m, ladder)
+    m_band = np.zeros((3, d))
+    ladder_band = np.zeros((3, d - 1))
+    products = np.outer(ladder[1:], ladder[1:])  # the dense kernel's ladder factor
+    for k in range(3):
+        m_band[k, :d - k] = m[k:]
+        ladder_band[k, :max(d - 1 - k, 0)] = np.diagonal(products, k)
+    return SpinOperators(l, Lx, Ly, Lz, Lplus, Lminus, m, ladder, m_band, ladder_band)
 
 
 def build_spin_operators(l) -> SpinOperators:
@@ -206,9 +218,27 @@ def rotated_dicke_state(l, k, theta: float) -> np.ndarray:
 
 
 def coherent_state(l, theta: float) -> np.ndarray:
-    """Maximal-projection state tilted by theta: <L> = l (sin t, 0, cos t)."""
-    spin = as_spin(l)
-    return rotated_dicke_state(spin, spin.l, theta)
+    """Maximal-projection state tilted by theta: <L> = l (sin t, 0, cos t).
+
+    Built as outer(c, c) from the closed-form amplitudes
+    c_n = sqrt(C(2l, n)) cos(theta/2)^(2l-n) sin(theta/2)^n, in O(d^2); the
+    magnitudes are taken in log space so large l cannot overflow, the signs
+    from the integer powers.  rotated_dicke_state(l, l, theta) is the
+    rotation-route oracle.
+    """
+    if not np.isfinite(theta):
+        raise ValueError(f"rotation angle must be finite, got {theta!r}")
+    n_max = as_spin(l).twice_l
+    n = np.arange(n_max + 1)
+    log_c = 0.5 * np.array([math.lgamma(n_max + 1) - math.lgamma(k + 1) - math.lgamma(n_max - k + 1)
+                            for k in range(n_max + 1)])
+    sign = np.ones(n_max + 1)
+    for power, x in ((n_max - n, math.cos(theta / 2.0)), (n, math.sin(theta / 2.0))):
+        # x^0 = 1 also for x = 0, which the log would turn into 0 * -inf
+        log_c += np.where(power > 0, power * math.log(abs(x)) if x != 0.0 else -np.inf, 0.0)
+        sign *= np.where(power % 2 == 1, math.copysign(1.0, x), 1.0)
+    c = sign * np.exp(log_c)
+    return np.outer(c, c).astype(np.complex128)
 
 
 def mixed_dicke_state(l, k1, k2, p: float, beta: float) -> np.ndarray:

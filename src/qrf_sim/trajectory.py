@@ -1,15 +1,19 @@
 """Sequential evolution of the frame: averaged runs, seeded measurement
 records and the drift-correction strategies.
 
+Every run converts its initial state once to the band array of its
+diagonals 0-2 (kernels.to_bands) and steps that, O(d) per step; the records
+hold the final band array, not a d x d matrix.
+
 Trajectories are reproducible by construction: every stochastic run owns a
 counter-based generator keyed by its seed (the algorithm identifier below is
-recorded in every output file), so identical seeds give bit-identical
-records regardless of how runs are scheduled across threads.
+recorded in every output file), so a record depends on its seed alone.
+Ensembles run their seeds one after another in one thread: every numpy call
+on a band array is short and holds the GIL, so threads only add overhead.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +27,15 @@ from .channels import (
     selective_unnormalized,
     unitary_channel,
 )
-from .metrics import FrameSummary, mean_angular_momentum, p_succ, summarize_frame
+from .kernels import to_bands
+from .metrics import (
+    FrameSummary,
+    band_mean_L,
+    band_p_succ,
+    band_summary,
+    mean_angular_momentum,
+    summarize_frame,
+)
 from .spin import SpinOperators, as_polarization
 
 RNG_ALGORITHM = "numpy-philox4x64"
@@ -81,8 +93,8 @@ def schedule_unitaries(n: int, z: float, gamma: float) -> list:
     return [UnitaryStep(z, gamma) for _ in range(n)]
 
 
-# corrections(i, z, outcome, rho, ops, theta0): the steps applied after primary measurement
-# i (from 0) of a z source left the state rho; outcome is None under average evolution.
+# corrections(i, z, outcome, B, ops, theta0): the steps applied after primary measurement
+# i (from 0) of a z source left the band state B; outcome is None under average evolution.
 
 class NoAverageEvolution(ValueError):
     """An outcome-dependent strategy was asked for its average evolution."""
@@ -95,7 +107,7 @@ class NoAverageEvolution(ValueError):
 class AlternatingAntipolarized:
     """Follow every measurement with a measurement of an antipolarized source."""
 
-    def corrections(self, i: int, z: float, outcome, rho=None, ops=None, theta0=None) -> tuple:
+    def corrections(self, i: int, z: float, outcome, B=None, ops=None, theta0=None) -> tuple:
         return (MeasureStep(-z, corrective=True),)
 
 
@@ -116,7 +128,7 @@ class UnitaryEveryK:
         if not np.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
-    def corrections(self, i: int, z: float, outcome, rho=None, ops=None, theta0=None) -> tuple:
+    def corrections(self, i: int, z: float, outcome, B=None, ops=None, theta0=None) -> tuple:
         return (UnitaryStep(-z, self.gamma, corrective=True),) if (i + 1) % self.k == 0 else ()
 
 
@@ -130,7 +142,7 @@ class UnitaryAfterEachPlus:
         if not np.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
-    def corrections(self, i: int, z: float, outcome, rho=None, ops=None, theta0=None) -> tuple:
+    def corrections(self, i: int, z: float, outcome, B=None, ops=None, theta0=None) -> tuple:
         if outcome is None:
             raise NoAverageEvolution(self)
         return (UnitaryStep(-z, self.gamma, corrective=True),) if outcome > 0 else ()
@@ -151,12 +163,13 @@ class ConditionalTuned:
         if self.theta_known is not None and not 0.0 < self.theta_known < np.pi:
             raise ValueError(f"theta_known must lie in (0, pi), got {self.theta_known!r}")
 
-    def corrections(self, i: int, z: float, outcome, rho=None, ops=None, theta0=None) -> tuple:
+    def corrections(self, i: int, z: float, outcome, B=None, ops=None, theta0=None) -> tuple:
         if outcome is None:
             raise NoAverageEvolution(self)
         z_mag = abs(z) or 1.0
         choice = conditional_correction_step(
-            rho, theta0 if self.theta_known is None else self.theta_known, outcome, ops, z_mag)
+            B, theta0 if self.theta_known is None else self.theta_known, outcome, ops, z_mag,
+            bands=True)
         return (UnitaryStep(choice.source_sign * z_mag, choice.gamma, True, choice.residual),)
 
 
@@ -189,7 +202,7 @@ class TrajectoryRecord:
     snapshots: list[FrameSummary]
     p_succ_series: np.ndarray
     correction_events: list[CorrectionEvent]
-    final_state: np.ndarray
+    final_bands: np.ndarray  # (3, d) band array, kernels.to_bands
     rng_algorithm: str = RNG_ALGORITHM
 
     @property
@@ -206,21 +219,22 @@ class AverageRun:
     step_indices: np.ndarray
     summaries: list[FrameSummary]
     p_succ_series: np.ndarray
-    final_state: np.ndarray
+    final_bands: np.ndarray  # (3, d) band array, kernels.to_bands
 
 
-def _checked(rho: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(rho)):
+def _checked(B: np.ndarray) -> np.ndarray:
+    """Band hygiene: finiteness, then the O(d) trace and diagonal repair."""
+    if not np.isfinite(B).all():
         raise NumericalInvariantError("state left the finite domain during the run")
-    return hygiene(rho)
+    return hygiene(B, bands=True)
 
 
-def apply_step(rho: np.ndarray, step, ops: SpinOperators) -> np.ndarray:
-    """One average-map step of a schedule."""
+def apply_step(rho: np.ndarray, step, ops: SpinOperators, *, bands: bool = False) -> np.ndarray:
+    """One average-map step of a schedule, on a matrix or (bands=True) a band array."""
     if isinstance(step, MeasureStep):
-        return average_channel(rho, step.z, ops)
+        return average_channel(rho, step.z, ops, bands=bands)
     if isinstance(step, UnitaryStep):
-        return unitary_channel(rho, step.z, ops, step.gamma)
+        return unitary_channel(rho, step.z, ops, step.gamma, bands=bands)
     raise TypeError(f"unknown step kind {step!r}")
 
 
@@ -240,19 +254,19 @@ def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
     summary0 = summarize_frame(rho0, ops)
     if n_hat is None:
         n_hat = summary0.mean_L / np.linalg.norm(summary0.mean_L)
+    cur = to_bands(rho0)
     indices = [0]
     summaries = [summary0]
-    probs = [p_succ(rho0, ops, n_hat)]
-    cur = rho0
+    probs = [band_p_succ(cur, ops, n_hat)]
     for i, step in enumerate(schedule, start=1):
-        cur = _checked(apply_step(cur, step, ops))
+        cur = _checked(apply_step(cur, step, ops, bands=True))
         for fix in strategy.corrections(i - 1, step.z, None, cur, ops, summary0.theta) \
                 if strategy else ():
-            cur = _checked(apply_step(cur, fix, ops))
+            cur = _checked(apply_step(cur, fix, ops, bands=True))
         if i % record_every == 0 or i == len(schedule):
             indices.append(i)
-            summaries.append(summarize_frame(cur, ops))
-            probs.append(p_succ(cur, ops, n_hat))
+            summaries.append(band_summary(cur, ops))
+            probs.append(band_p_succ(cur, ops, n_hat))
     return AverageRun(np.array(indices), summaries, np.array(probs), cur)
 
 
@@ -265,12 +279,12 @@ def average_lifetime_stepper(rho0: np.ndarray, q, ops: SpinOperators, threshold:
     """
     z = as_polarization(q)
     theta0 = float(np.arctan2(n_hat[0], n_hat[2]))
-    cur = rho0
+    cur = to_bands(rho0)
     for n in range(1, step_cap + 1):
-        cur = _checked(average_channel(cur, z, ops))
+        cur = _checked(average_channel(cur, z, ops, bands=True))
         for step in strategy.corrections(n - 1, z, None, cur, ops, theta0) if strategy else ():
-            cur = _checked(apply_step(cur, step, ops))
-        if p_succ(cur, ops, n_hat) < threshold:
+            cur = _checked(apply_step(cur, step, ops, bands=True))
+        if band_p_succ(cur, ops, n_hat) < threshold:
             return n
     raise LifetimeCapExceeded(step_cap)
 
@@ -289,7 +303,8 @@ def _trig_roots(a: float, b: float, c: float) -> tuple:
 
 
 def conditional_correction_step(rho: np.ndarray, theta_known: float, outcome,
-                                ops: SpinOperators, z_mag: float = 1.0) -> CorrectionChoice:
+                                ops: SpinOperators, z_mag: float = 1.0, *,
+                                bands: bool = False) -> CorrectionChoice:
     """Best single unitary kick returning a post-measurement state to a known
     inclination t, in closed form.
 
@@ -305,6 +320,7 @@ def conditional_correction_step(rho: np.ndarray, theta_known: float, outcome,
     load-bearing: both signs usually hit, and which one is taken sets the
     trajectory.  Remaining ties go to the first of no kick, sign +1, hit
     roots, phi + arccos.  On target, gamma = 0 and rho itself are returned.
+    With bands=True, rho is a band array and so is the corrected state.
     """
     if not 0.0 < theta_known < np.pi:
         raise ValueError(f"theta_known must lie in (0, pi), got {theta_known!r}")
@@ -313,10 +329,13 @@ def conditional_correction_step(rho: np.ndarray, theta_known: float, outcome,
     def error(v):
         return abs(np.arctan2(v[0], v[2]) - theta_known)
 
-    v0 = mean_angular_momentum(rho, ops)
+    def mean_L(state):
+        return band_mean_L(state, ops) if bands else mean_angular_momentum(state, ops)
+
+    v0 = mean_L(rho)
     candidates = [(0.0, +1, v0)]
     for sign in (+1, -1) if error(v0) > 1e-12 else ():
-        v_pi, v_half = (mean_angular_momentum(unitary_channel(rho, sign * z_mag, ops, g), ops)
+        v_pi, v_half = (mean_L(unitary_channel(rho, sign * z_mag, ops, g, bands=bands))
                         for g in (np.pi, 0.5 * np.pi))
         P, Q = 0.5 * (v0 + v_pi), 0.5 * (v0 - v_pi)
         R = v_half - P
@@ -330,8 +349,8 @@ def conditional_correction_step(rho: np.ndarray, theta_known: float, outcome,
                          key=lambda c: c[2][0] * sin_t + c[2][2] * cos_t)
     if gamma == 0.0:
         return CorrectionChoice(0.0, +1, rho, error(v0))
-    kicked = hygiene(unitary_channel(rho, sign * z_mag, ops, gamma))
-    return CorrectionChoice(float(gamma), sign, kicked, error(mean_angular_momentum(kicked, ops)))
+    kicked = hygiene(unitary_channel(rho, sign * z_mag, ops, gamma, bands=bands), bands=bands)
+    return CorrectionChoice(float(gamma), sign, kicked, error(mean_L(kicked)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +369,11 @@ def _draw_outcome(rng, p_plus: float) -> int:
     return +1 if u < p_plus else -1
 
 
-def _measure(rng, rho, z, ops):
-    p_plus, _ = outcome_probabilities(rho, z, ops)
+def _measure(rng, B, z, ops):
+    p_plus, _ = outcome_probabilities(B, z, ops, bands=True)
     outcome = _draw_outcome(rng, p_plus)
-    sigma = selective_unnormalized(rho, z, ops, outcome)
-    p = sigma.trace().real
+    sigma = selective_unnormalized(B, z, ops, outcome, bands=True)
+    p = sigma[0].sum().real
     if p <= 0.0:
         raise NumericalInvariantError(f"selected branch has nonpositive weight {p!r}")
     return outcome, _checked(sigma / p)
@@ -369,7 +388,8 @@ def run_stochastic(rho0: np.ndarray, n_measure: int, q, strategy, seed: int,
     after each primary measurement.  Snapshots and p_succ (against the
     initial direction) are recorded per primary measurement, corrections
     included, matching the convention that corrective particles do not count
-    on the measurement axis.
+    on the measurement axis.  A measurement can leave the frame unpolarized;
+    its snapshot then has a NaN inclination while p_succ stays defined.
     """
     if n_measure < 1:
         raise ValueError("n_measure must be >= 1")
@@ -381,10 +401,10 @@ def run_stochastic(rho0: np.ndarray, n_measure: int, q, strategy, seed: int,
 
     outcomes: list[int] = []
     corrective_flags: list[bool] = []
+    cur = to_bands(rho0)
     snapshots = [summary0]
-    probs = [p_succ(rho0, ops, n_hat)]
+    probs = [band_p_succ(cur, ops, n_hat)]
     events: list[CorrectionEvent] = []
-    cur = rho0
     for i in range(n_measure):
         outcome, cur = _measure(rng, cur, z, ops)
         outcomes.append(outcome)
@@ -397,13 +417,13 @@ def run_stochastic(rho0: np.ndarray, n_measure: int, q, strategy, seed: int,
                 events.append(CorrectionEvent(i, "measure_antipolarized", source_z=step.z,
                                               outcome=bar_outcome))
             else:
-                cur = _checked(apply_step(cur, step, ops))
+                cur = _checked(apply_step(cur, step, ops, bands=True))
                 tuned = step.residual is not None  # a conditional kick records its outcome
                 events.append(CorrectionEvent(i, "conditional" if tuned else "unitary", step.gamma,
                                               step.z, step.residual, outcome if tuned else None))
 
-        snapshots.append(summarize_frame(cur, ops))
-        probs.append(p_succ(cur, ops, n_hat))
+        snapshots.append(band_summary(cur, ops))
+        probs.append(band_p_succ(cur, ops, n_hat))
 
     return TrajectoryRecord(
         seed=int(seed),
@@ -412,21 +432,14 @@ def run_stochastic(rho0: np.ndarray, n_measure: int, q, strategy, seed: int,
         snapshots=snapshots,
         p_succ_series=np.array(probs),
         correction_events=events,
-        final_state=cur,
+        final_bands=cur,
     )
 
 
-def run_ensemble(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinOperators,
-                 threads: int = 1) -> list[TrajectoryRecord]:
-    """Independent trajectories for each seed; results are ordered by the
-    seed list no matter how the work is scheduled."""
-    seeds = list(seeds)
-    if threads <= 1 or len(seeds) <= 1:
-        return [run_stochastic(rho0, n_measure, q, strategy, s, ops) for s in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(run_stochastic, rho0, n_measure, q, strategy, s, ops)
-                for s in seeds]
-        return [f.result() for f in futs]
+def run_ensemble(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
+                 ops: SpinOperators) -> list[TrajectoryRecord]:
+    """Independent trajectories for each seed, in the order of the seed list."""
+    return [run_stochastic(rho0, n_measure, q, strategy, s, ops) for s in seeds]
 
 
 @dataclass

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qrf_sim.channels import selective_channel_tensor, unitary_channel_tensor
 from qrf_sim.cli import main
 from qrf_sim.metrics import p_succ
 from qrf_sim.spin import build_spin_operators, coherent_state
@@ -203,6 +204,7 @@ BAD_CONFIGS = [
     ("custom", {"strategy": {"kind": "conditional"}}),
     ("custom", {"state": {"family": "thermal", "r": 0}}),
     ("custom", {"mode": "stochastic", "theta": 0.0, "strategy": {"kind": "conditional"}}),
+    ("scaling", {"l_list": [8, 16], "thresholds": [0.99]}),  # above p_succ(rho0) at l = 8
 ]
 BAD_INVOCATIONS = [
     ("fig1", {}, ("--gamma", "1.0"), {}),
@@ -223,7 +225,7 @@ BAD_INVOCATIONS = [
          "empty-l-list", "empty-thresholds", "average-unknown-strategy",
          "average-outcome-dependent-strategy", "average-conditional-strategy",
          "unpolarized-thermal-state", "conditional-default-target-out-of-range",
-         "gamma-flag-without-gamma", "gamma-flag-on-scaling", "seeds-flag-without-seeds",
+         "threshold-above-initial-p-succ", "gamma-flag-without-gamma", "gamma-flag-on-scaling", "seeds-flag-without-seeds",
          "negative-threads", "zero-threads", "negative-env-threads"])
 def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
                                                   experiment, payload, extra, env):
@@ -325,3 +327,42 @@ def test_float_formatting_17_digits(tmp_path):
     val = rows[1][1]
     assert float(val) == float(format(float(val), ".17g"))
     assert "." in val and len(val.split(".")[1].rstrip("0")) >= 10
+
+
+def test_fig5_frame_left_unpolarized_matches_tensor_replay(tmp_path):
+    # at l = 1/2 a - outcome leaves the frame maximally mixed: its direction
+    # is undefined, but fig5 prints only p_succ, which stays defined
+    cfg = {"l": 0.5, "n_measure": 5, "seeds": {"base": 0, "count": 6}}
+    rc, out = run(tmp_path, "fig5", cfg)
+    assert rc == 0
+    _, header, rows = read_csv(out)
+    cols = np.array(rows, dtype=float)
+    ops = build_spin_operators(0.5)
+    rho0 = coherent_state(0.5, np.pi / 2)
+    n_hat = np.array([1.0, 0.0, 0.0])
+    for arm, column in (("none", 1), ("every_k", 2), ("after_plus", 3)):
+        series = []
+        for seed in range(6):
+            rng = np.random.default_rng(np.random.Philox(key=seed))
+            rho, probs = rho0, [p_succ(rho0, ops, n_hat)]
+            for i in range(5):
+                plus = selective_channel_tensor(rho, 1.0, ops, +1)
+                outcome = +1 if rng.random() < plus.probability else -1
+                rho = plus.post_state if outcome > 0 else \
+                    selective_channel_tensor(rho, 1.0, ops, -1).post_state
+                if (arm == "every_k" and i % 2 == 1) or (arm == "after_plus" and outcome > 0):
+                    rho = unitary_channel_tensor(rho, -1.0, ops, np.pi)
+                probs.append(p_succ(rho, ops, n_hat))
+            series.append(probs)
+        assert np.abs(cols[:, column] - np.mean(series, axis=0)).max() <= 1e-12
+        assert np.abs(cols[:, column + 3]
+                      - np.std(series, axis=0, ddof=1) / np.sqrt(6)).max() <= 1e-12
+
+
+def test_custom_undefined_theta_is_exit_3_with_one_line(tmp_path, capsys):
+    rc, _ = run(tmp_path, "custom", {"l": 0.5, "mode": "stochastic", "n_measure": 3,
+                                     "seeds": {"base": 0, "count": 8}})
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical-invariant: ")
+    assert "theta" in err[0]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qrf_sim.kernels import apply_structured
+from qrf_sim.channels import _coeffs_average, _coeffs_selective, _coeffs_unitary
+from qrf_sim.kernels import apply_band, apply_structured, to_bands
 from qrf_sim.spin import build_spin_operators
 
 from helpers import random_density
@@ -38,3 +39,18 @@ def test_kernel_works_on_nonhermitian_input():
     got = apply_structured(M, ops.m_diag, ops.ladder, coeffs)
     want = dense_reference(M, ops, coeffs)
     assert np.abs(got - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("twice_l", [1, 2, 3, 7, 32, 256])
+def test_band_step_equals_dense_diagonals_exactly(twice_l):
+    rng = np.random.default_rng(100 + twice_l)
+    ops = build_spin_operators(twice_l / 2)
+    rho = random_density(ops.d, rng)
+    z, gamma = rng.uniform(-1, 1), rng.uniform(0, 2 * np.pi)
+    for coeffs in (_coeffs_average(z, ops.d), _coeffs_selective(z, ops.d, +1),
+                   _coeffs_selective(z, ops.d, -1), _coeffs_unitary(z, ops.d, gamma)):
+        dense = apply_structured(rho, ops.m_diag, ops.ladder, coeffs)
+        band = apply_band(to_bands(rho), ops.m_band, ops.ladder_band, coeffs)
+        for k in range(3):
+            assert np.array_equal(band[k, :ops.d - k], np.diagonal(dense, k))
+            assert not band[k, ops.d - k:].any()  # the padding stays zero

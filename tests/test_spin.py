@@ -115,6 +115,12 @@ def test_coherent_state_basics():
         assert np.abs(v - 16.0 * np.array([np.sin(theta), 0.0, np.cos(theta)])).max() < 1e-10
 
 
+@pytest.mark.parametrize("l", [0.5, 1, 3.5, 16, 64, 128])
+def test_coherent_state_closed_form_matches_rotation(l):
+    for theta in (0.0, 0.3, np.pi / 2, 2.9, np.pi):
+        assert np.abs(coherent_state(l, theta) - rotated_dicke_state(l, l, theta)).max() <= 1e-13
+
+
 def test_rotated_dicke_polarization_fraction():
     ops = build_spin_operators(100)
     rho = rotated_dicke_state(100, 34, 0.8)

@@ -5,13 +5,17 @@ import pytest
 
 import qrf_sim.trajectory as trajectory
 from qrf_sim.channels import (
+    average_channel,
     build_projectors,
+    hygiene,
+    selective_unnormalized,
     outcome_probabilities,
     selective_channel,
     unitary_channel,
     unitary_channel_tensor,
 )
-from qrf_sim.metrics import mean_angular_momentum
+from qrf_sim.kernels import to_bands
+from qrf_sim.metrics import band_mean_L, mean_angular_momentum
 from qrf_sim.spin import (
     build_spin_operators,
     coherent_state,
@@ -26,6 +30,7 @@ from qrf_sim.trajectory import (
     UnitaryAfterEachPlus,
     UnitaryEveryK,
     UnitaryStep,
+    apply_step,
     conditional_correction_step,
     ensemble_statistics,
     run_average,
@@ -35,6 +40,8 @@ from qrf_sim.trajectory import (
     validate_schedule,
 )
 
+
+from helpers import band_error, replay_average, replay_outcomes
 
 OPS8 = build_spin_operators(8)
 OPS16 = build_spin_operators(16)
@@ -85,20 +92,24 @@ def test_reproducibility_identical_seeds():
     b = run_stochastic(coherent_state(8, np.pi / 2), 25, 1.0, None, 77, OPS8)
     assert np.array_equal(a.outcomes, b.outcomes)
     assert np.array_equal(a.p_succ_series, b.p_succ_series)
-    assert np.array_equal(a.final_state, b.final_state)
+    assert np.array_equal(a.final_bands, b.final_bands)
     c = run_stochastic(coherent_state(8, np.pi / 2), 25, 1.0, None, 78, OPS8)
     assert not np.array_equal(a.outcomes, c.outcomes)
 
 
 def test_ensemble_thread_count_invariance():
+    # run_ensemble has no thread knob left; a record depends on its seed
+    # alone, whatever else the ensemble runs and in whatever order
     rho = coherent_state(8, np.pi / 2)
     seeds = list(range(12))
-    serial = run_ensemble(rho, 10, 1.0, UnitaryEveryK(2, np.pi), seeds, OPS8, threads=1)
-    threaded = run_ensemble(rho, 10, 1.0, UnitaryEveryK(2, np.pi), seeds, OPS8, threads=4)
-    for a, b in zip(serial, threaded):
+    ensemble = run_ensemble(rho, 10, 1.0, UnitaryEveryK(2, np.pi), seeds, OPS8)
+    alone = [run_stochastic(rho, 10, 1.0, UnitaryEveryK(2, np.pi), s, OPS8)
+             for s in reversed(seeds)][::-1]
+    assert "threads" not in inspect.signature(run_ensemble).parameters
+    for a, b in zip(ensemble, alone):
         assert a.seed == b.seed
         assert np.array_equal(a.outcomes, b.outcomes)
-        assert np.array_equal(a.final_state, b.final_state)
+        assert np.array_equal(a.final_bands, b.final_bands)
 
 
 def test_first_outcome_fractions_match_exact_probability():
@@ -310,7 +321,7 @@ def test_mean_cumulative_angle_matches_drift_in_short_time_regime():
     ops = build_spin_operators(l)
     theta0 = np.pi / 2
     rho = coherent_state(l, theta0)
-    records = run_ensemble(rho, n_steps, 1.0, None, range(n_seeds), ops, threads=2)
+    records = run_ensemble(rho, n_steps, 1.0, None, range(n_seeds), ops)
     stats = ensemble_statistics(records)
     total = np.array([rec.snapshots[-1].theta - theta0 for rec in records])
     mean, stderr = total.mean(), total.std(ddof=1) / np.sqrt(n_seeds)
@@ -321,11 +332,44 @@ def test_mean_cumulative_angle_matches_drift_in_short_time_regime():
 
 def test_stochastic_mean_state_approaches_average_map():
     # small version of the ensemble-consistency acceptance criterion
+    # full matrices: outcome strings and the averaged run replayed densely
     n_seeds, n_steps = 400, 10
     rho = coherent_state(8, np.pi / 2)
-    records = run_ensemble(rho, n_steps, 1.0, None, range(n_seeds), OPS8, threads=2)
-    mean_state = sum(rec.final_state for rec in records) / n_seeds
-    avg = run_average(rho, schedule_measurements(n_steps, 1.0), OPS8).final_state
-    one_step = np.abs(run_average(rho, schedule_measurements(1, 1.0), OPS8).final_state
-                      - rho).max()
+    records = run_ensemble(rho, n_steps, 1.0, None, range(n_seeds), OPS8)
+    finals = [replay_outcomes(rho, rec.outcomes, 1.0, OPS8) for rec in records]
+    for rec, final in zip(records, finals):
+        assert band_error(rec.final_bands, final) <= 1e-12
+    avg = replay_average(rho, n_steps, 1.0, OPS8)
+    assert band_error(run_average(rho, schedule_measurements(n_steps, 1.0), OPS8).final_bands,
+                      avg) <= 1e-12
+    one_step = np.abs(average_channel(rho, 1.0, OPS8) - rho).max()
+    mean_state = sum(finals) / n_seeds
     assert np.abs(mean_state - avg).max() <= (4 / np.sqrt(n_seeds)) * one_step
+
+
+@pytest.mark.parametrize("l", [0.5, 1, 3.5, 16, 128])
+def test_band_run_steps_match_dense_loop(l):
+    # 1000 mixed steps through the run loop's band primitives against the
+    # dense kernel plus hygiene: average, normalized selective +-, unitary
+    rng = np.random.default_rng(int(2 * l))
+    ops = build_spin_operators(l)
+    rho = thermal_partial_coherent(l, 0.6, 1.1)
+    B = to_bands(rho)
+    worst = 0.0
+    for _ in range(1000):
+        kind = rng.integers(3)
+        z = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
+        if kind == 2:
+            p_plus, _ = outcome_probabilities(rho, z, ops)
+            outcome = +1 if rng.random() < np.clip(p_plus, 0.05, 0.95) else -1
+            sigma = selective_unnormalized(rho, z, ops, outcome)
+            rho = hygiene(sigma / sigma.trace().real)
+            band = selective_unnormalized(B, z, ops, outcome, bands=True)
+            B = trajectory._checked(band / band[0].sum().real)
+        else:
+            step = MeasureStep(z) if kind == 0 else UnitaryStep(z, rng.uniform(0, 2 * np.pi))
+            rho = hygiene(apply_step(rho, step, ops))
+            B = trajectory._checked(apply_step(B, step, ops, bands=True))
+        worst = max(worst, np.abs(B - to_bands(rho)).max())
+    assert worst <= 1e-12
+    assert np.abs(band_mean_L(B, ops) - mean_angular_momentum(rho, ops)).max() <= 1e-12 * l
