@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .channels import selective_channel
-from .metrics import summarize_frame, usable_lifetime
+from .metrics import ThresholdOutOfRange, summarize_frame, usable_lifetime
 from .predictions import selective_angles_partially_coherent
 from .spin import (
     DensityMatrixError,
@@ -337,7 +337,7 @@ def run_scaling(cfg: dict):
             life = usable_lifetime(rho0, z, ops, thr, None, step_cap=cfg["step_cap"])
         except LifetimeCapExceeded:
             life = cfg["step_cap"]
-        except ValueError as exc:  # a threshold at or above the initial p_succ
+        except ThresholdOutOfRange as exc:
             raise ConfigError(f"scaling at l = {l}, z = {z}: {exc}") from exc
         return (l, z, thr, life)
 

@@ -10,14 +10,13 @@ triangles, so they stay exact for any square rho."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .channels import PAULI, build_projectors
 from .kernels import to_bands
 from .predictions import RotationPrediction
-from .spin import SpinOperators, build_spin_operators
+from .spin import SpinOperators
 
 UNPOLARIZED_EPS = 1e-10
 OUT_OF_PLANE_THRESHOLD = 1e-8
@@ -25,6 +24,10 @@ OUT_OF_PLANE_THRESHOLD = 1e-8
 
 class UnpolarizedFrame(ValueError):
     """The frame has no polarization vector, so its inclination is undefined."""
+
+
+class ThresholdOutOfRange(ValueError):
+    """A usable-lifetime threshold outside (0.5, p_succ of the initial state)."""
 
 
 @dataclass(frozen=True)
@@ -47,30 +50,11 @@ class FrameSummary:
         return self.out_of_plane <= OUT_OF_PLANE_THRESHOLD
 
 
-@lru_cache(maxsize=None)
-def _readout(twice_l: int) -> np.ndarray:
-    """(d, 6) coefficients of the band readout B @ table: row i, column c is
-    the weight of rho[i, i+k] in the upper-triangle part of one moment, for
-    <Lz>, <Lz^2>, <L+L- + L-L+> (k = 0), <L->, <{Lz, L-}> (k = 1), <L-^2> (k = 2)."""
-    ops = build_spin_operators(twice_l / 2)
-    m, a = ops.m_diag, np.append(ops.ladder, [0.0, 0.0])  # a[d] = a[d+1] = 0
-    d = ops.d
-    table = np.zeros((d, 6), dtype=np.complex128)
-    table[:, 0] = m
-    table[:, 1] = m * m
-    table[:, 2] = a[:d] ** 2 + a[1:d + 1] ** 2
-    table[:-1, 3] = a[1:d]
-    table[:-1, 4] = a[1:d] * (m[:-1] + m[1:])
-    table[:, 5] = a[1:d + 1] * a[2:]
-    return table
-
-
 def _sums(B: np.ndarray, ops: SpinOperators, lower: np.ndarray | None):
     # upper[k, c] and lower[k, c]: column c of the table read along the k-th
     # upper (rho[i, i+k]) and lower (rho[i+k, i]) diagonal
-    table = _readout(ops.l.twice_l)
-    upper = B @ table
-    return upper, upper.conj() if lower is None else lower @ table
+    upper = B @ ops.readout
+    return upper, upper.conj() if lower is None else lower @ ops.readout
 
 
 def _mean_L(upper, lower) -> np.ndarray:
@@ -236,6 +220,6 @@ def usable_lifetime(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
     n_hat = v0 / n0
     p0 = p_succ(rho0, ops, n_hat)
     if not 0.5 < threshold < p0:
-        raise ValueError(f"threshold must lie in (0.5, p_succ(rho0)) = (0.5, {p0:.6f}), "
+        raise ThresholdOutOfRange(f"threshold must lie in (0.5, p_succ(rho0)) = (0.5, {p0:.6f}), "
                          f"got {threshold!r}")
     return average_lifetime_stepper(rho0, q, ops, threshold, n_hat, strategy, step_cap)

@@ -69,7 +69,10 @@ class SpinOperators:
     The two vectors are what the dense structured kernel consumes.  The band
     kernel reads them along the diagonals k = 0, 1, 2 instead:
     ``m_band[k, i] = m_{i+k}`` and ``ladder_band[k, i] = ladder[i+1] *
-    ladder[i+k+1]``, zero where the index leaves the matrix.
+    ladder[i+k+1]``, zero where the index leaves the matrix.  The (d, 6)
+    ``readout`` table gives the moments as one product ``B @ readout``: row
+    i, column c is the weight of rho[i, i+k] in the upper-triangle part of
+    <Lz>, <Lz^2>, <L+L- + L-L+> (k = 0), <L->, <{Lz, L-}> (k = 1), <L-^2> (k = 2).
     """
 
     l: SpinQuantum
@@ -82,6 +85,7 @@ class SpinOperators:
     ladder: np.ndarray
     m_band: np.ndarray
     ladder_band: np.ndarray
+    readout: np.ndarray
 
     @property
     def d(self) -> int:
@@ -118,7 +122,16 @@ def _build_spin_operators(twice_l: int) -> SpinOperators:
     for k in range(3):
         m_band[k, :d - k] = m[k:]
         ladder_band[k, :max(d - 1 - k, 0)] = np.diagonal(products, k)
-    return SpinOperators(l, Lx, Ly, Lz, Lplus, Lminus, m, ladder, m_band, ladder_band)
+    a = np.append(ladder, [0.0, 0.0])  # a[d] = a[d+1] = 0
+    readout = np.zeros((d, 6), dtype=np.complex128)
+    readout[:, 0] = m
+    readout[:, 1] = m * m
+    readout[:, 2] = a[:d] ** 2 + a[1:d + 1] ** 2
+    readout[:-1, 3] = a[1:d]
+    readout[:-1, 4] = a[1:d] * (m[:-1] + m[1:])
+    readout[:, 5] = a[1:d + 1] * a[2:]
+    return SpinOperators(l, Lx, Ly, Lz, Lplus, Lminus, m, ladder, m_band, ladder_band,
+                         readout)
 
 
 def build_spin_operators(l) -> SpinOperators:

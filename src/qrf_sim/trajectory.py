@@ -33,7 +33,6 @@ from .metrics import (
     band_mean_L,
     band_p_succ,
     band_summary,
-    mean_angular_momentum,
     summarize_frame,
 )
 from .spin import SpinOperators, as_polarization
@@ -168,8 +167,7 @@ class ConditionalTuned:
             raise NoAverageEvolution(self)
         z_mag = abs(z) or 1.0
         choice = conditional_correction_step(
-            B, theta0 if self.theta_known is None else self.theta_known, outcome, ops, z_mag,
-            bands=True)
+            B, theta0 if self.theta_known is None else self.theta_known, outcome, ops, z_mag)
         return (UnitaryStep(choice.source_sign * z_mag, choice.gamma, True, choice.residual),)
 
 
@@ -187,7 +185,7 @@ class CorrectionEvent:
 class CorrectionChoice:
     gamma: float
     source_sign: int
-    corrected_rho: np.ndarray
+    corrected_bands: np.ndarray  # (3, d) band array, kernels.to_bands
     residual: float
 
 
@@ -302,9 +300,8 @@ def _trig_roots(a: float, b: float, c: float) -> tuple:
     return (phi + half_width, phi - half_width)
 
 
-def conditional_correction_step(rho: np.ndarray, theta_known: float, outcome,
-                                ops: SpinOperators, z_mag: float = 1.0, *,
-                                bands: bool = False) -> CorrectionChoice:
+def conditional_correction_step(B: np.ndarray, theta_known: float, outcome,
+                                ops: SpinOperators, z_mag: float = 1.0) -> CorrectionChoice:
     """Best single unitary kick returning a post-measurement state to a known
     inclination t, in closed form.
 
@@ -319,8 +316,8 @@ def conditional_correction_step(rho: np.ndarray, theta_known: float, outcome,
     and go to the largest forward component x sin t + z cos t.  That rule is
     load-bearing: both signs usually hit, and which one is taken sets the
     trajectory.  Remaining ties go to the first of no kick, sign +1, hit
-    roots, phi + arccos.  On target, gamma = 0 and rho itself are returned.
-    With bands=True, rho is a band array and so is the corrected state.
+    roots, phi + arccos.  B and the corrected state are band arrays
+    (kernels.to_bands); on target, gamma = 0 and B itself are returned.
     """
     if not 0.0 < theta_known < np.pi:
         raise ValueError(f"theta_known must lie in (0, pi), got {theta_known!r}")
@@ -329,13 +326,10 @@ def conditional_correction_step(rho: np.ndarray, theta_known: float, outcome,
     def error(v):
         return abs(np.arctan2(v[0], v[2]) - theta_known)
 
-    def mean_L(state):
-        return band_mean_L(state, ops) if bands else mean_angular_momentum(state, ops)
-
-    v0 = mean_L(rho)
+    v0 = band_mean_L(B, ops)
     candidates = [(0.0, +1, v0)]
     for sign in (+1, -1) if error(v0) > 1e-12 else ():
-        v_pi, v_half = (mean_L(unitary_channel(rho, sign * z_mag, ops, g, bands=bands))
+        v_pi, v_half = (band_mean_L(unitary_channel(B, sign * z_mag, ops, g, bands=True), ops)
                         for g in (np.pi, 0.5 * np.pi))
         P, Q = 0.5 * (v0 + v_pi), 0.5 * (v0 - v_pi)
         R = v_half - P
@@ -348,9 +342,9 @@ def conditional_correction_step(rho: np.ndarray, theta_known: float, outcome,
     gamma, sign, _ = max((c for c in candidates if error(c[2]) <= least + 1e-12),
                          key=lambda c: c[2][0] * sin_t + c[2][2] * cos_t)
     if gamma == 0.0:
-        return CorrectionChoice(0.0, +1, rho, error(v0))
-    kicked = hygiene(unitary_channel(rho, sign * z_mag, ops, gamma, bands=bands), bands=bands)
-    return CorrectionChoice(float(gamma), sign, kicked, error(mean_L(kicked)))
+        return CorrectionChoice(0.0, +1, B, error(v0))
+    kicked = hygiene(unitary_channel(B, sign * z_mag, ops, gamma, bands=True), bands=True)
+    return CorrectionChoice(float(gamma), sign, kicked, error(band_mean_L(kicked, ops)))
 
 
 # ---------------------------------------------------------------------------

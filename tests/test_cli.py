@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qrf_sim import cli
 from qrf_sim.channels import selective_channel_tensor, unitary_channel_tensor
 from qrf_sim.cli import main
 from qrf_sim.metrics import p_succ
@@ -145,6 +146,16 @@ def test_scaling_single_l_omits_exponent(tmp_path):
     sidecar = json.load(open(out[:-4] + ".json"))
     assert "exponent" not in sidecar["summary"]["fits"][0]
     assert sidecar["summary"]["fits"][0]["lifetimes"]["8"] == int(rows[0][3])
+
+
+def test_scaling_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # only a threshold out of range is the config's fault (exit 2)
+    def failing(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "usable_lifetime", failing)
+    with pytest.raises(ValueError, match="internal fault"):
+        run(tmp_path, "scaling", {"l_list": [8], "z_list": [1.0], "thresholds": [0.9]})
 
 
 def test_byte_reproducibility_and_thread_invariance(tmp_path):

@@ -188,7 +188,7 @@ def test_conditional_correction_fully_corrects_one_branch():
     rho = coherent_state(16, theta0)
     residuals = {}
     for outcome in (+1, -1):
-        post = selective_channel(rho, 1.0, OPS16, outcome).post_state
+        post = to_bands(selective_channel(rho, 1.0, OPS16, outcome).post_state)
         choice = conditional_correction_step(post, theta0, outcome, OPS16)
         residuals[outcome] = choice.residual
     assert min(residuals.values()) <= 1e-12
@@ -200,17 +200,17 @@ def test_conditional_correction_outside_correctable_region():
 
     theta0 = np.pi / 4
     rho = rotated_dicke_state(16, 8, theta0)
-    post = selective_channel(rho, 1.0, OPS16, -1).post_state
+    post = to_bands(selective_channel(rho, 1.0, OPS16, -1).post_state)
     choice = conditional_correction_step(post, theta0, -1, OPS16)
     assert choice.residual > 0.1
 
 
 def test_conditional_correction_noop_when_on_target():
-    rho = coherent_state(16, 1.0)
-    choice = conditional_correction_step(rho, 1.0, +1, OPS16)
+    B = to_bands(coherent_state(16, 1.0))
+    choice = conditional_correction_step(B, 1.0, +1, OPS16)
     assert choice.gamma == 0.0
     assert choice.residual <= 1e-12
-    assert choice.corrected_rho is rho
+    assert choice.corrected_bands is B
 
 
 def kicked_polarization(rho, z, ops, gammas):
@@ -250,8 +250,8 @@ def test_conditional_correction_matches_dense_scan(l):
     gammas = np.linspace(0.0, 2.0 * np.pi, 20002)  # 20001 points on [0, 2pi), closed
     n_reached = 0
     for ops, post, outcome, z_mag, target in conditional_cases(l):
-        choice = conditional_correction_step(post, target, outcome, ops, z_mag=z_mag)
-        w = mean_angular_momentum(choice.corrected_rho, ops)
+        choice = conditional_correction_step(to_bands(post), target, outcome, ops, z_mag=z_mag)
+        w = band_mean_L(choice.corrected_bands, ops)
         residual = abs(np.arctan2(w[0], w[2]) - target)
         forward = w[0] * np.sin(target) + w[2] * np.cos(target)
         assert choice.residual == residual
@@ -282,7 +282,7 @@ def test_conditional_correction_makes_at_most_five_channel_calls(monkeypatch):
 
     monkeypatch.setattr(trajectory, "unitary_channel", counting)
     theta0 = 2 * np.pi / 3
-    post = selective_channel(coherent_state(16, theta0), 1.0, OPS16, +1).post_state
+    post = to_bands(selective_channel(coherent_state(16, theta0), 1.0, OPS16, +1).post_state)
     choice = conditional_correction_step(post, theta0, +1, OPS16)
     assert choice.gamma != 0.0
     assert 0 < len(calls) <= 5
