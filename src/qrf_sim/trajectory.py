@@ -227,12 +227,12 @@ def _checked(B: np.ndarray) -> np.ndarray:
     return hygiene(B, bands=True)
 
 
-def apply_step(rho: np.ndarray, step, ops: SpinOperators, *, bands: bool = False) -> np.ndarray:
-    """One average-map step of a schedule, on a matrix or (bands=True) a band array."""
+def apply_step(B: np.ndarray, step, ops: SpinOperators) -> np.ndarray:
+    """One average-map step of a schedule on a band array (kernels.to_bands)."""
     if isinstance(step, MeasureStep):
-        return average_channel(rho, step.z, ops, bands=bands)
+        return average_channel(B, step.z, ops, bands=True)
     if isinstance(step, UnitaryStep):
-        return unitary_channel(rho, step.z, ops, step.gamma, bands=bands)
+        return unitary_channel(B, step.z, ops, step.gamma, bands=True)
     raise TypeError(f"unknown step kind {step!r}")
 
 
@@ -257,10 +257,10 @@ def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
     summaries = [summary0]
     probs = [band_p_succ(cur, ops, n_hat)]
     for i, step in enumerate(schedule, start=1):
-        cur = _checked(apply_step(cur, step, ops, bands=True))
+        cur = _checked(apply_step(cur, step, ops))
         for fix in strategy.corrections(i - 1, step.z, None, cur, ops, summary0.theta) \
                 if strategy else ():
-            cur = _checked(apply_step(cur, fix, ops, bands=True))
+            cur = _checked(apply_step(cur, fix, ops))
         if i % record_every == 0 or i == len(schedule):
             indices.append(i)
             summaries.append(band_summary(cur, ops))
@@ -281,7 +281,7 @@ def average_lifetime_stepper(rho0: np.ndarray, q, ops: SpinOperators, threshold:
     for n in range(1, step_cap + 1):
         cur = _checked(average_channel(cur, z, ops, bands=True))
         for step in strategy.corrections(n - 1, z, None, cur, ops, theta0) if strategy else ():
-            cur = _checked(apply_step(cur, step, ops, bands=True))
+            cur = _checked(apply_step(cur, step, ops))
         if band_p_succ(cur, ops, n_hat) < threshold:
             return n
     raise LifetimeCapExceeded(step_cap)
@@ -411,7 +411,7 @@ def run_stochastic(rho0: np.ndarray, n_measure: int, q, strategy, seed: int,
                 events.append(CorrectionEvent(i, "measure_antipolarized", source_z=step.z,
                                               outcome=bar_outcome))
             else:
-                cur = _checked(apply_step(cur, step, ops, bands=True))
+                cur = _checked(apply_step(cur, step, ops))
                 tuned = step.residual is not None  # a conditional kick records its outcome
                 events.append(CorrectionEvent(i, "conditional" if tuned else "unitary", step.gamma,
                                               step.z, step.residual, outcome if tuned else None))

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from qrf_sim import cli
-from qrf_sim.channels import selective_channel_tensor, unitary_channel_tensor
+from qrf_sim.channels import (
+    average_channel,
+    selective_channel_tensor,
+    unitary_channel,
+    unitary_channel_tensor,
+)
 from qrf_sim.cli import main
 from qrf_sim.metrics import p_succ
 from qrf_sim.spin import build_spin_operators, coherent_state
-from qrf_sim.trajectory import MeasureStep, UnitaryStep, apply_step
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -308,9 +312,9 @@ def test_custom_average_applies_strategy_like_a_step_replay(tmp_path):
     n_hat = np.array([np.sin(theta), 0.0, np.cos(theta)])
     want = [p_succ(cur, ops, n_hat)]
     for i in range(n):
-        cur = apply_step(cur, MeasureStep(z), ops)
+        cur = average_channel(cur, z, ops)
         if i % 2 == 1:
-            cur = apply_step(cur, UnitaryStep(-z, 2.5), ops)
+            cur = unitary_channel(cur, -z, ops, 2.5)
         want.append(p_succ(cur, ops, n_hat))
     got = cols[:, header.index("p_succ")]
     assert np.abs(got - want).max() <= 1e-12

@@ -368,8 +368,10 @@ def test_band_run_steps_match_dense_loop(l):
             B = trajectory._checked(band / band[0].sum().real)
         else:
             step = MeasureStep(z) if kind == 0 else UnitaryStep(z, rng.uniform(0, 2 * np.pi))
-            rho = hygiene(apply_step(rho, step, ops))
-            B = trajectory._checked(apply_step(B, step, ops, bands=True))
+            dense = (average_channel(rho, z, ops) if kind == 0
+                     else unitary_channel(rho, z, ops, step.gamma))
+            rho = hygiene(dense)
+            B = trajectory._checked(apply_step(B, step, ops))
         worst = max(worst, np.abs(B - to_bands(rho)).max())
     assert worst <= 1e-12
     assert np.abs(band_mean_L(B, ops) - mean_angular_momentum(rho, ops)).max() <= 1e-12 * l
