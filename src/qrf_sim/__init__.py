@@ -59,6 +59,7 @@ from .trajectory import (  # noqa: F401
     run_average,
     run_stochastic,
     run_ensemble,
+    run_ensemble_statistics,
     ensemble_statistics,
     conditional_correction_step,
 )

@@ -12,7 +12,9 @@ The two routes agree to 1e-12 and disagreeing beyond that is treated as a
 bug in the structured coefficients, never in the tensor form.  The
 structured functions also take ``bands=True``: the state is then the
 (3, d) band array of its diagonals 0-2 and the same coefficients go through
-the O(d) band kernel, which is how the run loops step the frame.
+the O(d) band kernel, which is how the run loops step the frame.  The
+coefficient builders are elementwise, so arrays of z, outcome sign or gamma
+give per-seed coefficients for an (S, 3, d) batch of band arrays.
 """
 
 from __future__ import annotations
@@ -187,9 +189,10 @@ def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
 
 def outcome_probabilities(rho: np.ndarray, q, ops: SpinOperators, *,
                           bands: bool = False) -> tuple[float, float]:
-    """Exact finite-l outcome probabilities (p_plus, p_minus)."""
+    """Exact finite-l outcome probabilities (p_plus, p_minus); arrays of
+    shape (S,) for an (S, 3, d) batch of band arrays."""
     z = as_polarization(q)
-    mean_lz = float(np.real((rho[0] if bands else np.diag(rho)) @ ops.m_diag))
+    mean_lz = (rho[..., 0, :] if bands else np.diag(rho)).real @ ops.m_diag
     p_plus = 0.5 + (2.0 * z * mean_lz + 1.0) / (2.0 * ops.d)
     return p_plus, 1.0 - p_plus
 
@@ -250,8 +253,16 @@ def hygiene(rho: np.ndarray, *, bands: bool = False) -> np.ndarray:
     corrections above 1e-10 are logged as suspicious.  A band array is
     Hermitian by construction except for the imaginary part of its main
     diagonal, so its check and correction are O(d); the drift measured is
-    the same |rho - rho^dag| entry the dense check finds there.
+    the same |rho - rho^dag| entry the dense check finds there.  In an
+    (S, 3, d) batch of band arrays, each one that drifted is corrected (and
+    logged) on its own.
     """
+    if bands and rho.ndim == 3:
+        diag = rho[:, 0]
+        clean = ((2.0 * np.abs(diag.imag).max(axis=-1) <= HYGIENE_TRIGGER)
+                 & (np.abs(diag.sum(axis=-1) - 1.0) <= HYGIENE_TRIGGER))
+        return rho if clean.all() else np.array(
+            [b if ok else hygiene(b, bands=True) for b, ok in zip(rho, clean)])
     diag = rho[0] if bands else np.diagonal(rho)
     herm_drift = 2.0 * np.abs(diag.imag).max() if bands else np.abs(rho - rho.conj().T).max()
     tr_drift = abs(diag.sum() - 1.0)

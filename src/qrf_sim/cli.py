@@ -50,9 +50,8 @@ from .trajectory import (
     NumericalInvariantError,
     UnitaryAfterEachPlus,
     UnitaryEveryK,
-    ensemble_statistics,
     run_average,
-    run_ensemble,
+    run_ensemble_statistics,
     schedule_measurements,
     schedule_unitaries,
 )
@@ -307,10 +306,8 @@ def run_fig5(cfg: dict):
     strategies = [("uncorrected", None),
                   (f"unitary_every{cfg['k']}", UnitaryEveryK(cfg["k"], cfg["gamma"])),
                   ("after_each_plus", UnitaryAfterEachPlus(cfg["gamma"]))]
-    stats = []
-    for _, strat in strategies:
-        records = run_ensemble(rho0, n, cfg["z"], strat, seeds, ops)
-        stats.append(ensemble_statistics(records))
+    stats = [run_ensemble_statistics(rho0, n, cfg["z"], strat, seeds, ops)
+             for _, strat in strategies]
     columns = ["n_measurements"] + [f"p_succ_{name}" for name, _ in strategies] \
         + [f"p_succ_{name}_stderr" for name, _ in strategies]
     rows = []
@@ -421,8 +418,7 @@ def run_custom(cfg: dict):
         return ["step", "Lx_over_l", "Ly_over_l", "Lz_over_l", "r", "theta", "p_succ"], rows, {}
     if cfg["mode"] == "stochastic":
         seeds = resolve_seeds(cfg["seeds"])
-        records = run_ensemble(rho0, cfg["n_measure"], cfg["z"], strat, seeds, ops)
-        st = ensemble_statistics(records)
+        st = run_ensemble_statistics(rho0, cfg["n_measure"], cfg["z"], strat, seeds, ops)
         rows = [(step, float(st.theta[step]), float(st.theta_stderr[step]),
                  float(st.p_succ[step]), float(st.p_succ_stderr[step]))
                 for step in range(len(st.p_succ))]

@@ -21,7 +21,9 @@ package records reads only the diagonals |k| <= 2, so the run loops carry a
 state as its band array B[..., k, i] = rho[i, i+k], k = 0, 1, 2, zero-padded
 to length d (the lower diagonals are the conjugates).  `apply_band` steps
 that array in O(d) with the same per-element expression as the dense kernel,
-so its output equals the dense kernel's diagonals bit for bit.
+so its output equals the dense kernel's diagonals bit for bit.  A loop that
+repeats a step can form its factors once (`band_factors`) and apply them
+(`apply_factors`) with the same result.
 """
 
 from __future__ import annotations
@@ -43,22 +45,41 @@ def apply_structured(rho: np.ndarray, m: np.ndarray, a: np.ndarray, coeffs) -> n
     return out
 
 
+def band_factors(m_band: np.ndarray, ladder_band: np.ndarray, coeffs):
+    """The factors apply_band multiplies a band array by: w_i + u_i m_{i+k}
+    on the diagonal and the ladder products c_+ ladder, c_- ladder.  A
+    coefficient may be an array broadcasting against the band array, such as
+    one of shape (S, 1, 1) for an (S, 3, d) batch."""
+    try:
+        c_id, c_plus, c_minus, c_zz, c_anti, c_comm = map(complex, coeffs)
+    except TypeError:  # an array coefficient
+        c_id, c_plus, c_minus, c_zz, c_anti, c_comm = (
+            np.asarray(c, dtype=np.complex128) for c in coeffs)
+    m = m_band[0]
+    w = c_id + (c_anti + c_comm) * m
+    u = c_zz * m + (c_anti - c_comm)
+    return w + u * m_band, c_plus * ladder_band, c_minus * ladder_band
+
+
+def apply_factors(B: np.ndarray, diagonal: np.ndarray, up: np.ndarray,
+                  down: np.ndarray) -> np.ndarray:
+    """Apply the factors of band_factors to a (..., 3, d) band array."""
+    B = np.asarray(B, dtype=np.complex128)
+    out = diagonal * B
+    out[..., :-1] += up * B[..., 1:]
+    out[..., 1:] += down * B[..., :-1]
+    return out
+
+
 def apply_band(B: np.ndarray, m_band: np.ndarray, ladder_band: np.ndarray, coeffs) -> np.ndarray:
     """Apply the six-term structured superoperator to a (..., 3, d) band array.
 
     m_band and ladder_band are the per-l tables of SpinOperators: element
     (k, i) of the output is w_i + u_i m_{i+k} times B[k, i], plus the ladder
     terms from B[k, i +- 1], in the dense kernel's order of operations.
+    Coefficients may be arrays (band_factors).
     """
-    c_id, c_plus, c_minus, c_zz, c_anti, c_comm = (complex(c) for c in coeffs)
-    B = np.asarray(B, dtype=np.complex128)
-    m = m_band[0]
-    w = c_id + (c_anti + c_comm) * m
-    u = c_zz * m + (c_anti - c_comm)
-    out = (w + u * m_band) * B
-    out[..., :-1] += c_plus * ladder_band * B[..., 1:]
-    out[..., 1:] += c_minus * ladder_band * B[..., :-1]
-    return out
+    return apply_factors(B, *band_factors(m_band, ladder_band, coeffs))
 
 
 def to_bands(rho: np.ndarray) -> np.ndarray:

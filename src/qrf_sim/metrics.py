@@ -179,6 +179,19 @@ def band_p_succ(B: np.ndarray, ops: SpinOperators, n_hat: np.ndarray,
     return float(0.5 * (1.0 + n_hat @ v / (ops.l_value + 0.5)))
 
 
+def band_p_succ_theta(B: np.ndarray, ops: SpinOperators,
+                      n_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p_succ along the unit vector n_hat and the inclination of every band
+    array of an (S, 3, d) batch, both from one readout product; the
+    inclination is NaN where the frame is unpolarized, as in band_summary."""
+    S, _, d = B.shape
+    # one (3S, d) product rather than S small ones; (3, 6, S): the seeds last
+    upper = np.moveaxis((B.reshape(3 * S, d) @ ops.readout).reshape(S, 3, 6), 0, -1)
+    v = _mean_L(upper, upper.conj())  # (3, S)
+    theta = np.where(np.linalg.norm(v, axis=0) > UNPOLARIZED_EPS, np.arctan2(v[0], v[2]), np.nan)
+    return 0.5 * (1.0 + n_hat @ v / (ops.l_value + 0.5)), theta
+
+
 def p_succ(rho: np.ndarray, ops: SpinOperators, n_hat: np.ndarray) -> float:
     """Probability of reproducing the ideal outcome along direction n_hat,
     (1 + n_hat . <L>/(l + 1/2))/2."""

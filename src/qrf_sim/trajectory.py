@@ -5,39 +5,47 @@ Every run converts its initial state once to the band array of its
 diagonals 0-2 (kernels.to_bands) and steps that, O(d) per step; the records
 hold the final band array, not a d x d matrix.
 
-Trajectories are reproducible by construction: every stochastic run owns a
-counter-based generator keyed by its seed (the algorithm identifier below is
+Trajectories are reproducible by construction: every seed owns a
+counter-based generator keyed by it (the algorithm identifier below is
 recorded in every output file), so a record depends on its seed alone.
-Ensembles run their seeds one after another in one thread: every numpy call
-on a band array is short and holds the GIL, so threads only add overhead.
+The stochastic engine steps the seeds of an ensemble together, in chunks of
+CHUNK seeds held as one (S, 3, d) batch of band arrays: one kernel call per
+channel step advances every seed of a chunk, each along its own outcomes.
+The chunk size is a constant, so ensemble statistics accumulate in a fixed
+order, give the same bytes on any machine and take memory that does not
+grow with the seed count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from .channels import (
     OUTCOME_EPS,
+    _coeffs_selective,
+    _coeffs_unitary,
     average_channel,
     hygiene,
     outcome_probabilities,
-    selective_unnormalized,
     unitary_channel,
 )
-from .kernels import to_bands
+from .kernels import apply_factors, band_factors, to_bands
 from .metrics import (
     FrameSummary,
     band_mean_L,
     band_p_succ,
+    band_p_succ_theta,
     band_summary,
     summarize_frame,
 )
 from .spin import SpinOperators, as_polarization
 
 RNG_ALGORITHM = "numpy-philox4x64"
+CHUNK = 256  # seeds stepped together; see the module docstring
 
 
 class NumericalInvariantError(RuntimeError):
@@ -63,13 +71,20 @@ class MeasureStep:
 
 @dataclass(frozen=True)
 class UnitaryStep:
+    """An invariant unitary kick.  In the stochastic engine z, gamma and
+    residual may be (S,) arrays, one value per seed of a chunk; where masks
+    the seeds kicked (None: all of them), and bands holds the kicked batch
+    when the strategy has applied the kick itself."""
+
     z: float
     gamma: float
     corrective: bool = False
     residual: float | None = None  # the inclination error a tuned kick leaves
+    where: np.ndarray | None = None
+    bands: np.ndarray | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma):
+        if not np.isfinite(self.gamma).all():
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
 
@@ -93,7 +108,10 @@ def schedule_unitaries(n: int, z: float, gamma: float) -> list:
 
 
 # corrections(i, z, outcome, B, ops, theta0): the steps applied after primary measurement
-# i (from 0) of a z source left the band state B; outcome is None under average evolution.
+# i (from 0) of a z source left the band state B.  Under average evolution outcome is None
+# and B one band array; in the stochastic engine outcome holds the (S,) outcomes of a chunk
+# and B its (S, 3, d) batch.  A strategy whose corrections measure declares how many
+# uniforms each primary measurement consumes as draws_per_measurement (default 1).
 
 class NoAverageEvolution(ValueError):
     """An outcome-dependent strategy was asked for its average evolution."""
@@ -105,6 +123,8 @@ class NoAverageEvolution(ValueError):
 @dataclass(frozen=True)
 class AlternatingAntipolarized:
     """Follow every measurement with a measurement of an antipolarized source."""
+
+    draws_per_measurement = 2
 
     def corrections(self, i: int, z: float, outcome, B=None, ops=None, theta0=None) -> tuple:
         return (MeasureStep(-z, corrective=True),)
@@ -144,7 +164,8 @@ class UnitaryAfterEachPlus:
     def corrections(self, i: int, z: float, outcome, B=None, ops=None, theta0=None) -> tuple:
         if outcome is None:
             raise NoAverageEvolution(self)
-        return (UnitaryStep(-z, self.gamma, corrective=True),) if outcome > 0 else ()
+        plus = outcome > 0
+        return (UnitaryStep(-z, self.gamma, corrective=True, where=plus),) if plus.any() else ()
 
 
 @dataclass(frozen=True)
@@ -166,9 +187,12 @@ class ConditionalTuned:
         if outcome is None:
             raise NoAverageEvolution(self)
         z_mag = abs(z) or 1.0
-        choice = conditional_correction_step(
-            B, theta0 if self.theta_known is None else self.theta_known, outcome, ops, z_mag)
-        return (UnitaryStep(choice.source_sign * z_mag, choice.gamma, True, choice.residual),)
+        theta = theta0 if self.theta_known is None else self.theta_known
+        choices = [conditional_correction_step(b, theta, o, ops, z_mag) for b, o in zip(B, outcome)]
+        return (UnitaryStep(np.array([c.source_sign * z_mag for c in choices]),
+                            np.array([c.gamma for c in choices]), True,
+                            np.array([c.residual for c in choices]),
+                            bands=np.array([c.corrected_bands for c in choices])),)
 
 
 @dataclass(frozen=True)
@@ -243,16 +267,19 @@ def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
 
     The strategy's corrections (outcome None) follow every schedule step and
     are not counted as steps.  Snapshots (frame summary and p_succ against
-    n_hat, defaulting to the initial direction) are recorded every
-    record_every steps and always for the initial and final states.
+    n_hat, defaulting to the initial direction, which must then exist) are
+    recorded every record_every steps and always for the initial and final
+    states.
     """
     validate_schedule(schedule)
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    summary0 = summarize_frame(rho0, ops)
-    if n_hat is None:
-        n_hat = summary0.mean_L / np.linalg.norm(summary0.mean_L)
     cur = to_bands(rho0)
+    if n_hat is None:
+        summary0 = summarize_frame(rho0, ops)
+        n_hat = summary0.mean_L / np.linalg.norm(summary0.mean_L)
+    else:  # the start may be unpolarized: its inclination is then NaN
+        summary0 = band_summary(cur, ops)
     indices = [0]
     summaries = [summary0]
     probs = [band_p_succ(cur, ops, n_hat)]
@@ -351,31 +378,127 @@ def conditional_correction_step(B: np.ndarray, theta_known: float, outcome,
 # stochastic trajectories
 # ---------------------------------------------------------------------------
 
-def _draw_outcome(rng, p_plus: float) -> int:
-    if not np.isfinite(p_plus) or p_plus < -1e-9 or p_plus > 1.0 + 1e-9:
-        raise NumericalInvariantError(f"outcome probability left [0, 1]: {p_plus!r}")
-    u = rng.random()
-    # near-certain branches are forced so conditioning stays well defined
-    if p_plus < OUTCOME_EPS:
-        return -1
-    if p_plus > 1.0 - OUTCOME_EPS:
-        return +1
-    return +1 if u < p_plus else -1
+def _factors(cache: dict, ops: SpinOperators, z: float, gamma: float | None = None):
+    """The kernel factors (kernels.band_factors) of a step a run repeats,
+    formed once per run: the kick (z, gamma), or for gamma None the - and +
+    branches of a z source, stacked in that order."""
+    if (z, gamma) not in cache:
+        coeffs = _coeffs_selective(z, ops.d, np.array([-1, 1]).reshape(2, 1, 1)) \
+            if gamma is None else _coeffs_unitary(z, ops.d, gamma)
+        cache[z, gamma] = band_factors(ops.m_band, ops.ladder_band, coeffs)
+    return cache[z, gamma]
 
 
-def _measure(rng, B, z, ops):
+def _measure(B: np.ndarray, z: float, u: np.ndarray, ops: SpinOperators, cache: dict):
+    """Draw every seed's outcome from its uniform u and apply that branch,
+    normalized; near-certain branches are forced so that conditioning stays
+    well defined, and their uniform is consumed all the same."""
     p_plus, _ = outcome_probabilities(B, z, ops, bands=True)
-    outcome = _draw_outcome(rng, p_plus)
-    sigma = selective_unnormalized(B, z, ops, outcome, bands=True)
-    p = sigma[0].sum().real
-    if p <= 0.0:
-        raise NumericalInvariantError(f"selected branch has nonpositive weight {p!r}")
-    return outcome, _checked(sigma / p)
+    valid = (p_plus >= -1e-9) & (p_plus <= 1.0 + 1e-9)  # False for NaN too
+    if not valid.all():
+        raise NumericalInvariantError(f"outcome probability left [0, 1]: {p_plus[~valid][0]!r}")
+    plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
+    diagonal, up, down = _factors(cache, ops, z)
+    sigma = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
+    p = sigma[:, 0].sum(axis=-1).real
+    if (p <= 0.0).any():
+        raise NumericalInvariantError(f"selected branch has nonpositive weight {p.min()!r}")
+    return np.where(plus, np.int8(1), np.int8(-1)), _checked(sigma / p[:, None, None])
 
 
-def run_stochastic(rho0: np.ndarray, n_measure: int, q, strategy, seed: int,
-                   ops: SpinOperators) -> TrajectoryRecord:
-    """One seeded measurement record.
+def _correct(B: np.ndarray, step: UnitaryStep, ops: SpinOperators, cache: dict) -> np.ndarray:
+    if step.bands is not None:
+        return _checked(step.bands)
+    kicked = apply_factors(B, *_factors(cache, ops, step.z, step.gamma))
+    return _checked(kicked if step.where is None else np.where(step.where[:, None, None], kicked, B))
+
+
+def _of_seed(value, s: int):
+    """Seed s's entry of a per-seed array, or the value all seeds share."""
+    return value[s].item() if isinstance(value, np.ndarray) else value
+
+
+@dataclass
+class _Chunk:
+    """The seeds of one chunk, stepped together by _run_chunks."""
+
+    seeds: list[int]
+    outcomes: np.ndarray        # (S, n_outcomes) int8
+    corrective: np.ndarray      # (n_outcomes,) bool
+    reads: np.ndarray           # (2, S, n_measure + 1): p_succ and theta
+    log: list                   # (i, step, outcomes) per correction step taken
+    final: np.ndarray           # (S, 3, d)
+    snapshots: list | None      # per primary measurement, the S frame summaries
+
+    def events(self, s: int) -> list[CorrectionEvent]:
+        events = []
+        for i, step, outcome in self.log:
+            if isinstance(step, MeasureStep):
+                events.append(CorrectionEvent(i, "measure_antipolarized", source_z=step.z,
+                                              outcome=int(outcome[s])))
+            elif step.where is None or step.where[s]:
+                tuned = step.residual is not None  # a conditional kick records its outcome
+                events.append(CorrectionEvent(
+                    i, "conditional" if tuned else "unitary", _of_seed(step.gamma, s),
+                    _of_seed(step.z, s), _of_seed(step.residual, s),
+                    int(outcome[s]) if tuned else None))
+        return events
+
+    def records(self) -> list[TrajectoryRecord]:
+        return [TrajectoryRecord(seed, self.outcomes[s], self.corrective.copy(),
+                                 [row[s] for row in self.snapshots], self.reads[0, s],
+                                 self.events(s), self.final[s])
+                for s, seed in enumerate(self.seeds)]
+
+
+def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
+                ops: SpinOperators, summarize: bool = False):
+    """The stochastic engine: yield the seeds in chunks of CHUNK, each stepped
+    as one (S, 3, d) batch, with p_succ (against the initial direction) and
+    the inclination read once per primary measurement, corrections included;
+    summarize also keeps every seed's frame summary there."""
+    if n_measure < 1:
+        raise ValueError("n_measure must be >= 1")
+    z = as_polarization(q)
+    summary0 = summarize_frame(rho0, ops)
+    n_hat = summary0.mean_L / np.linalg.norm(summary0.mean_L)
+    n_draws = n_measure * getattr(strategy, "draws_per_measurement", 1)
+    B0 = to_bands(rho0)
+    cache = {}
+    seeds = iter(seeds)
+    while chunk := [int(s) for s in islice(seeds, CHUNK)]:
+        # each seed's uniforms in one call, in the order the measurements use them
+        draws = iter(np.array([np.random.default_rng(np.random.Philox(key=s)).random(n_draws)
+                               for s in chunk]).T)
+        B = np.repeat(B0[None], len(chunk), axis=0)
+        outcomes, corrective, log = [], [], []
+        reads = np.empty((2, len(chunk), n_measure + 1))
+        reads[:, :, 0] = band_p_succ_theta(B, ops, n_hat)
+        snapshots = [[summary0] * len(chunk)] if summarize else None
+        for i in range(n_measure):
+            outcome, B = _measure(B, z, next(draws), ops, cache)
+            outcomes.append(outcome)
+            corrective.append(False)
+            for step in strategy.corrections(i, z, outcome, B, ops, summary0.theta) \
+                    if strategy else ():
+                if isinstance(step, MeasureStep):
+                    bar_outcome, B = _measure(B, step.z, next(draws), ops, cache)
+                    outcomes.append(bar_outcome)
+                    corrective.append(step.corrective)
+                    log.append((i, step, bar_outcome))
+                else:
+                    B = _correct(B, step, ops, cache)
+                    log.append((i, step, outcome))
+            reads[:, :, i + 1] = band_p_succ_theta(B, ops, n_hat)
+            if summarize:
+                snapshots.append([band_summary(b, ops) for b in B])
+        yield _Chunk(chunk, np.stack(outcomes, axis=1), np.array(corrective), reads, log, B,
+                     snapshots)
+
+
+def run_ensemble(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
+                 ops: SpinOperators) -> list[TrajectoryRecord]:
+    """One seeded measurement record per seed, in the order of the seeds.
 
     Outcomes are drawn from the exact finite-l probabilities and the matching
     selective channel is applied; the strategy inserts its corrective steps
@@ -383,77 +506,70 @@ def run_stochastic(rho0: np.ndarray, n_measure: int, q, strategy, seed: int,
     initial direction) are recorded per primary measurement, corrections
     included, matching the convention that corrective particles do not count
     on the measurement axis.  A measurement can leave the frame unpolarized;
-    its snapshot then has a NaN inclination while p_succ stays defined.
+    its snapshot then has a NaN inclination while p_succ stays defined.  The
+    seeds are stepped together (see the module docstring); only the frame
+    summaries are read seed by seed.
     """
-    if n_measure < 1:
-        raise ValueError("n_measure must be >= 1")
-    z = as_polarization(q)
-    rng = np.random.default_rng(np.random.Philox(key=seed))
-    summary0 = summarize_frame(rho0, ops)
-    v0, theta0 = summary0.mean_L, summary0.theta
-    n_hat = v0 / np.linalg.norm(v0)
-
-    outcomes: list[int] = []
-    corrective_flags: list[bool] = []
-    cur = to_bands(rho0)
-    snapshots = [summary0]
-    probs = [band_p_succ(cur, ops, n_hat)]
-    events: list[CorrectionEvent] = []
-    for i in range(n_measure):
-        outcome, cur = _measure(rng, cur, z, ops)
-        outcomes.append(outcome)
-        corrective_flags.append(False)
-        for step in strategy.corrections(i, z, outcome, cur, ops, theta0) if strategy else ():
-            if isinstance(step, MeasureStep):
-                bar_outcome, cur = _measure(rng, cur, step.z, ops)
-                outcomes.append(bar_outcome)
-                corrective_flags.append(step.corrective)
-                events.append(CorrectionEvent(i, "measure_antipolarized", source_z=step.z,
-                                              outcome=bar_outcome))
-            else:
-                cur = _checked(apply_step(cur, step, ops))
-                tuned = step.residual is not None  # a conditional kick records its outcome
-                events.append(CorrectionEvent(i, "conditional" if tuned else "unitary", step.gamma,
-                                              step.z, step.residual, outcome if tuned else None))
-
-        snapshots.append(band_summary(cur, ops))
-        probs.append(band_p_succ(cur, ops, n_hat))
-
-    return TrajectoryRecord(
-        seed=int(seed),
-        outcomes=np.array(outcomes, dtype=np.int8),
-        outcome_is_corrective=np.array(corrective_flags, dtype=bool),
-        snapshots=snapshots,
-        p_succ_series=np.array(probs),
-        correction_events=events,
-        final_bands=cur,
-    )
+    return [record for chunk in _run_chunks(rho0, n_measure, q, strategy, seeds, ops, True)
+            for record in chunk.records()]
 
 
-def run_ensemble(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
-                 ops: SpinOperators) -> list[TrajectoryRecord]:
-    """Independent trajectories for each seed, in the order of the seed list."""
-    return [run_stochastic(rho0, n_measure, q, strategy, s, ops) for s in seeds]
+def run_stochastic(rho0: np.ndarray, n_measure: int, q, strategy, seed: int,
+                   ops: SpinOperators) -> TrajectoryRecord:
+    """One seeded measurement record (see run_ensemble): a batch of one seed."""
+    return run_ensemble(rho0, n_measure, q, strategy, [seed], ops)[0]
 
 
 @dataclass
 class EnsembleStatistics:
     n_records: int
-    mean_L: np.ndarray          # (n_steps, 3)
-    mean_L_stderr: np.ndarray
     theta: np.ndarray           # (n_steps,)
     theta_stderr: np.ndarray
     p_succ: np.ndarray
     p_succ_stderr: np.ndarray
     plus_fraction: np.ndarray   # per primary measurement
-    plus_fraction_stderr: np.ndarray
 
 
-def _mean_stderr(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = arr.mean(axis=0)
-    if arr.shape[0] == 1:
-        return mean, np.zeros_like(mean)
-    return mean, arr.std(axis=0, ddof=1) / np.sqrt(arr.shape[0])
+class _Accumulator:
+    """Per-step sums over chunks of seeds: of p_succ and theta as deviations
+    from the first seed's values, and of the + outcomes per primary
+    measurement.  The shift keeps the one-pass variance free of cancellation
+    and makes the spread of identical records exactly zero; merging chunks
+    is addition."""
+
+    def __init__(self):
+        self.n = 0
+
+    def add(self, reads: np.ndarray, plus: np.ndarray) -> None:
+        """reads: (2, S, n_steps) p_succ and theta; plus: (S, n_primary) bool."""
+        if not self.n:
+            self.shift, self.s1, self.s2, self.plus = reads[:, 0].copy(), 0.0, 0.0, 0
+        dev = reads - self.shift[:, None]
+        self.s1 = self.s1 + dev.sum(axis=1)
+        self.s2 = self.s2 + np.square(dev, out=dev).sum(axis=1)
+        self.plus = self.plus + plus.sum(axis=0)
+        self.n += reads.shape[1]
+
+    def statistics(self) -> EnsembleStatistics:
+        n = self.n
+        mean = self.shift + self.s1 / n
+        var = (self.s2 - self.s1 * self.s1 / n) / max(n - 1, 1)
+        stderr = np.sqrt(np.maximum(var, 0.0) / n)
+        return EnsembleStatistics(n, mean[1], stderr[1], mean[0], stderr[0], self.plus / n)
+
+
+def run_ensemble_statistics(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
+                            ops: SpinOperators) -> EnsembleStatistics:
+    """Per-step means and standard errors of p_succ and the inclination, and
+    the + fraction per primary measurement, over the records of run_ensemble
+    for these seeds, without keeping the records."""
+    acc = _Accumulator()
+    for chunk in _run_chunks(rho0, n_measure, q, strategy, seeds, ops):
+        acc.add(chunk.reads, chunk.outcomes[:, ~chunk.corrective] > 0)
+        del chunk  # freed before the next chunk is stepped
+    if not acc.n:
+        raise ValueError("no seeds supplied")
+    return acc.statistics()
 
 
 def ensemble_statistics(records: list[TrajectoryRecord]) -> EnsembleStatistics:
@@ -465,13 +581,11 @@ def ensemble_statistics(records: list[TrajectoryRecord]) -> EnsembleStatistics:
     for rec in records:
         if len(rec.snapshots) != n_steps or len(rec.outcomes) != n_out:
             raise ValueError("records have mixed lengths")
-    mean_L = np.array([[s.mean_L for s in rec.snapshots] for rec in records])
-    theta = np.array([[s.theta for s in rec.snapshots] for rec in records])
-    probs = np.array([rec.p_succ_series for rec in records])
     primary = ~records[0].outcome_is_corrective
-    plus = np.array([(rec.outcomes[primary] > 0).astype(float) for rec in records])
-    mL, mLs = _mean_stderr(mean_L)
-    th, ths = _mean_stderr(theta)
-    ps, pss = _mean_stderr(probs)
-    pf, pfs = _mean_stderr(plus)
-    return EnsembleStatistics(len(records), mL, mLs, th, ths, ps, pss, pf, pfs)
+    acc = _Accumulator()
+    for start in range(0, len(records), CHUNK):
+        part = records[start:start + CHUNK]
+        acc.add(np.array([[rec.p_succ_series for rec in part],
+                          [[s.theta for s in rec.snapshots] for rec in part]]),
+                np.array([rec.outcomes[primary] > 0 for rec in part]))
+    return acc.statistics()

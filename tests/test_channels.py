@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from qrf_sim.channels import (
     unitary_channel_tensor,
     verify_cptp,
 )
+from qrf_sim.kernels import to_bands
 from qrf_sim.metrics import mean_angular_momentum
 from qrf_sim.spin import build_spin_operators, coherent_state, rotated_dicke_state, source_state
 
@@ -303,3 +306,25 @@ def test_hygiene_restores_hermiticity_and_trace():
     assert np.abs(clean - clean.conj().T).max() < 1e-16
     assert abs(clean.trace() - 1.0) < 1e-15
     assert hygiene(rho) is rho  # clean input untouched
+
+
+def test_band_hygiene_and_probabilities_of_a_batch_go_seed_by_seed(caplog):
+    rng = np.random.default_rng(8)
+    ops = build_spin_operators(2)
+    B = np.array([to_bands(random_density(ops.d, rng)) for _ in range(3)])
+    assert hygiene(B, bands=True) is B  # a clean batch comes back untouched
+    p_plus, p_minus = outcome_probabilities(B, 0.4, ops, bands=True)
+    for s in range(3):
+        assert abs(p_plus[s] - outcome_probabilities(B[s], 0.4, ops, bands=True)[0]) <= 1e-15
+    assert np.array_equal(p_minus, 1.0 - p_plus)
+    dirty = B.copy()
+    dirty[1, 0, 2] += 1e-9j             # hermiticity drift above the warning level
+    dirty[2, 0] *= 1.0 + 1e-12          # trace drift above the trigger only
+    with caplog.at_level(logging.WARNING, logger="qrf_sim.channels"):
+        fixed = hygiene(dirty, bands=True)
+    assert len(caplog.records) == 1
+    assert np.array_equal(fixed[0], dirty[0])
+    for s in (1, 2):
+        assert np.array_equal(fixed[s], hygiene(dirty[s], bands=True))
+        assert not fixed[s, 0].imag.any()
+        assert abs(fixed[s, 0].sum() - 1.0) <= 1e-15

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qrf_sim.channels import _coeffs_average, _coeffs_selective, _coeffs_unitary
-from qrf_sim.kernels import apply_band, apply_structured, to_bands
+from qrf_sim.kernels import apply_band, apply_factors, apply_structured, band_factors, to_bands
 from qrf_sim.spin import build_spin_operators
 
 from helpers import random_density
@@ -54,3 +54,23 @@ def test_band_step_equals_dense_diagonals_exactly(twice_l):
         for k in range(3):
             assert np.array_equal(band[k, :ops.d - k], np.diagonal(dense, k))
             assert not band[k, ops.d - k:].any()  # the padding stays zero
+
+
+def test_band_step_with_per_seed_coefficients_equals_one_step_per_seed():
+    rng = np.random.default_rng(7)
+    ops = build_spin_operators(3.5)
+    B = np.array([to_bands(random_density(ops.d, rng)) for _ in range(5)])
+    sign = np.array([1, -1, -1, 1, -1])
+    z, gamma = rng.uniform(-1, 1, 5), rng.uniform(0, 2 * np.pi, 5)
+    batch = {
+        "selective": (_coeffs_selective(z[:, None, None], ops.d, sign[:, None, None]),
+                      [_coeffs_selective(z[s], ops.d, int(sign[s])) for s in range(5)]),
+        "unitary": (_coeffs_unitary(z[:, None, None], ops.d, gamma[:, None, None]),
+                    [_coeffs_unitary(z[s], ops.d, gamma[s]) for s in range(5)]),
+    }
+    for per_seed, one_by_one in batch.values():
+        out = apply_band(B, ops.m_band, ops.ladder_band, per_seed)
+        factors = band_factors(ops.m_band, ops.ladder_band, per_seed)
+        assert np.array_equal(apply_factors(B, *factors), out)
+        for s, coeffs in enumerate(one_by_one):
+            assert np.array_equal(out[s], apply_band(B[s], ops.m_band, ops.ladder_band, coeffs))

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qrf_sim.channels import (
     unitary_channel_tensor,
 )
 from qrf_sim.kernels import to_bands
-from qrf_sim.metrics import band_mean_L, mean_angular_momentum
+from qrf_sim.metrics import UnpolarizedFrame, band_mean_L, mean_angular_momentum
 from qrf_sim.spin import (
     build_spin_operators,
     coherent_state,
@@ -27,6 +28,7 @@ from qrf_sim.trajectory import (
     AlternatingAntipolarized,
     ConditionalTuned,
     MeasureStep,
+    NumericalInvariantError,
     UnitaryAfterEachPlus,
     UnitaryEveryK,
     UnitaryStep,
@@ -35,13 +37,14 @@ from qrf_sim.trajectory import (
     ensemble_statistics,
     run_average,
     run_ensemble,
+    run_ensemble_statistics,
     run_stochastic,
     schedule_measurements,
     validate_schedule,
 )
 
 
-from helpers import band_error, replay_average, replay_outcomes
+from helpers import band_error, reference_record, replay_average, replay_outcomes
 
 OPS8 = build_spin_operators(8)
 OPS16 = build_spin_operators(16)
@@ -72,11 +75,13 @@ def test_strategy_validation():
 
 def test_run_average_fixed_point():
     rho = np.eye(OPS8.d) / OPS8.d
-    # unpolarized frame has no direction; supply one explicitly
-    run = run_average(rho + 1e-6 * np.diag(OPS8.m_diag) / OPS8.d, schedule_measurements(5, 0.0),
-                      OPS8, n_hat=np.array([0.0, 0.0, 1.0]))
-    thetas = [s.theta for s in run.summaries]
-    assert max(thetas) - min(thetas) < 1e-9
+    # the unpolarized frame has no direction: supply one, and its inclination is NaN
+    run = run_average(rho, schedule_measurements(5, 0.0), OPS8, n_hat=np.array([0.0, 0.0, 1.0]))
+    assert all(np.isnan(s.theta) for s in run.summaries)
+    assert np.abs(run.p_succ_series - 0.5).max() <= 1e-15
+    assert np.abs(run.final_bands - to_bands(rho)).max() <= 1e-15
+    with pytest.raises(UnpolarizedFrame):
+        run_average(rho, schedule_measurements(5, 0.0), OPS8)
 
 
 def test_run_average_recording_cadence():
@@ -288,6 +293,21 @@ def test_conditional_correction_makes_at_most_five_channel_calls(monkeypatch):
     assert 0 < len(calls) <= 5
 
 
+def test_conditional_run_applies_each_chosen_kick_once(monkeypatch):
+    # the trial kicks and the chosen one of conditional_correction_step, and
+    # no second application of the chosen kick by the run
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[3] if len(args) > 3 else kwargs["gamma"])
+        return unitary_channel(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "unitary_channel", counting)
+    rec = run_stochastic(coherent_state(16, 2 * np.pi / 3), 50, 1.0, ConditionalTuned(), 3, OPS16)
+    assert sum(e.gamma != 0.0 for e in rec.correction_events) > 0
+    assert len(calls) <= 5 * 50
+
+
 def test_conditional_strategy_runs_and_records():
     rec = run_stochastic(coherent_state(8, 2.0), 10, 1.0, ConditionalTuned(), 2, OPS8)
     assert len(rec.correction_events) == 10
@@ -375,3 +395,88 @@ def test_band_run_steps_match_dense_loop(l):
         worst = max(worst, np.abs(B - to_bands(rho)).max())
     assert worst <= 1e-12
     assert np.abs(band_mean_L(B, ops) - mean_angular_momentum(rho, ops)).max() <= 1e-12 * l
+
+
+STRATEGIES = {"none": None, "alternating": AlternatingAntipolarized(),
+              "unitary_every_k": UnitaryEveryK(3, 0.7 * np.pi),
+              "unitary_after_each_plus": UnitaryAfterEachPlus(np.pi),
+              "conditional": ConditionalTuned()}
+
+
+def close(a, b) -> bool:
+    return np.allclose(a, b, rtol=0.0, atol=1e-14, equal_nan=True)
+
+
+def assert_matches_reference(rho, n, z, strategy, seeds, ops):
+    records = run_ensemble(rho, n, z, strategy, seeds, ops)
+    assert [rec.seed for rec in records] == list(seeds)
+    probs, thetas = [], []
+    for rec in records:
+        outcomes, events, p, theta, final = reference_record(rho, n, z, strategy, rec.seed, ops)
+        assert rec.outcome_string == outcomes
+        assert rec.correction_events == events
+        assert np.abs(rec.p_succ_series - p).max() <= 1e-14
+        assert close([s.theta for s in rec.snapshots], theta)
+        assert np.array_equal(rec.final_bands, final)  # the same arithmetic, seed by seed
+        probs.append(p)
+        thetas.append(theta)
+    stats = run_ensemble_statistics(rho, n, z, strategy, seeds, ops)
+    assert stats.n_records == len(seeds)
+    assert np.abs(stats.p_succ - np.mean(probs, axis=0)).max() <= 1e-14
+    assert close(stats.theta, np.mean(thetas, axis=0))  # NaN where a frame is unpolarized
+    assert np.abs(stats.p_succ_stderr
+                  - np.std(probs, axis=0, ddof=1) / np.sqrt(len(seeds))).max() <= 1e-14
+    plus = np.mean([rec.outcomes[~rec.outcome_is_corrective] > 0 for rec in records], axis=0)
+    assert np.array_equal(stats.plus_fraction, plus)
+    return records
+
+
+@pytest.mark.parametrize("kind", STRATEGIES)
+def test_batched_engine_matches_one_seed_reference(kind):
+    # 300 seeds cross the boundary between the first two chunks
+    assert trajectory.CHUNK < 300
+    ops = build_spin_operators(2)
+    assert_matches_reference(coherent_state(2, 2.0), 12, 1.0, STRATEGIES[kind], range(300), ops)
+
+
+def test_batched_engine_consumes_draws_of_forced_outcomes():
+    # l = 1/2 along +Z and a z = 1 source: each primary outcome is forced to
+    # +, and the antipolarized measurement after it is a fair coin
+    ops = build_spin_operators(0.5)
+    rho = coherent_state(0.5, 0.0)
+    assert outcome_probabilities(rho, 1.0, ops)[0] == 1.0
+    records = assert_matches_reference(rho, 12, 1.0, AlternatingAntipolarized(), range(40), ops)
+    assert all(rec.outcome_string.startswith("+") for rec in records)
+    assert len({rec.outcome_string for rec in records}) > 1
+    assert_matches_reference(rho, 12, 1.0, None, range(3), ops)
+
+
+@pytest.mark.parametrize("band", [0, 1])
+def test_nonfinite_value_in_one_seed_raises(band):
+    # band 0 feeds the next outcome probability; band 1 only the finiteness check
+    class Poison:
+        def corrections(self, i, z, outcome, B, ops, theta0):
+            if i == 3:
+                B[7, band, 2] = np.nan
+            return ()
+
+    with pytest.raises(NumericalInvariantError):
+        run_ensemble_statistics(coherent_state(8, 1.0), 10, 1.0, Poison(), range(20), OPS8)
+
+
+def test_ensemble_statistics_memory_does_not_grow_with_seed_count():
+    rho = coherent_state(16, np.pi / 2)
+    strategy = UnitaryAfterEachPlus(np.pi)
+
+    def peak(n_seeds):
+        tracemalloc.start()
+        try:
+            run_ensemble_statistics(rho, 5, 1.0, strategy, range(n_seeds), OPS16)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_ensemble_statistics(rho, 5, 1.0, strategy, range(2), OPS16)
+    small, large = peak(512), peak(2048)
+    assert trajectory.CHUNK < 512
+    assert large <= 1.1 * small
