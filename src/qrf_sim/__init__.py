@@ -60,6 +60,5 @@ from .trajectory import (  # noqa: F401
     run_stochastic,
     run_ensemble,
     run_ensemble_statistics,
-    ensemble_statistics,
     conditional_correction_step,
 )

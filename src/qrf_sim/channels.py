@@ -9,12 +9,14 @@ Each channel is implemented twice, on independent code paths:
   map as a banded O(d^2) update -- the default used everywhere else.
 
 The two routes agree to 1e-12 and disagreeing beyond that is treated as a
-bug in the structured coefficients, never in the tensor form.  The
-structured functions also take ``bands=True``: the state is then the
-(3, d) band array of its diagonals 0-2 and the same coefficients go through
-the O(d) band kernel, which is how the run loops step the frame.  The
-coefficient builders are elementwise, so arrays of z, outcome sign or gamma
-give per-seed coefficients for an (S, 3, d) batch of band arrays.
+bug in the structured coefficients, never in the tensor form.  The run
+loops step the (3, d) band array of the diagonals 0-2 instead
+(kernels.apply_band, O(d)), with the same coefficient builders; the
+builders are elementwise, so arrays of z, outcome sign or gamma give
+per-seed coefficients for an (S, 3, d) batch.  ``average_channel`` and
+``unitary_channel`` still take ``bands=True``, because the benchmark's
+tracer counts the average steps and the conditional trial kicks as spans
+of these two functions; ``hygiene`` works on band arrays only.
 """
 
 from __future__ import annotations
@@ -146,18 +148,19 @@ def _apply(rho: np.ndarray, ops: SpinOperators, coeffs, bands: bool) -> np.ndarr
     return apply_structured(rho, ops.m_diag, ops.ladder, coeffs)
 
 
+# bands=True steps a band array; kept on this function and unitary_channel
+# only, for the benchmark tracer's spans (see the module docstring)
 def average_channel(rho: np.ndarray, q, ops: SpinOperators, *, bands: bool = False) -> np.ndarray:
     """Frame back-action of one measurement with the outcome discarded."""
     z = as_polarization(q)
     return _apply(rho, ops, _coeffs_average(z, ops.d), bands)
 
 
-def selective_unnormalized(rho: np.ndarray, q, ops: SpinOperators, outcome, *,
-                           bands: bool = False) -> np.ndarray:
+def selective_unnormalized(rho: np.ndarray, q, ops: SpinOperators, outcome) -> np.ndarray:
     """Unnormalized branch map; its trace is the outcome probability."""
     z = as_polarization(q)
     sign = _sign(outcome)
-    return _apply(rho, ops, _coeffs_selective(z, ops.d, sign), bands)
+    return _apply(rho, ops, _coeffs_selective(z, ops.d, sign), False)
 
 
 def selective_channel(rho: np.ndarray, q, ops: SpinOperators, outcome) -> SelectiveOutcome:
@@ -174,6 +177,7 @@ def selective_channel(rho: np.ndarray, q, ops: SpinOperators, outcome) -> Select
     return SelectiveOutcome(sign, p, sigma / p)
 
 
+# bands=True: see average_channel
 def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
                     bands: bool = False) -> np.ndarray:
     """Frame back-action of the rotationally invariant unitary coupling.
@@ -187,13 +191,15 @@ def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
     return _apply(rho, ops, _coeffs_unitary(z, ops.d, gamma), bands)
 
 
-def outcome_probabilities(rho: np.ndarray, q, ops: SpinOperators, *,
-                          bands: bool = False) -> tuple[float, float]:
-    """Exact finite-l outcome probabilities (p_plus, p_minus); arrays of
-    shape (S,) for an (S, 3, d) batch of band arrays."""
-    z = as_polarization(q)
-    mean_lz = (rho[..., 0, :] if bands else np.diag(rho)).real @ ops.m_diag
-    p_plus = 0.5 + (2.0 * z * mean_lz + 1.0) / (2.0 * ops.d)
+def _p_plus(diagonal: np.ndarray, z: float, ops: SpinOperators):
+    """p_plus from the main diagonal of a state, or the (S, d) diagonals of
+    a batch: 1/2 + (2 z <Lz> + 1)/(2d)."""
+    return 0.5 + (2.0 * z * (diagonal.real @ ops.m_diag) + 1.0) / (2.0 * ops.d)
+
+
+def outcome_probabilities(rho: np.ndarray, q, ops: SpinOperators) -> tuple[float, float]:
+    """Exact finite-l outcome probabilities (p_plus, p_minus)."""
+    p_plus = _p_plus(np.diag(rho), as_polarization(q), ops)
     return p_plus, 1.0 - p_plus
 
 
@@ -246,40 +252,36 @@ HYGIENE_TRIGGER = 1e-13
 HYGIENE_WARN = 1e-10
 
 
-def hygiene(rho: np.ndarray, *, bands: bool = False) -> np.ndarray:
-    """Re-hermitize and renormalize a state when float drift exceeds 1e-13.
+def hygiene(B: np.ndarray) -> np.ndarray:
+    """Renormalize a band array (kernels.to_bands) when float drift exceeds
+    1e-13, or each drifted one of an (S, 3, d) batch on its own.
 
     Used by the long stepping loops to stop rounding from accumulating;
     corrections above 1e-10 are logged as suspicious.  A band array is
     Hermitian by construction except for the imaginary part of its main
-    diagonal, so its check and correction are O(d); the drift measured is
-    the same |rho - rho^dag| entry the dense check finds there.  In an
-    (S, 3, d) batch of band arrays, each one that drifted is corrected (and
-    logged) on its own.
+    diagonal, so the check and correction are O(d); the drift measured is
+    the |rho - rho^dag| entry a dense check would find there.  A clean input
+    comes back as the same object.
     """
-    if bands and rho.ndim == 3:
-        diag = rho[:, 0]
+    if B.ndim == 3:
+        diag = B[:, 0]
         clean = ((2.0 * np.abs(diag.imag).max(axis=-1) <= HYGIENE_TRIGGER)
                  & (np.abs(diag.sum(axis=-1) - 1.0) <= HYGIENE_TRIGGER))
-        return rho if clean.all() else np.array(
-            [b if ok else hygiene(b, bands=True) for b, ok in zip(rho, clean)])
-    diag = rho[0] if bands else np.diagonal(rho)
-    herm_drift = 2.0 * np.abs(diag.imag).max() if bands else np.abs(rho - rho.conj().T).max()
-    tr_drift = abs(diag.sum() - 1.0)
+        return B if clean.all() else np.array(
+            [b if ok else hygiene(b) for b, ok in zip(B, clean)])
+    herm_drift = 2.0 * np.abs(B[0].imag).max()
+    tr_drift = abs(B[0].sum() - 1.0)
     if herm_drift <= HYGIENE_TRIGGER and tr_drift <= HYGIENE_TRIGGER:
-        return rho
+        return B
     if herm_drift > HYGIENE_WARN or tr_drift > HYGIENE_WARN:
         logger.warning(
             "state hygiene correction is large: hermiticity %.3e, trace %.3e",
             herm_drift,
             tr_drift,
         )
-    if bands:
-        rho = rho.copy()
-        rho[0] = rho[0].real
-        return rho / rho[0].sum().real
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / rho.trace().real
+    B = B.copy()
+    B[0] = B[0].real
+    return B / B[0].sum().real
 
 
 @dataclass(frozen=True)

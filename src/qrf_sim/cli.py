@@ -12,8 +12,8 @@ hash, RNG identifier and seed list as '#' header comments and is
 byte-reproducible for a fixed config; a JSON summary sidecar is written next
 to it.  Exit codes: 0 success, 2 config error, 3 numerical-invariant
 violation during the run (including an output value that is not finite).
---threads and QRF_SIM_THREADS are accepted and validated but change
-nothing: every run is single-threaded and its bytes never depended on them.
+--threads is accepted and must be a positive integer, but changes nothing:
+every run is single-threaded and its bytes never depended on it.
 """
 
 from __future__ import annotations
@@ -503,21 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--gamma", type=float, default=None, help="kick-angle override (radians)")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility and validated; runs are "
-                             "single-threaded (env QRF_SIM_THREADS overrides)")
+                             "single-threaded")
     return parser
-
-
-def _threads(flag: int) -> int:
-    """The validated thread count, QRF_SIM_THREADS when set, else --threads;
-    it has no effect on a run."""
-    text = os.environ.get("QRF_SIM_THREADS")
-    source, value = ("QRF_SIM_THREADS", text) if text else ("--threads", flag)
-    try:
-        threads = int(value)
-    except ValueError:
-        raise ConfigError(f"{source} must be an integer, got {value!r}") from None
-    _require(threads >= 1, f"{source} must be a positive integer, got {threads}")
-    return threads
 
 
 def _flag_overrides(args) -> dict:
@@ -542,7 +529,7 @@ def _flag_overrides(args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _threads(args.threads)
+        _require(args.threads >= 1, f"--threads must be a positive integer, got {args.threads}")
         cfg = load_config(args.experiment, args.config, _flag_overrides(args))
         columns, rows, sidecar = RUNNERS[args.experiment](cfg)
         out = args.out or f"{args.experiment}.csv"

@@ -3,7 +3,11 @@ records and the drift-correction strategies.
 
 Every run converts its initial state once to the band array of its
 diagonals 0-2 (kernels.to_bands) and steps that, O(d) per step; the records
-hold the final band array, not a d x d matrix.
+hold the final band array, not a d x d matrix.  All runs share one stepping
+loop, _evolve, and one step function, _apply: run_average and
+average_lifetime_stepper feed it average-map steps, the stochastic engine
+measurements with drawn outcomes.  A strategy inserts its corrections after
+each step through the same hook in all of them.
 
 Trajectories are reproducible by construction: every seed owns a
 counter-based generator keyed by it (the algorithm identifier below is
@@ -19,7 +23,7 @@ grow with the seed count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +32,9 @@ from .channels import (
     OUTCOME_EPS,
     _coeffs_selective,
     _coeffs_unitary,
+    _p_plus,
     average_channel,
     hygiene,
-    outcome_probabilities,
     unitary_channel,
 )
 from .kernels import apply_factors, band_factors, to_bands
@@ -215,13 +219,14 @@ class CorrectionChoice:
 
 @dataclass
 class TrajectoryRecord:
-    """One seeded measurement record: outcome string, per-step summaries and
-    success probabilities, and the corrections that were applied."""
+    """One seeded measurement record: outcome string, inclination and success
+    probability per primary measurement, and the corrections that were
+    applied."""
 
     seed: int
     outcomes: np.ndarray
     outcome_is_corrective: np.ndarray
-    snapshots: list[FrameSummary]
+    theta_series: np.ndarray  # NaN where the frame is unpolarized
     p_succ_series: np.ndarray
     correction_events: list[CorrectionEvent]
     final_bands: np.ndarray  # (3, d) band array, kernels.to_bands
@@ -230,6 +235,75 @@ class TrajectoryRecord:
     @property
     def outcome_string(self) -> str:
         return "".join("+" if o > 0 else "-" for o in self.outcomes)
+
+
+# ---------------------------------------------------------------------------
+# the stepping loop
+# ---------------------------------------------------------------------------
+
+def _checked(B: np.ndarray) -> np.ndarray:
+    """Band hygiene: finiteness, then the O(d) trace and diagonal repair."""
+    if not np.isfinite(B).all():
+        raise NumericalInvariantError("state left the finite domain during the run")
+    return hygiene(B)
+
+
+def _factors(cache: dict, ops: SpinOperators, z: float, gamma: float | None = None):
+    """The kernel factors (kernels.band_factors) of a step a run repeats,
+    formed once per run: the kick (z, gamma), or for gamma None the - and +
+    branches of a z source, stacked in that order."""
+    if (z, gamma) not in cache:
+        coeffs = _coeffs_selective(z, ops.d, np.array([-1, 1]).reshape(2, 1, 1)) \
+            if gamma is None else _coeffs_unitary(z, ops.d, gamma)
+        cache[z, gamma] = band_factors(ops.m_band, ops.ladder_band, coeffs)
+    return cache[z, gamma]
+
+
+def _apply(B: np.ndarray, step, ops: SpinOperators, cache: dict, draws=None):
+    """One step on a band array or an (S, 3, d) batch: (checked state, outcomes).
+
+    A kick applies its cached factors, or the kicked bands a strategy already
+    formed, to the seeds its mask selects.  A measurement without draws is
+    the average map.  With draws, every seed's outcome is drawn from its next
+    uniform and that branch is applied, normalized; near-certain branches
+    are forced so that conditioning stays well defined, and their uniform is
+    consumed all the same.  Only a drawn measurement has outcomes, (S,) int8.
+    """
+    if isinstance(step, UnitaryStep):
+        kicked = step.bands if step.bands is not None \
+            else apply_factors(B, *_factors(cache, ops, step.z, step.gamma))
+        if step.where is not None:
+            kicked = np.where(step.where[:, None, None], kicked, B)
+        return _checked(kicked), None
+    if draws is None:
+        return _checked(average_channel(B, step.z, ops, bands=True)), None
+    p_plus = _p_plus(B[:, 0], step.z, ops)
+    valid = (p_plus >= -1e-9) & (p_plus <= 1.0 + 1e-9)  # False for NaN too
+    if not valid.all():
+        raise NumericalInvariantError(f"outcome probability left [0, 1]: {p_plus[~valid][0]!r}")
+    u = next(draws)
+    plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
+    diagonal, up, down = _factors(cache, ops, step.z)
+    sigma = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
+    p = sigma[:, 0].sum(axis=-1).real
+    if (p <= 0.0).any():
+        raise NumericalInvariantError(f"selected branch has nonpositive weight {p.min()!r}")
+    return _checked(sigma / p[:, None, None]), np.where(plus, np.int8(1), np.int8(-1))
+
+
+def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, draws=None):
+    """The one stepping loop of every run: apply each step, then the
+    corrections the strategy inserts after it (given the step's outcomes,
+    None under average evolution), and yield the state and the steps taken
+    with their outcomes, [(step, outcomes), (correction, outcomes), ...]."""
+    cache = {}
+    for i, step in enumerate(steps):
+        B, outcome = _apply(B, step, ops, cache, draws)
+        taken = [(step, outcome)]
+        for fix in strategy.corrections(i, step.z, outcome, B, ops, theta0) if strategy else ():
+            B, fix_outcome = _apply(B, fix, ops, cache, draws)
+            taken.append((fix, fix_outcome))
+        yield B, taken
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +316,6 @@ class AverageRun:
     summaries: list[FrameSummary]
     p_succ_series: np.ndarray
     final_bands: np.ndarray  # (3, d) band array, kernels.to_bands
-
-
-def _checked(B: np.ndarray) -> np.ndarray:
-    """Band hygiene: finiteness, then the O(d) trace and diagonal repair."""
-    if not np.isfinite(B).all():
-        raise NumericalInvariantError("state left the finite domain during the run")
-    return hygiene(B, bands=True)
-
-
-def apply_step(B: np.ndarray, step, ops: SpinOperators) -> np.ndarray:
-    """One average-map step of a schedule on a band array (kernels.to_bands)."""
-    if isinstance(step, MeasureStep):
-        return average_channel(B, step.z, ops, bands=True)
-    if isinstance(step, UnitaryStep):
-        return unitary_channel(B, step.z, ops, step.gamma, bands=True)
-    raise TypeError(f"unknown step kind {step!r}")
 
 
 def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
@@ -283,11 +341,7 @@ def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
     indices = [0]
     summaries = [summary0]
     probs = [band_p_succ(cur, ops, n_hat)]
-    for i, step in enumerate(schedule, start=1):
-        cur = _checked(apply_step(cur, step, ops))
-        for fix in strategy.corrections(i - 1, step.z, None, cur, ops, summary0.theta) \
-                if strategy else ():
-            cur = _checked(apply_step(cur, fix, ops))
+    for i, (cur, _) in enumerate(_evolve(cur, schedule, strategy, ops, summary0.theta), 1):
         if i % record_every == 0 or i == len(schedule):
             indices.append(i)
             summaries.append(band_summary(cur, ops))
@@ -302,13 +356,9 @@ def average_lifetime_stepper(rho0: np.ndarray, q, ops: SpinOperators, threshold:
     Correction steps are applied but not counted on the measurement axis.
     Only outcome-independent strategies make sense under average evolution.
     """
-    z = as_polarization(q)
+    steps = repeat(MeasureStep(as_polarization(q)), step_cap)
     theta0 = float(np.arctan2(n_hat[0], n_hat[2]))
-    cur = to_bands(rho0)
-    for n in range(1, step_cap + 1):
-        cur = _checked(average_channel(cur, z, ops, bands=True))
-        for step in strategy.corrections(n - 1, z, None, cur, ops, theta0) if strategy else ():
-            cur = _checked(apply_step(cur, step, ops))
+    for n, (cur, _) in enumerate(_evolve(to_bands(rho0), steps, strategy, ops, theta0), 1):
         if band_p_succ(cur, ops, n_hat) < threshold:
             return n
     raise LifetimeCapExceeded(step_cap)
@@ -370,48 +420,13 @@ def conditional_correction_step(B: np.ndarray, theta_known: float, outcome,
                          key=lambda c: c[2][0] * sin_t + c[2][2] * cos_t)
     if gamma == 0.0:
         return CorrectionChoice(0.0, +1, B, error(v0))
-    kicked = hygiene(unitary_channel(B, sign * z_mag, ops, gamma, bands=True), bands=True)
+    kicked = hygiene(unitary_channel(B, sign * z_mag, ops, gamma, bands=True))
     return CorrectionChoice(float(gamma), sign, kicked, error(band_mean_L(kicked, ops)))
 
 
 # ---------------------------------------------------------------------------
 # stochastic trajectories
 # ---------------------------------------------------------------------------
-
-def _factors(cache: dict, ops: SpinOperators, z: float, gamma: float | None = None):
-    """The kernel factors (kernels.band_factors) of a step a run repeats,
-    formed once per run: the kick (z, gamma), or for gamma None the - and +
-    branches of a z source, stacked in that order."""
-    if (z, gamma) not in cache:
-        coeffs = _coeffs_selective(z, ops.d, np.array([-1, 1]).reshape(2, 1, 1)) \
-            if gamma is None else _coeffs_unitary(z, ops.d, gamma)
-        cache[z, gamma] = band_factors(ops.m_band, ops.ladder_band, coeffs)
-    return cache[z, gamma]
-
-
-def _measure(B: np.ndarray, z: float, u: np.ndarray, ops: SpinOperators, cache: dict):
-    """Draw every seed's outcome from its uniform u and apply that branch,
-    normalized; near-certain branches are forced so that conditioning stays
-    well defined, and their uniform is consumed all the same."""
-    p_plus, _ = outcome_probabilities(B, z, ops, bands=True)
-    valid = (p_plus >= -1e-9) & (p_plus <= 1.0 + 1e-9)  # False for NaN too
-    if not valid.all():
-        raise NumericalInvariantError(f"outcome probability left [0, 1]: {p_plus[~valid][0]!r}")
-    plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
-    diagonal, up, down = _factors(cache, ops, z)
-    sigma = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
-    p = sigma[:, 0].sum(axis=-1).real
-    if (p <= 0.0).any():
-        raise NumericalInvariantError(f"selected branch has nonpositive weight {p.min()!r}")
-    return np.where(plus, np.int8(1), np.int8(-1)), _checked(sigma / p[:, None, None])
-
-
-def _correct(B: np.ndarray, step: UnitaryStep, ops: SpinOperators, cache: dict) -> np.ndarray:
-    if step.bands is not None:
-        return _checked(step.bands)
-    kicked = apply_factors(B, *_factors(cache, ops, step.z, step.gamma))
-    return _checked(kicked if step.where is None else np.where(step.where[:, None, None], kicked, B))
-
 
 def _of_seed(value, s: int):
     """Seed s's entry of a per-seed array, or the value all seeds share."""
@@ -428,7 +443,6 @@ class _Chunk:
     reads: np.ndarray           # (2, S, n_measure + 1): p_succ and theta
     log: list                   # (i, step, outcomes) per correction step taken
     final: np.ndarray           # (S, 3, d)
-    snapshots: list | None      # per primary measurement, the S frame summaries
 
     def events(self, s: int) -> list[CorrectionEvent]:
         events = []
@@ -445,26 +459,23 @@ class _Chunk:
         return events
 
     def records(self) -> list[TrajectoryRecord]:
-        return [TrajectoryRecord(seed, self.outcomes[s], self.corrective.copy(),
-                                 [row[s] for row in self.snapshots], self.reads[0, s],
-                                 self.events(s), self.final[s])
+        return [TrajectoryRecord(seed, self.outcomes[s], self.corrective.copy(), self.reads[1, s],
+                                 self.reads[0, s], self.events(s), self.final[s])
                 for s, seed in enumerate(self.seeds)]
 
 
-def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
-                ops: SpinOperators, summarize: bool = False):
+def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinOperators):
     """The stochastic engine: yield the seeds in chunks of CHUNK, each stepped
-    as one (S, 3, d) batch, with p_succ (against the initial direction) and
-    the inclination read once per primary measurement, corrections included;
-    summarize also keeps every seed's frame summary there."""
+    as one (S, 3, d) batch by _evolve, with p_succ (against the initial
+    direction) and the inclination read once per primary measurement,
+    corrections included."""
     if n_measure < 1:
         raise ValueError("n_measure must be >= 1")
-    z = as_polarization(q)
+    steps = [MeasureStep(as_polarization(q))] * n_measure
     summary0 = summarize_frame(rho0, ops)
     n_hat = summary0.mean_L / np.linalg.norm(summary0.mean_L)
     n_draws = n_measure * getattr(strategy, "draws_per_measurement", 1)
     B0 = to_bands(rho0)
-    cache = {}
     seeds = iter(seeds)
     while chunk := [int(s) for s in islice(seeds, CHUNK)]:
         # each seed's uniforms in one call, in the order the measurements use them
@@ -474,26 +485,17 @@ def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
         outcomes, corrective, log = [], [], []
         reads = np.empty((2, len(chunk), n_measure + 1))
         reads[:, :, 0] = band_p_succ_theta(B, ops, n_hat)
-        snapshots = [[summary0] * len(chunk)] if summarize else None
-        for i in range(n_measure):
-            outcome, B = _measure(B, z, next(draws), ops, cache)
-            outcomes.append(outcome)
+        for i, (B, taken) in enumerate(_evolve(B, steps, strategy, ops, summary0.theta, draws)):
+            primary = taken[0][1]
+            outcomes.append(primary)
             corrective.append(False)
-            for step in strategy.corrections(i, z, outcome, B, ops, summary0.theta) \
-                    if strategy else ():
+            for step, outcome in taken[1:]:
                 if isinstance(step, MeasureStep):
-                    bar_outcome, B = _measure(B, step.z, next(draws), ops, cache)
-                    outcomes.append(bar_outcome)
+                    outcomes.append(outcome)
                     corrective.append(step.corrective)
-                    log.append((i, step, bar_outcome))
-                else:
-                    B = _correct(B, step, ops, cache)
-                    log.append((i, step, outcome))
+                log.append((i, step, primary if outcome is None else outcome))
             reads[:, :, i + 1] = band_p_succ_theta(B, ops, n_hat)
-            if summarize:
-                snapshots.append([band_summary(b, ops) for b in B])
-        yield _Chunk(chunk, np.stack(outcomes, axis=1), np.array(corrective), reads, log, B,
-                     snapshots)
+        yield _Chunk(chunk, np.stack(outcomes, axis=1), np.array(corrective), reads, log, B)
 
 
 def run_ensemble(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
@@ -502,15 +504,14 @@ def run_ensemble(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
 
     Outcomes are drawn from the exact finite-l probabilities and the matching
     selective channel is applied; the strategy inserts its corrective steps
-    after each primary measurement.  Snapshots and p_succ (against the
+    after each primary measurement.  The inclination and p_succ (against the
     initial direction) are recorded per primary measurement, corrections
     included, matching the convention that corrective particles do not count
     on the measurement axis.  A measurement can leave the frame unpolarized;
-    its snapshot then has a NaN inclination while p_succ stays defined.  The
-    seeds are stepped together (see the module docstring); only the frame
-    summaries are read seed by seed.
+    its inclination is then NaN while p_succ stays defined.  The seeds are
+    stepped together (see the module docstring).
     """
-    return [record for chunk in _run_chunks(rho0, n_measure, q, strategy, seeds, ops, True)
+    return [record for chunk in _run_chunks(rho0, n_measure, q, strategy, seeds, ops)
             for record in chunk.records()]
 
 
@@ -569,23 +570,4 @@ def run_ensemble_statistics(rho0: np.ndarray, n_measure: int, q, strategy, seeds
         del chunk  # freed before the next chunk is stepped
     if not acc.n:
         raise ValueError("no seeds supplied")
-    return acc.statistics()
-
-
-def ensemble_statistics(records: list[TrajectoryRecord]) -> EnsembleStatistics:
-    """Per-step means and standard errors across an ensemble of records."""
-    if not records:
-        raise ValueError("no records supplied")
-    n_steps = len(records[0].snapshots)
-    n_out = len(records[0].outcomes)
-    for rec in records:
-        if len(rec.snapshots) != n_steps or len(rec.outcomes) != n_out:
-            raise ValueError("records have mixed lengths")
-    primary = ~records[0].outcome_is_corrective
-    acc = _Accumulator()
-    for start in range(0, len(records), CHUNK):
-        part = records[start:start + CHUNK]
-        acc.add(np.array([[rec.p_succ_series for rec in part],
-                          [[s.theta for s in rec.snapshots] for rec in part]]),
-                np.array([rec.outcomes[primary] > 0 for rec in part]))
     return acc.statistics()

@@ -3,15 +3,16 @@
 import numpy as np
 
 from qrf_sim.channels import (
+    HYGIENE_TRIGGER,
     OUTCOME_EPS,
+    _coeffs_selective,
+    _p_plus,
     average_channel,
     hygiene,
-    outcome_probabilities,
     selective_channel,
-    selective_unnormalized,
     unitary_channel,
 )
-from qrf_sim.kernels import to_bands
+from qrf_sim.kernels import apply_band, to_bands
 from qrf_sim.metrics import band_p_succ, band_summary, mean_angular_momentum, summarize_frame
 from qrf_sim.trajectory import (
     AlternatingAntipolarized,
@@ -52,26 +53,37 @@ def replay_average(rho0: np.ndarray, n_steps: int, z: float, ops) -> np.ndarray:
     return rho
 
 
+def dense_hygiene(rho: np.ndarray) -> np.ndarray:
+    """The dense form of channels.hygiene: re-hermitize and renormalize a
+    d x d state when its drift exceeds the same 1e-13 trigger."""
+    herm_drift = np.abs(rho - rho.conj().T).max()
+    tr_drift = abs(np.trace(rho) - 1.0)
+    if herm_drift <= HYGIENE_TRIGGER and tr_drift <= HYGIENE_TRIGGER:
+        return rho
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / rho.trace().real
+
+
 def band_error(bands: np.ndarray, rho: np.ndarray) -> float:
     """Largest difference between a band array and the diagonals 0-2 of rho."""
     return float(np.abs(bands - to_bands(rho)).max())
 
 
 def reference_record(rho0: np.ndarray, n_measure: int, z: float, strategy, seed: int, ops):
-    """One seeded record from a one-seed loop over the public band channels,
-    with each strategy's rule written out here: (outcome string, correction
-    events, p_succ series, inclination series, final band array).  The
-    reference for the batched stochastic engine."""
+    """One seeded record from a one-seed loop over the band kernel and
+    channels, with each strategy's rule written out here: (outcome string,
+    correction events, p_succ series, inclination series, final band
+    array).  The reference for the batched stochastic engine."""
     rng = np.random.default_rng(np.random.Philox(key=seed))
     summary0 = summarize_frame(rho0, ops)
     n_hat = summary0.mean_L / np.linalg.norm(summary0.mean_L)
 
     def checked(B):
         assert np.isfinite(B).all()
-        return hygiene(B, bands=True)
+        return hygiene(B)
 
     def measure(B, z):
-        p_plus, _ = outcome_probabilities(B, z, ops, bands=True)
+        p_plus = _p_plus(B[0], z, ops)
         u = rng.random()  # drawn for forced outcomes too
         if p_plus < OUTCOME_EPS:
             outcome = -1
@@ -79,7 +91,7 @@ def reference_record(rho0: np.ndarray, n_measure: int, z: float, strategy, seed:
             outcome = +1
         else:
             outcome = +1 if u < p_plus else -1
-        sigma = selective_unnormalized(B, z, ops, outcome, bands=True)
+        sigma = apply_band(B, ops.m_band, ops.ladder_band, _coeffs_selective(z, ops.d, outcome))
         return outcome, checked(sigma / sigma[0].sum().real)
 
     def kick(B, z, gamma):

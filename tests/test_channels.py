@@ -6,6 +6,7 @@ import pytest
 from qrf_sim.channels import (
     ChoiDimensionError,
     OutcomeImpossible,
+    _p_plus,
     average_channel,
     average_channel_tensor,
     build_projectors,
@@ -22,7 +23,7 @@ from qrf_sim.kernels import to_bands
 from qrf_sim.metrics import mean_angular_momentum
 from qrf_sim.spin import build_spin_operators, coherent_state, rotated_dicke_state, source_state
 
-from helpers import inclination, random_density
+from helpers import dense_hygiene, inclination, random_density
 
 
 def rank_of(P):
@@ -299,32 +300,36 @@ def test_verify_cptp_dimension_cap():
 
 
 def test_hygiene_restores_hermiticity_and_trace():
+    # a band array drifts only on its main diagonal: the imaginary part and
+    # the trace; the repair matches the dense reference's diagonals
     rng = np.random.default_rng(4)
     rho = random_density(5, rng)
-    dirty = rho + 1e-11 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-    clean = hygiene(dirty)
-    assert np.abs(clean - clean.conj().T).max() < 1e-16
-    assert abs(clean.trace() - 1.0) < 1e-15
-    assert hygiene(rho) is rho  # clean input untouched
+    dirty = rho + 1e-11 * np.diag(rng.normal(size=5) + 1j * rng.normal(size=5))
+    clean = hygiene(to_bands(dirty))
+    assert not clean[0].imag.any()
+    assert abs(clean[0].sum() - 1.0) < 1e-15
+    assert np.abs(clean - to_bands(dense_hygiene(dirty))).max() < 1e-16
+    B = to_bands(rho)
+    assert hygiene(B) is B  # clean input untouched
 
 
 def test_band_hygiene_and_probabilities_of_a_batch_go_seed_by_seed(caplog):
     rng = np.random.default_rng(8)
     ops = build_spin_operators(2)
-    B = np.array([to_bands(random_density(ops.d, rng)) for _ in range(3)])
-    assert hygiene(B, bands=True) is B  # a clean batch comes back untouched
-    p_plus, p_minus = outcome_probabilities(B, 0.4, ops, bands=True)
+    rhos = [random_density(ops.d, rng) for _ in range(3)]
+    B = np.array([to_bands(rho) for rho in rhos])
+    assert hygiene(B) is B  # a clean batch comes back untouched
+    p_plus = _p_plus(B[:, 0], 0.4, ops)  # the stochastic engine's read
     for s in range(3):
-        assert abs(p_plus[s] - outcome_probabilities(B[s], 0.4, ops, bands=True)[0]) <= 1e-15
-    assert np.array_equal(p_minus, 1.0 - p_plus)
+        assert abs(p_plus[s] - outcome_probabilities(rhos[s], 0.4, ops)[0]) <= 1e-15
     dirty = B.copy()
     dirty[1, 0, 2] += 1e-9j             # hermiticity drift above the warning level
     dirty[2, 0] *= 1.0 + 1e-12          # trace drift above the trigger only
     with caplog.at_level(logging.WARNING, logger="qrf_sim.channels"):
-        fixed = hygiene(dirty, bands=True)
+        fixed = hygiene(dirty)
     assert len(caplog.records) == 1
     assert np.array_equal(fixed[0], dirty[0])
     for s in (1, 2):
-        assert np.array_equal(fixed[s], hygiene(dirty[s], bands=True))
+        assert np.array_equal(fixed[s], hygiene(dirty[s]))
         assert not fixed[s, 0].imag.any()
         assert abs(fixed[s, 0].sum() - 1.0) <= 1e-15

@@ -180,16 +180,6 @@ def test_seeds_flag_overrides_config(tmp_path):
     assert any(line == "# seeds: 7,9" for line in comments)
 
 
-def test_env_thread_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("QRF_SIM_THREADS", "2")
-    cfg = {"n_measure": 6, "seeds": {"base": 0, "count": 4}}
-    rc, out = run(tmp_path, "fig5", cfg)
-    assert rc == 0
-    monkeypatch.setenv("QRF_SIM_THREADS", "not-a-number")
-    rc, _ = run(tmp_path, "fig5", cfg)
-    assert rc == 2
-
-
 def test_unknown_config_key_is_exit_2(tmp_path):
     rc, _ = run(tmp_path, "fig2", {"lmax": 3})
     assert rc == 2
@@ -222,17 +212,16 @@ BAD_CONFIGS = [
     ("scaling", {"l_list": [8, 16], "thresholds": [0.99]}),  # above p_succ(rho0) at l = 8
 ]
 BAD_INVOCATIONS = [
-    ("fig1", {}, ("--gamma", "1.0"), {}),
-    ("scaling", {}, ("--gamma", "1.0"), {}),
-    ("fig2", {}, ("--seeds", "1,2"), {}),
-    ("fig2", {}, ("--threads", "-4"), {}),
-    ("fig2", {}, ("--threads", "0"), {}),
-    ("fig2", {}, (), {"QRF_SIM_THREADS": "-4"}),
+    ("fig1", {}, ("--gamma", "1.0")),
+    ("scaling", {}, ("--gamma", "1.0")),
+    ("fig2", {}, ("--seeds", "1,2")),
+    ("fig2", {}, ("--threads", "-4")),
+    ("fig2", {}, ("--threads", "0")),
 ]
 
 
-@pytest.mark.parametrize("experiment, payload, extra, env", [
-    (exp, payload, (), {}) for exp, payload in BAD_CONFIGS] + BAD_INVOCATIONS,
+@pytest.mark.parametrize("experiment, payload, extra", [
+    (exp, payload, ()) for exp, payload in BAD_CONFIGS] + BAD_INVOCATIONS,
     ids=["bool-as-int", "nan-gamma", "bad-state-parameter", "negative-seed",
          "strategy-unknown-key", "state-unknown-key", "string-state-parameter",
          "strategy-k-zero", "strategy-k-string", "strategy-not-object",
@@ -241,11 +230,8 @@ BAD_INVOCATIONS = [
          "average-outcome-dependent-strategy", "average-conditional-strategy",
          "unpolarized-thermal-state", "conditional-default-target-out-of-range",
          "threshold-above-initial-p-succ", "gamma-flag-without-gamma", "gamma-flag-on-scaling", "seeds-flag-without-seeds",
-         "negative-threads", "zero-threads", "negative-env-threads"])
-def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
-                                                  experiment, payload, extra, env):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+         "negative-threads", "zero-threads"])
+def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, payload, extra):
     rc, _ = run(tmp_path, experiment, payload, extra)
     assert rc == 2
     err = capsys.readouterr().err.splitlines()

@@ -8,7 +8,6 @@ import qrf_sim.trajectory as trajectory
 from qrf_sim.channels import (
     average_channel,
     build_projectors,
-    hygiene,
     selective_unnormalized,
     outcome_probabilities,
     selective_channel,
@@ -16,7 +15,7 @@ from qrf_sim.channels import (
     unitary_channel_tensor,
 )
 from qrf_sim.kernels import to_bands
-from qrf_sim.metrics import UnpolarizedFrame, band_mean_L, mean_angular_momentum
+from qrf_sim.metrics import UnpolarizedFrame, band_mean_L, mean_angular_momentum, usable_lifetime
 from qrf_sim.spin import (
     build_spin_operators,
     coherent_state,
@@ -32,9 +31,7 @@ from qrf_sim.trajectory import (
     UnitaryAfterEachPlus,
     UnitaryEveryK,
     UnitaryStep,
-    apply_step,
     conditional_correction_step,
-    ensemble_statistics,
     run_average,
     run_ensemble,
     run_ensemble_statistics,
@@ -44,7 +41,7 @@ from qrf_sim.trajectory import (
 )
 
 
-from helpers import band_error, reference_record, replay_average, replay_outcomes
+from helpers import band_error, dense_hygiene, reference_record, replay_average, replay_outcomes
 
 OPS8 = build_spin_operators(8)
 OPS16 = build_spin_operators(16)
@@ -135,7 +132,7 @@ def test_certain_outcome_is_forced():
 def test_record_shapes_and_outcome_string():
     rec = run_stochastic(coherent_state(8, 1.2), 7, 0.8, None, 5, OPS8)
     assert rec.outcomes.shape == (7,)
-    assert len(rec.snapshots) == 8
+    assert rec.theta_series.shape == (8,)
     assert rec.p_succ_series.shape == (8,)
     assert set(rec.outcome_string) <= {"+", "-"}
     assert np.all((rec.p_succ_series >= 0) & (rec.p_succ_series <= 1))
@@ -156,8 +153,7 @@ def test_alternating_strategy_cancels_drift():
     rho = coherent_state(32, theta0)
     uncorrected = run_average(rho, schedule_measurements(50, 1.0), ops)
     drift_unc = abs(uncorrected.summaries[-1].theta - theta0)
-    records = run_ensemble(rho, 50, 1.0, AlternatingAntipolarized(), range(200), ops)
-    stats = ensemble_statistics(records)
+    stats = run_ensemble_statistics(rho, 50, 1.0, AlternatingAntipolarized(), range(200), ops)
     drift_alt = abs(stats.theta[-1] - theta0)
     assert drift_alt <= drift_unc / 10
 
@@ -166,10 +162,9 @@ def test_unitary_every_two_keeps_inclination():
     theta0 = np.pi / 2
     rec = run_stochastic(coherent_state(16, theta0), 100, 1.0, UnitaryEveryK(2, np.pi), 4, OPS16)
     assert len(rec.correction_events) == 50
-    thetas = np.array([s.theta for s in rec.snapshots])
     uncorrected = run_stochastic(coherent_state(16, theta0), 100, 1.0, None, 4, OPS16)
-    drift_unc = abs(uncorrected.snapshots[-1].theta - theta0)
-    assert np.abs(thetas - theta0).max() < 0.5 * drift_unc
+    drift_unc = abs(uncorrected.theta_series[-1] - theta0)
+    assert np.abs(rec.theta_series - theta0).max() < 0.5 * drift_unc
 
 
 def test_after_each_plus_only_fires_on_plus():
@@ -316,23 +311,25 @@ def test_conditional_strategy_runs_and_records():
 
 
 def test_ensemble_statistics_single_and_identical_records():
-    rec = run_stochastic(coherent_state(8, 1.0), 6, 0.9, None, 1, OPS8)
-    stats = ensemble_statistics([rec])
-    assert np.abs(stats.p_succ - rec.p_succ_series).max() == 0.0
-    assert np.abs(stats.p_succ_stderr).max() == 0.0
-    twin = run_stochastic(coherent_state(8, 1.0), 6, 0.9, None, 1, OPS8)
-    stats2 = ensemble_statistics([rec, twin])
-    assert np.abs(stats2.p_succ - rec.p_succ_series).max() == 0.0
-    assert np.abs(stats2.p_succ_stderr).max() == 0.0
+    # one seed, and the same seed twice: the means are that record's series
+    # exactly and the spread is exactly zero
+    rho = coherent_state(8, 1.0)
+    rec = run_stochastic(rho, 6, 0.9, None, 1, OPS8)
+    for seeds in ([1], [1, 1]):
+        stats = run_ensemble_statistics(rho, 6, 0.9, None, seeds, OPS8)
+        assert stats.n_records == len(seeds)
+        assert np.abs(stats.p_succ - rec.p_succ_series).max() == 0.0
+        assert np.abs(stats.theta - rec.theta_series).max() == 0.0
+        assert np.abs(stats.p_succ_stderr).max() == 0.0
+        assert np.abs(stats.theta_stderr).max() == 0.0
 
 
-def test_ensemble_statistics_rejects_mixed_lengths():
-    a = run_stochastic(coherent_state(8, 1.0), 4, 0.9, None, 1, OPS8)
-    b = run_stochastic(coherent_state(8, 1.0), 5, 0.9, None, 1, OPS8)
+def test_ensemble_statistics_rejects_empty_seed_list():
+    rho = coherent_state(8, 1.0)
     with pytest.raises(ValueError):
-        ensemble_statistics([a, b])
+        run_ensemble_statistics(rho, 4, 0.9, None, [], OPS8)
     with pytest.raises(ValueError):
-        ensemble_statistics([])
+        run_ensemble_statistics(rho, 0, 0.9, None, [1], OPS8)
 
 
 def test_mean_cumulative_angle_matches_drift_in_short_time_regime():
@@ -342,12 +339,14 @@ def test_mean_cumulative_angle_matches_drift_in_short_time_regime():
     theta0 = np.pi / 2
     rho = coherent_state(l, theta0)
     records = run_ensemble(rho, n_steps, 1.0, None, range(n_seeds), ops)
-    stats = ensemble_statistics(records)
-    total = np.array([rec.snapshots[-1].theta - theta0 for rec in records])
+    stats = run_ensemble_statistics(rho, n_steps, 1.0, None, range(n_seeds), ops)
+    total = np.array([rec.theta_series[-1] - theta0 for rec in records])
     mean, stderr = total.mean(), total.std(ddof=1) / np.sqrt(n_seeds)
     predicted = n_steps * (-(1.0 * 1.0 / (2 * l)) * np.sin(theta0))
     assert abs(mean - predicted) <= 2 * stderr
     assert stats.n_records == n_seeds
+    assert abs(stats.theta[-1] - theta0 - mean) <= 1e-14
+    assert abs(stats.theta_stderr[-1] - stderr) <= 1e-14
 
 
 def test_stochastic_mean_state_approaches_average_map():
@@ -369,8 +368,9 @@ def test_stochastic_mean_state_approaches_average_map():
 
 @pytest.mark.parametrize("l", [0.5, 1, 3.5, 16, 128])
 def test_band_run_steps_match_dense_loop(l):
-    # 1000 mixed steps through the run loop's band primitives against the
-    # dense kernel plus hygiene: average, normalized selective +-, unitary
+    # 1000 mixed steps through the run loop's step function against the
+    # dense kernel plus hygiene: average, unitary, and a drawn measurement on
+    # a one-seed batch whose uniform picks the outcome of the dense branch
     rng = np.random.default_rng(int(2 * l))
     ops = build_spin_operators(l)
     rho = thermal_partial_coherent(l, 0.6, 1.1)
@@ -383,18 +383,32 @@ def test_band_run_steps_match_dense_loop(l):
             p_plus, _ = outcome_probabilities(rho, z, ops)
             outcome = +1 if rng.random() < np.clip(p_plus, 0.05, 0.95) else -1
             sigma = selective_unnormalized(rho, z, ops, outcome)
-            rho = hygiene(sigma / sigma.trace().real)
-            band = selective_unnormalized(B, z, ops, outcome, bands=True)
-            B = trajectory._checked(band / band[0].sum().real)
+            rho = dense_hygiene(sigma / sigma.trace().real)
+            u = 0.5 * p_plus if outcome > 0 else 0.5 * (1.0 + p_plus)
+            batch, drawn = trajectory._apply(B[None], MeasureStep(z), ops, {},
+                                             iter([np.array([u])]))
+            assert drawn.tolist() == [outcome]
+            B = batch[0]
         else:
             step = MeasureStep(z) if kind == 0 else UnitaryStep(z, rng.uniform(0, 2 * np.pi))
             dense = (average_channel(rho, z, ops) if kind == 0
                      else unitary_channel(rho, z, ops, step.gamma))
-            rho = hygiene(dense)
-            B = trajectory._checked(apply_step(B, step, ops))
+            rho = dense_hygiene(dense)
+            B, drawn = trajectory._apply(B, step, ops, {})
+            assert drawn is None
         worst = max(worst, np.abs(B - to_bands(rho)).max())
     assert worst <= 1e-12
     assert np.abs(band_mean_L(B, ops) - mean_angular_momentum(rho, ops)).max() <= 1e-12 * l
+
+
+@pytest.mark.parametrize("strategy", [None, UnitaryEveryK(2), AlternatingAntipolarized()],
+                         ids=["none", "unitary_every_2", "alternating"])
+def test_usable_lifetime_is_first_crossing_of_run_average(strategy):
+    ops = build_spin_operators(8)
+    rho = coherent_state(8, np.pi / 2)
+    life = usable_lifetime(rho, 1.0, ops, 0.9, strategy)
+    run = run_average(rho, schedule_measurements(life + 5, 1.0), ops, strategy=strategy)
+    assert np.flatnonzero(run.p_succ_series < 0.9)[0] == life
 
 
 STRATEGIES = {"none": None, "alternating": AlternatingAntipolarized(),
@@ -416,7 +430,7 @@ def assert_matches_reference(rho, n, z, strategy, seeds, ops):
         assert rec.outcome_string == outcomes
         assert rec.correction_events == events
         assert np.abs(rec.p_succ_series - p).max() <= 1e-14
-        assert close([s.theta for s in rec.snapshots], theta)
+        assert close(rec.theta_series, theta)
         assert np.array_equal(rec.final_bands, final)  # the same arithmetic, seed by seed
         probs.append(p)
         thetas.append(theta)
