@@ -10,13 +10,10 @@ Each channel is implemented twice, on independent code paths:
 
 The two routes agree to 1e-12 and disagreeing beyond that is treated as a
 bug in the structured coefficients, never in the tensor form.  The run
-loops step the (3, d) band array of the diagonals 0-2 instead
-(kernels.apply_band, O(d)), with the same coefficient builders; the
-builders are elementwise, so arrays of z, outcome sign or gamma give
-per-seed coefficients for an (S, 3, d) batch.  ``average_channel`` and
-``unitary_channel`` still take ``bands=True``, because the benchmark's
-tracer counts the average steps and the conditional trial kicks as spans
-of these two functions; ``hygiene`` works on band arrays only.
+loops step the (3, d) band array of the diagonals 0-2 with the same
+(elementwise) coefficient builders through the O(d) band kernel, and
+``hygiene`` repairs band arrays only.  Two functions still take
+``bands=True`` for that kernel; see the comment above average_channel.
 """
 
 from __future__ import annotations
@@ -148,8 +145,8 @@ def _apply(rho: np.ndarray, ops: SpinOperators, coeffs, bands: bool) -> np.ndarr
     return apply_structured(rho, ops.m_diag, ops.ladder, coeffs)
 
 
-# bands=True steps a band array; kept on this function and unitary_channel
-# only, for the benchmark tracer's spans (see the module docstring)
+# bands=True steps a band array.  It stays on this function and on unitary_channel
+# only because perfbench/test_perfbench.py pins the tracer's spans of both.
 def average_channel(rho: np.ndarray, q, ops: SpinOperators, *, bands: bool = False) -> np.ndarray:
     """Frame back-action of one measurement with the outcome discarded."""
     z = as_polarization(q)
@@ -177,7 +174,7 @@ def selective_channel(rho: np.ndarray, q, ops: SpinOperators, outcome) -> Select
     return SelectiveOutcome(sign, p, sigma / p)
 
 
-# bands=True: see average_channel
+# bands=True: kept for the perfbench spans of the conditional trial kicks; see above
 def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
                     bands: bool = False) -> np.ndarray:
     """Frame back-action of the rotationally invariant unitary coupling.
@@ -192,8 +189,7 @@ def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
 
 
 def _p_plus(diagonal: np.ndarray, z: float, ops: SpinOperators):
-    """p_plus from the main diagonal of a state, or the (S, d) diagonals of
-    a batch: 1/2 + (2 z <Lz> + 1)/(2d)."""
+    """1/2 + (2 z <Lz> + 1)/(2d) from a main diagonal, or (S, d) of them."""
     return 0.5 + (2.0 * z * (diagonal.real @ ops.m_diag) + 1.0) / (2.0 * ops.d)
 
 

@@ -21,9 +21,11 @@ package records reads only the diagonals |k| <= 2, so the run loops carry a
 state as its band array B[..., k, i] = rho[i, i+k], k = 0, 1, 2, zero-padded
 to length d (the lower diagonals are the conjugates).  `apply_band` steps
 that array in O(d) with the same per-element expression as the dense kernel,
-so its output equals the dense kernel's diagonals bit for bit.  A loop that
-repeats a step can form its factors once (`band_factors`) and apply them
-(`apply_factors`) with the same result.
+so its output equals the dense kernel's diagonals bit for bit.  The one
+stepping loop of trajectory forms the factors of each kick and measurement
+it repeats once per run (`band_factors`) and applies them (`apply_factors`)
+with the same result; its average-map steps, and the conditional trial kicks,
+reach `apply_band` through the channels' ``bands=True``.
 """
 
 from __future__ import annotations

@@ -182,12 +182,12 @@ def band_p_succ(B: np.ndarray, ops: SpinOperators, n_hat: np.ndarray,
 def band_p_succ_theta(B: np.ndarray, ops: SpinOperators,
                       n_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p_succ along the unit vector n_hat and the inclination of every band
-    array of an (S, 3, d) batch, both from one readout product; the
-    inclination is NaN where the frame is unpolarized, as in band_summary."""
-    S, _, d = B.shape
-    # one (3S, d) product rather than S small ones; (3, 6, S): the seeds last
-    upper = np.moveaxis((B.reshape(3 * S, d) @ ops.readout).reshape(S, 3, 6), 0, -1)
-    v = _mean_L(upper, upper.conj())  # (3, S)
+    array of an (S, 3, d) batch; the inclination is NaN where the frame is
+    unpolarized, as in band_summary."""
+    # <Lz> from band 0 and <L-> = <Lx> - i<Ly> from band 1, as elementwise
+    # sums: a matrix product here would go to a threaded BLAS call per step
+    minus = (B[:, 1] * ops.readout[:, 3]).sum(axis=-1)
+    v = np.array([minus.real, -minus.imag, (B[:, 0].real * ops.m_diag).sum(axis=-1)])
     theta = np.where(np.linalg.norm(v, axis=0) > UNPOLARIZED_EPS, np.arctan2(v[0], v[2]), np.nan)
     return 0.5 * (1.0 + n_hat @ v / (ops.l_value + 0.5)), theta
 

@@ -22,7 +22,7 @@ grow with the seed count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from typing import Sequence
 
@@ -241,13 +241,6 @@ class TrajectoryRecord:
 # the stepping loop
 # ---------------------------------------------------------------------------
 
-def _checked(B: np.ndarray) -> np.ndarray:
-    """Band hygiene: finiteness, then the O(d) trace and diagonal repair."""
-    if not np.isfinite(B).all():
-        raise NumericalInvariantError("state left the finite domain during the run")
-    return hygiene(B)
-
-
 def _factors(cache: dict, ops: SpinOperators, z: float, gamma: float | None = None):
     """The kernel factors (kernels.band_factors) of a step a run repeats,
     formed once per run: the kick (z, gamma), or for gamma None the - and +
@@ -260,7 +253,7 @@ def _factors(cache: dict, ops: SpinOperators, z: float, gamma: float | None = No
 
 
 def _apply(B: np.ndarray, step, ops: SpinOperators, cache: dict, draws=None):
-    """One step on a band array or an (S, 3, d) batch: (checked state, outcomes).
+    """One step on a band array or an (S, 3, d) batch: (state, outcomes).
 
     A kick applies its cached factors, or the kicked bands a strategy already
     formed, to the seeds its mask selects.  A measurement without draws is
@@ -268,27 +261,33 @@ def _apply(B: np.ndarray, step, ops: SpinOperators, cache: dict, draws=None):
     uniform and that branch is applied, normalized; near-certain branches
     are forced so that conditioning stays well defined, and their uniform is
     consumed all the same.  Only a drawn measurement has outcomes, (S,) int8.
+    The new state must be finite and then gets the O(d) hygiene repair.
     """
+    outcome = None
     if isinstance(step, UnitaryStep):
-        kicked = step.bands if step.bands is not None \
+        out = step.bands if step.bands is not None \
             else apply_factors(B, *_factors(cache, ops, step.z, step.gamma))
         if step.where is not None:
-            kicked = np.where(step.where[:, None, None], kicked, B)
-        return _checked(kicked), None
-    if draws is None:
-        return _checked(average_channel(B, step.z, ops, bands=True)), None
-    p_plus = _p_plus(B[:, 0], step.z, ops)
-    valid = (p_plus >= -1e-9) & (p_plus <= 1.0 + 1e-9)  # False for NaN too
-    if not valid.all():
-        raise NumericalInvariantError(f"outcome probability left [0, 1]: {p_plus[~valid][0]!r}")
-    u = next(draws)
-    plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
-    diagonal, up, down = _factors(cache, ops, step.z)
-    sigma = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
-    p = sigma[:, 0].sum(axis=-1).real
-    if (p <= 0.0).any():
-        raise NumericalInvariantError(f"selected branch has nonpositive weight {p.min()!r}")
-    return _checked(sigma / p[:, None, None]), np.where(plus, np.int8(1), np.int8(-1))
+            out = np.where(step.where[:, None, None], out, B)
+    elif draws is None:
+        out = average_channel(B, step.z, ops, bands=True)
+    else:
+        p_plus = _p_plus(B[:, 0], step.z, ops)
+        valid = (p_plus >= -1e-9) & (p_plus <= 1.0 + 1e-9)  # False for NaN too
+        if not valid.all():
+            raise NumericalInvariantError(
+                f"outcome probability left [0, 1]: {p_plus[~valid][0]!r}")
+        u = next(draws)
+        plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
+        diagonal, up, down = _factors(cache, ops, step.z)
+        out = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
+        p = out[:, 0].sum(axis=-1).real
+        if (p <= 0.0).any():
+            raise NumericalInvariantError(f"selected branch has nonpositive weight {p.min()!r}")
+        out, outcome = out / p[:, None, None], np.where(plus, np.int8(1), np.int8(-1))
+    if not np.isfinite(out).all():
+        raise NumericalInvariantError("state left the finite domain during the run")
+    return hygiene(out), outcome
 
 
 def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, draws=None):
@@ -438,28 +437,30 @@ class _Chunk:
     """The seeds of one chunk, stepped together by _run_chunks."""
 
     seeds: list[int]
-    outcomes: np.ndarray        # (S, n_outcomes) int8
-    corrective: np.ndarray      # (n_outcomes,) bool
+    log: list                   # per primary measurement, the (step, outcomes) taken
     reads: np.ndarray           # (2, S, n_measure + 1): p_succ and theta
-    log: list                   # (i, step, outcomes) per correction step taken
     final: np.ndarray           # (S, 3, d)
 
     def events(self, s: int) -> list[CorrectionEvent]:
         events = []
-        for i, step, outcome in self.log:
-            if isinstance(step, MeasureStep):
-                events.append(CorrectionEvent(i, "measure_antipolarized", source_z=step.z,
-                                              outcome=int(outcome[s])))
-            elif step.where is None or step.where[s]:
-                tuned = step.residual is not None  # a conditional kick records its outcome
-                events.append(CorrectionEvent(
-                    i, "conditional" if tuned else "unitary", _of_seed(step.gamma, s),
-                    _of_seed(step.z, s), _of_seed(step.residual, s),
-                    int(outcome[s]) if tuned else None))
+        for i, ((_, primary), *fixes) in enumerate(self.log):
+            for step, outcome in fixes:
+                if isinstance(step, MeasureStep):
+                    events.append(CorrectionEvent(i, "measure_antipolarized", source_z=step.z,
+                                                  outcome=int(outcome[s])))
+                elif step.where is None or step.where[s]:
+                    tuned = step.residual is not None  # a conditional kick records its outcome
+                    events.append(CorrectionEvent(
+                        i, "conditional" if tuned else "unitary", _of_seed(step.gamma, s),
+                        _of_seed(step.z, s), _of_seed(step.residual, s),
+                        int(primary[s]) if tuned else None))
         return events
 
     def records(self) -> list[TrajectoryRecord]:
-        return [TrajectoryRecord(seed, self.outcomes[s], self.corrective.copy(), self.reads[1, s],
+        drawn = [(step, o) for taken in self.log for step, o in taken if o is not None]
+        outcomes = np.stack([o for _, o in drawn], axis=1)
+        corrective = np.array([step.corrective for step, _ in drawn])
+        return [TrajectoryRecord(seed, outcomes[s], corrective.copy(), self.reads[1, s],
                                  self.reads[0, s], self.events(s), self.final[s])
                 for s, seed in enumerate(self.seeds)]
 
@@ -482,20 +483,15 @@ def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinO
         draws = iter(np.array([np.random.default_rng(np.random.Philox(key=s)).random(n_draws)
                                for s in chunk]).T)
         B = np.repeat(B0[None], len(chunk), axis=0)
-        outcomes, corrective, log = [], [], []
+        log = []
         reads = np.empty((2, len(chunk), n_measure + 1))
         reads[:, :, 0] = band_p_succ_theta(B, ops, n_hat)
         for i, (B, taken) in enumerate(_evolve(B, steps, strategy, ops, summary0.theta, draws)):
-            primary = taken[0][1]
-            outcomes.append(primary)
-            corrective.append(False)
-            for step, outcome in taken[1:]:
-                if isinstance(step, MeasureStep):
-                    outcomes.append(outcome)
-                    corrective.append(step.corrective)
-                log.append((i, step, primary if outcome is None else outcome))
+            # the log keeps no kicked batch: one per step would outgrow the state
+            log.append([(replace(step, bands=None) if isinstance(step, UnitaryStep) else step, o)
+                        for step, o in taken])
             reads[:, :, i + 1] = band_p_succ_theta(B, ops, n_hat)
-        yield _Chunk(chunk, np.stack(outcomes, axis=1), np.array(corrective), reads, log, B)
+        yield _Chunk(chunk, log, reads, B)
 
 
 def run_ensemble(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
@@ -531,43 +527,30 @@ class EnsembleStatistics:
     plus_fraction: np.ndarray   # per primary measurement
 
 
-class _Accumulator:
-    """Per-step sums over chunks of seeds: of p_succ and theta as deviations
-    from the first seed's values, and of the + outcomes per primary
-    measurement.  The shift keeps the one-pass variance free of cancellation
-    and makes the spread of identical records exactly zero; merging chunks
-    is addition."""
-
-    def __init__(self):
-        self.n = 0
-
-    def add(self, reads: np.ndarray, plus: np.ndarray) -> None:
-        """reads: (2, S, n_steps) p_succ and theta; plus: (S, n_primary) bool."""
-        if not self.n:
-            self.shift, self.s1, self.s2, self.plus = reads[:, 0].copy(), 0.0, 0.0, 0
-        dev = reads - self.shift[:, None]
-        self.s1 = self.s1 + dev.sum(axis=1)
-        self.s2 = self.s2 + np.square(dev, out=dev).sum(axis=1)
-        self.plus = self.plus + plus.sum(axis=0)
-        self.n += reads.shape[1]
-
-    def statistics(self) -> EnsembleStatistics:
-        n = self.n
-        mean = self.shift + self.s1 / n
-        var = (self.s2 - self.s1 * self.s1 / n) / max(n - 1, 1)
-        stderr = np.sqrt(np.maximum(var, 0.0) / n)
-        return EnsembleStatistics(n, mean[1], stderr[1], mean[0], stderr[0], self.plus / n)
-
-
 def run_ensemble_statistics(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
                             ops: SpinOperators) -> EnsembleStatistics:
     """Per-step means and standard errors of p_succ and the inclination, and
     the + fraction per primary measurement, over the records of run_ensemble
-    for these seeds, without keeping the records."""
-    acc = _Accumulator()
+    for these seeds, without keeping the records.
+
+    The per-step sums run over chunks of seeds, of p_succ and theta as
+    deviations from the first seed's values: the shift keeps the one-pass
+    variance free of cancellation and makes the spread of identical records
+    exactly zero, and merging chunks is addition.
+    """
+    n, s1, s2, plus = 0, 0.0, 0.0, 0
     for chunk in _run_chunks(rho0, n_measure, q, strategy, seeds, ops):
-        acc.add(chunk.reads, chunk.outcomes[:, ~chunk.corrective] > 0)
-        del chunk  # freed before the next chunk is stepped
-    if not acc.n:
+        if not n:
+            shift = chunk.reads[:, 0].copy()
+        dev = chunk.reads - shift[:, None]
+        s1 = s1 + dev.sum(axis=1)
+        s2 = s2 + np.square(dev, out=dev).sum(axis=1)
+        plus = plus + (np.stack([taken[0][1] for taken in chunk.log], axis=1) > 0).sum(axis=0)
+        n += len(chunk.seeds)
+        del chunk, dev  # freed before the next chunk is stepped
+    if not n:
         raise ValueError("no seeds supplied")
-    return acc.statistics()
+    mean = shift + s1 / n
+    var = (s2 - s1 * s1 / n) / max(n - 1, 1)
+    stderr = np.sqrt(np.maximum(var, 0.0) / n)
+    return EnsembleStatistics(n, mean[1], stderr[1], mean[0], stderr[0], plus / n)

@@ -494,3 +494,22 @@ def test_ensemble_statistics_memory_does_not_grow_with_seed_count():
     small, large = peak(512), peak(2048)
     assert trajectory.CHUNK < 512
     assert large <= 1.1 * small
+
+
+def test_conditional_statistics_memory_does_not_grow_by_a_batch_per_step():
+    # each conditional kick hands the engine its kicked (S, 3, d) batch; the
+    # chunk's step log must not keep one per measurement
+    rho = coherent_state(8, 2.0)
+    n_seeds = 8
+
+    def peak(n_measure):
+        tracemalloc.start()
+        try:
+            run_ensemble_statistics(rho, n_measure, 1.0, ConditionalTuned(), range(n_seeds), OPS8)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_ensemble_statistics(rho, 2, 1.0, ConditionalTuned(), range(2), OPS8)
+    batch = n_seeds * 3 * OPS8.d * 16  # bytes of one complex (S, 3, d) batch
+    assert peak(30) - peak(10) < 0.5 * 20 * batch  # one batch a step would be 20
