@@ -39,7 +39,6 @@ from .metrics import (  # noqa: F401
     rotation_between,
     axis_angle_fit,
     p_succ,
-    usable_lifetime,
 )
 from .predictions import (  # noqa: F401
     RotationPrediction,
@@ -61,4 +60,5 @@ from .trajectory import (  # noqa: F401
     run_ensemble,
     run_ensemble_statistics,
     conditional_correction_step,
+    usable_lifetime,
 )

@@ -6,14 +6,15 @@ Each channel is implemented twice, on independent code paths:
   projectors (or the invariant unitary) explicitly and partial-traces the
   qubit out -- the reference used by the tests, and
 * a *structured* route through :mod:`qrf_sim.kernels` that applies the same
-  map as a banded O(d^2) update -- the default used everywhere else.
+  map from its six coefficients: an O(d^2) update of a d x d matrix here,
+  and in the run loops an O(d) update of the (3, d) band array of the
+  diagonals 0-2, the only state a run steps.
 
 The two routes agree to 1e-12 and disagreeing beyond that is treated as a
 bug in the structured coefficients, never in the tensor form.  The run
-loops step the (3, d) band array of the diagonals 0-2 with the same
-(elementwise) coefficient builders through the O(d) band kernel, and
-``hygiene`` repairs band arrays only.  Two functions still take
-``bands=True`` for that kernel; see the comment above average_channel.
+loops form the band kernel's factors from the same coefficient builders,
+and ``hygiene`` repairs band arrays only.  Two functions still take
+``bands=True`` for the band kernel; see the comment above average_channel.
 """
 
 from __future__ import annotations
@@ -249,35 +250,33 @@ HYGIENE_WARN = 1e-10
 
 
 def hygiene(B: np.ndarray) -> np.ndarray:
-    """Renormalize a band array (kernels.to_bands) when float drift exceeds
-    1e-13, or each drifted one of an (S, 3, d) batch on its own.
+    """Renormalize each band array (kernels.to_bands) of a (3, d) array or an
+    (..., 3, d) batch whose float drift exceeds 1e-13.
 
     Used by the long stepping loops to stop rounding from accumulating;
-    corrections above 1e-10 are logged as suspicious.  A band array is
-    Hermitian by construction except for the imaginary part of its main
-    diagonal, so the check and correction are O(d); the drift measured is
-    the |rho - rho^dag| entry a dense check would find there.  A clean input
-    comes back as the same object.
+    corrections above 1e-10 are logged as suspicious, one line per array.
+    A band array is Hermitian by construction except for the imaginary part
+    of its main diagonal, so the check and correction are O(d); the drift
+    measured is the |rho - rho^dag| entry a dense check would find there.
+    A clean input comes back as the same object.
     """
-    if B.ndim == 3:
-        diag = B[:, 0]
-        clean = ((2.0 * np.abs(diag.imag).max(axis=-1) <= HYGIENE_TRIGGER)
-                 & (np.abs(diag.sum(axis=-1) - 1.0) <= HYGIENE_TRIGGER))
-        return B if clean.all() else np.array(
-            [b if ok else hygiene(b) for b, ok in zip(B, clean)])
-    herm_drift = 2.0 * np.abs(B[0].imag).max()
-    tr_drift = abs(B[0].sum() - 1.0)
-    if herm_drift <= HYGIENE_TRIGGER and tr_drift <= HYGIENE_TRIGGER:
+    diag = B[..., 0, :]
+    # the ufunc reductions themselves, not their method wrappers: every step runs this
+    herm_drift = 2.0 * np.maximum.reduce(abs(diag.imag), axis=-1)
+    tr_drift = abs(np.add.reduce(diag, axis=-1) - 1.0)
+    clean = (herm_drift <= HYGIENE_TRIGGER) & (tr_drift <= HYGIENE_TRIGGER)
+    if clean.all():
         return B
-    if herm_drift > HYGIENE_WARN or tr_drift > HYGIENE_WARN:
-        logger.warning(
-            "state hygiene correction is large: hermiticity %.3e, trace %.3e",
-            herm_drift,
-            tr_drift,
-        )
-    B = B.copy()
-    B[0] = B[0].real
-    return B / B[0].sum().real
+    drifted = ~clean
+    large = drifted & ((herm_drift > HYGIENE_WARN) | (tr_drift > HYGIENE_WARN))
+    for herm, tr in zip(herm_drift[large], tr_drift[large]):
+        logger.warning("state hygiene correction is large: hermiticity %.3e, trace %.3e",
+                       herm, tr)
+    out = B.copy()
+    fix = out[drifted]
+    fix[..., 0, :] = fix[..., 0, :].real
+    out[drifted] = fix / fix[..., 0, :].sum(axis=-1).real[..., None, None]
+    return out
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .channels import selective_channel
-from .metrics import ThresholdOutOfRange, summarize_frame, usable_lifetime
+from .metrics import summarize_frame
 from .predictions import selective_angles_partially_coherent
 from .spin import (
     DensityMatrixError,
@@ -48,12 +48,14 @@ from .trajectory import (
     LifetimeCapExceeded,
     NoAverageEvolution,
     NumericalInvariantError,
+    ThresholdOutOfRange,
     UnitaryAfterEachPlus,
     UnitaryEveryK,
     run_average,
     run_ensemble_statistics,
     schedule_measurements,
     schedule_unitaries,
+    usable_lifetime,
 )
 
 PI = float(np.pi)
@@ -119,9 +121,13 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+L_MAX = 1024  # the largest frame the runs are sized for; d x d states are built once
+
+
 def _valid_l(l):
     _require(isinstance(l, (int, float)) and l >= 0.5 and abs(2 * l - round(2 * l)) < 1e-12,
              f"l must be a positive integer or half-integer, got {l!r}")
+    _require(l <= L_MAX, f"l must be at most {L_MAX}, got {l!r}")
 
 
 def _valid_z(z):
@@ -248,8 +254,7 @@ def run_fig2(cfg: dict):
     rho0 = coherent_state(l, cfg["theta"])
     schedule = schedule_unitaries(cfg["n_steps"], cfg["z"], cfg["gamma"])
     run = run_average(rho0, schedule, ops)
-    rows = [(int(step), s.mean_L[0] / l, s.mean_L[1] / l, s.mean_L[2] / l)
-            for step, s in zip(run.step_indices, run.summaries)]
+    rows = [(int(step), *v) for step, v in zip(run.step_indices, run.mean_L / l)]
     return ["step", "Lx_over_l", "Ly_over_l", "Lz_over_l"], rows, {}
 
 
@@ -280,8 +285,7 @@ def run_fig4(cfg: dict):
     rho0 = coherent_state(l, cfg["theta"])
     n = cfg["n_measure"]
     schedule = schedule_measurements(n, cfg["z"])
-    unc, cor = (np.array([s.mean_L / l for s in run_average(rho0, schedule, ops,
-                                                            strategy=strategy).summaries])
+    unc, cor = (run_average(rho0, schedule, ops, strategy=strategy).mean_L / l
                 for strategy in (None, UnitaryEveryK(cfg["k"], cfg["gamma"])))
     rows = [(i, unc[i][0], unc[i][2], cor[i][0], cor[i][2]) for i in range(n + 1)]
     start = cor[0]
@@ -412,9 +416,10 @@ def run_custom(cfg: dict):
                               strategy=strat)
         except NoAverageEvolution as exc:
             raise ConfigError(f"mode 'average': {exc}") from exc
-        rows = [(int(step), s.mean_L[0] / l, s.mean_L[1] / l, s.mean_L[2] / l,
-                 s.r, s.theta, float(p))
-                for step, s, p in zip(run.step_indices, run.summaries, run.p_succ_series)]
+        r = np.linalg.norm(run.mean_L, axis=1) / ops.l_value
+        rows = [(int(step), *(v / l), *read)
+                for step, v, *read in zip(run.step_indices, run.mean_L, r, run.theta_series,
+                                          run.p_succ_series)]
         return ["step", "Lx_over_l", "Ly_over_l", "Lz_over_l", "r", "theta", "p_succ"], rows, {}
     if cfg["mode"] == "stochastic":
         seeds = resolve_seeds(cfg["seeds"])

@@ -1,11 +1,17 @@
-"""Frame descriptors (polarization, inclination, rotated quadratic moments)
-and the operational success probability.  The first and second moments are
-exact Re Tr[rho op]; every such op lives on the diagonals |k| <= 2, so they
-read only those diagonals, O(d) work per call.  The readers are written on
-band arrays (kernels.to_bands); a band array stands for a Hermitian matrix,
-and the optional ``lower`` band array supplies the lower diagonals of a
-non-Hermitian one.  The dense functions are wrappers that pass both
-triangles, so they stay exact for any square rho."""
+"""Frame descriptors: the polarization <L>, the inclination and success
+probability that follow from it, and the rotated quadratic moments.
+
+Every figure reads one quantity per step, the polarization <L>, each
+component exact Re Tr[rho L_a].  band_mean_L is its one reader, on the band
+array of a state (kernels.to_bands: the diagonals 0-2) or an (..., 3, d)
+batch of them: <Lz> comes from the main diagonal and <L-> from the first, as
+elementwise sums, O(d) per array with no matrix product.  inclination_of and
+p_succ_of derive theta and p_succ from its output, one formula each.  A band
+array stands for a Hermitian matrix; the optional ``lower`` band array
+supplies the lower diagonals of a non-Hermitian one.  The dense functions
+are wrappers that pass both triangles, so they stay exact for any square
+rho.  summarize_frame adds the second moments, which live on the diagonals
+|k| <= 2 too and are read through the SpinOperators readout table."""
 
 from __future__ import annotations
 
@@ -26,18 +32,13 @@ class UnpolarizedFrame(ValueError):
     """The frame has no polarization vector, so its inclination is undefined."""
 
 
-class ThresholdOutOfRange(ValueError):
-    """A usable-lifetime threshold outside (0.5, p_succ of the initial state)."""
-
-
 @dataclass(frozen=True)
 class FrameSummary:
     """Polarization vector, fractional magnitude r = |<L>|/l, inclination
     theta = atan2(<Lx>, <Lz>), out-of-plane fraction |<Ly>|/|<L>| and the
     symmetrized quadratic moments <{L'_i, L'_j}>/2 in the frame rotated to
-    put z' along the in-plane polarization.  For an unpolarized frame,
-    |<L>| <= 1e-10, the direction is undefined and theta, out_of_plane and
-    quad are NaN."""
+    put z' along the in-plane polarization.  Only a polarized frame,
+    |<L>| > 1e-10, has a summary."""
 
     mean_L: np.ndarray
     r: float
@@ -50,21 +51,40 @@ class FrameSummary:
         return self.out_of_plane <= OUT_OF_PLANE_THRESHOLD
 
 
-def _sums(B: np.ndarray, ops: SpinOperators, lower: np.ndarray | None):
-    # upper[k, c] and lower[k, c]: column c of the table read along the k-th
-    # upper (rho[i, i+k]) and lower (rho[i+k, i]) diagonal
-    upper = B @ ops.readout
-    return upper, upper.conj() if lower is None else lower @ ops.readout
-
-
-def _mean_L(upper, lower) -> np.ndarray:
-    plus, minus = lower[1, 3], upper[1, 3]  # <L+>, <L->
-    return np.array([0.5 * (plus + minus).real, 0.5 * (plus - minus).imag, upper[0, 0].real])
-
-
 def band_mean_L(B: np.ndarray, ops: SpinOperators, lower: np.ndarray | None = None) -> np.ndarray:
-    """Expectation vector (<Lx>, <Ly>, <Lz>), each Re Tr[rho L_a]."""
-    return _mean_L(*_sums(B, ops, lower))
+    """Polarization vectors (<Lx>, <Ly>, <Lz>), each Re Tr[rho L_a], of a
+    (3, d) band array or an (..., 3, d) batch, shape (..., 3)."""
+    # <L-> = <Lx> - i<Ly> along the first upper diagonal, <L+> along the first
+    # lower one, which is its conjugate for a Hermitian rho
+    minus = (B[..., 1, :-1] * ops.ladder[1:]).sum(axis=-1)
+    if lower is None:
+        x, y = minus.real, -minus.imag
+    else:
+        plus = (lower[..., 1, :-1] * ops.ladder[1:]).sum(axis=-1)
+        x, y = 0.5 * (plus + minus).real, 0.5 * (plus - minus).imag
+    v = np.array([x, y, (B[..., 0, :].real * ops.m_diag).sum(axis=-1)])
+    return v.transpose(*range(1, v.ndim), 0)
+
+
+def inclination_of(v: np.ndarray) -> np.ndarray:
+    """theta = atan2(<Lx>, <Lz>) of (..., 3) polarization vectors; NaN where
+    the frame is unpolarized, |<L>| <= 1e-10, and has no direction."""
+    return np.where(np.linalg.norm(v, axis=-1) > UNPOLARIZED_EPS,
+                    np.arctan2(v[..., 0], v[..., 2]), np.nan)
+
+
+def p_succ_of(v: np.ndarray, n_hat: np.ndarray, ops: SpinOperators) -> np.ndarray:
+    """Probability of reproducing the ideal outcome along the unit vector
+    n_hat, (1 + n_hat . <L>/(l + 1/2))/2, of (..., 3) polarization vectors."""
+    return 0.5 * (1.0 + v @ n_hat / (ops.l_value + 0.5))
+
+
+def unit_direction(n_hat) -> np.ndarray:
+    """n_hat as a float array, checked to be a unit vector."""
+    n_hat = np.asarray(n_hat, dtype=float)
+    if abs(np.linalg.norm(n_hat) - 1.0) > 1e-9:
+        raise ValueError(f"n_hat must be a unit vector, |n| = {np.linalg.norm(n_hat)!r}")
+    return n_hat
 
 
 def mean_angular_momentum(rho: np.ndarray, ops: SpinOperators) -> np.ndarray:
@@ -72,42 +92,33 @@ def mean_angular_momentum(rho: np.ndarray, ops: SpinOperators) -> np.ndarray:
     return band_mean_L(to_bands(rho), ops, to_bands(rho.T))
 
 
-def _quadratic(upper, lower) -> np.ndarray:
-    # from L+- = Lx +- i Ly expanded to second order
-    pp, mm = lower[2, 5], upper[2, 5]                         # <L+^2>, <L-^2>
-    zp, zm = lower[1, 4], upper[1, 4]                         # <{Lz,L+}>, <{Lz,L-}>
-    pm = upper[0, 2].real                                     # <L+L- + L-L+>
+def _quadratic(B: np.ndarray, lower: np.ndarray, ops: SpinOperators) -> np.ndarray:
+    # upper[k, c] and low[k, c]: column c of the readout table read along the
+    # k-th upper (rho[i, i+k]) and lower (rho[i+k, i]) diagonal; the moments
+    # follow from L+- = Lx +- i Ly expanded to second order
+    upper, low = B @ ops.readout, lower @ ops.readout
+    pp, mm = low[2, 3], upper[2, 3]                           # <L+^2>, <L-^2>
+    zp, zm = low[1, 2], upper[1, 2]                           # <{Lz,L+}>, <{Lz,L-}>
+    pm = upper[0, 1].real                                     # <L+L- + L-L+>
     xx = 0.25 * (pm + (pp + mm).real)
     yy = 0.25 * (pm - (pp + mm).real)
     xy = 0.25 * (pp - mm).imag
     xz = 0.25 * (zp + zm).real
     yz = 0.25 * (zp - zm).imag
-    zz = upper[0, 1].real
+    zz = upper[0, 0].real
     return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
 
 
 def quadratic_moments(rho: np.ndarray, ops: SpinOperators) -> np.ndarray:
     """Symmetrized second moments M_ij = Re Tr[rho {L_i, L_j}]/2 in the
     background frame."""
-    return _quadratic(*_sums(to_bands(rho), ops, to_bands(rho.T)))
+    return _quadratic(to_bands(rho), to_bands(rho.T), ops)
 
 
-def band_summary(B: np.ndarray, ops: SpinOperators,
-                 lower: np.ndarray | None = None) -> FrameSummary:
-    """Polarization, inclination and rotated quadratic moments of a band
-    array; an unpolarized frame gets NaN for its direction (see FrameSummary)."""
-    upper, lower = _sums(B, ops, lower)
-    v = _mean_L(upper, lower)
-    norm = np.linalg.norm(v)
-    if norm <= UNPOLARIZED_EPS:
-        return FrameSummary(v, float(norm / ops.l_value), np.nan, np.nan, np.full((3, 3), np.nan))
-    theta = float(np.arctan2(v[0], v[2]))
-    out_of_plane = abs(v[1]) / norm
-    c, s = np.cos(theta), np.sin(theta)
+def _rotation(theta: float) -> np.ndarray:
     # rows are the rotated axes x', y', z' (z' along the in-plane polarization)
-    R = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-    quad = R @ _quadratic(upper, lower) @ R.T
-    return FrameSummary(v, float(norm / ops.l_value), theta, float(out_of_plane), quad)
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
 
 def summarize_frame(rho: np.ndarray, ops: SpinOperators) -> FrameSummary:
@@ -118,18 +129,20 @@ def summarize_frame(rho: np.ndarray, ops: SpinOperators) -> FrameSummary:
     carry a nonzero out_of_plane fraction.  Raises UnpolarizedFrame when the
     frame has no direction.
     """
-    summary = band_summary(to_bands(rho), ops, to_bands(rho.T))
-    if np.isnan(summary.theta):
-        raise UnpolarizedFrame(f"|<L>| = {np.linalg.norm(summary.mean_L):.3e}; "
-                               "no direction to summarize")
-    return summary
+    B, lower = to_bands(rho), to_bands(rho.T)
+    v = band_mean_L(B, ops, lower)
+    theta, norm = float(inclination_of(v)), np.linalg.norm(v)
+    if np.isnan(theta):
+        raise UnpolarizedFrame(f"|<L>| = {norm:.3e}; no direction to summarize")
+    R = _rotation(theta)
+    return FrameSummary(v, float(norm / ops.l_value), theta, float(abs(v[1]) / norm),
+                        R @ _quadratic(B, lower, ops) @ R.T)
 
 
 def background_moments(summary: FrameSummary) -> tuple[float, float]:
     """(<Lz^2>, <{Lz,Lx}>) in the background frame, from a summary's rotated
     moments; the shape consumed by the implicit-angle residual."""
-    c, s = np.cos(summary.theta), np.sin(summary.theta)
-    R = np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    R = _rotation(summary.theta)
     M = R.T @ summary.quad @ R
     return float(M[2, 2]), float(2.0 * M[0, 2])
 
@@ -168,42 +181,16 @@ def axis_angle_fit(before: np.ndarray, after: np.ndarray) -> RotationPrediction:
     return RotationPrediction(float(np.arccos(cosang)), cross / ncross, "unitary")
 
 
-def band_p_succ(B: np.ndarray, ops: SpinOperators, n_hat: np.ndarray,
-                lower: np.ndarray | None = None) -> float:
-    """Probability of reproducing the ideal outcome along direction n_hat,
-    (1 + n_hat . <L>/(l + 1/2))/2."""
-    n_hat = np.asarray(n_hat, dtype=float)
-    if abs(np.linalg.norm(n_hat) - 1.0) > 1e-9:
-        raise ValueError(f"n_hat must be a unit vector, |n| = {np.linalg.norm(n_hat)!r}")
-    v = band_mean_L(B, ops, lower)
-    return float(0.5 * (1.0 + n_hat @ v / (ops.l_value + 0.5)))
-
-
-def band_p_succ_theta(B: np.ndarray, ops: SpinOperators,
-                      n_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p_succ along the unit vector n_hat and the inclination of every band
-    array of an (S, 3, d) batch; the inclination is NaN where the frame is
-    unpolarized, as in band_summary."""
-    # <Lz> from band 0 and <L-> = <Lx> - i<Ly> from band 1, as elementwise
-    # sums: a matrix product here would go to a threaded BLAS call per step
-    minus = (B[:, 1] * ops.readout[:, 3]).sum(axis=-1)
-    v = np.array([minus.real, -minus.imag, (B[:, 0].real * ops.m_diag).sum(axis=-1)])
-    theta = np.where(np.linalg.norm(v, axis=0) > UNPOLARIZED_EPS, np.arctan2(v[0], v[2]), np.nan)
-    return 0.5 * (1.0 + n_hat @ v / (ops.l_value + 0.5)), theta
-
-
 def p_succ(rho: np.ndarray, ops: SpinOperators, n_hat: np.ndarray) -> float:
     """Probability of reproducing the ideal outcome along direction n_hat,
     (1 + n_hat . <L>/(l + 1/2))/2."""
-    return band_p_succ(to_bands(rho), ops, n_hat, to_bands(rho.T))
+    return float(p_succ_of(mean_angular_momentum(rho, ops), unit_direction(n_hat), ops))
 
 
 def p_succ_trace(rho: np.ndarray, ops: SpinOperators, n_hat: np.ndarray) -> float:
     """The defining trace form of p_succ: project the frame+test-qubit pair
     onto the matched total-spin sectors for qubits along +-n_hat."""
-    n_hat = np.asarray(n_hat, dtype=float)
-    if abs(np.linalg.norm(n_hat) - 1.0) > 1e-9:
-        raise ValueError(f"n_hat must be a unit vector, |n| = {np.linalg.norm(n_hat)!r}")
+    n_hat = unit_direction(n_hat)
     pair = build_projectors(ops)
     n_sigma = n_hat[0] * PAULI["x"] + n_hat[1] * PAULI["y"] + n_hat[2] * PAULI["z"]
     ident = np.eye(2, dtype=np.complex128)
@@ -212,27 +199,3 @@ def p_succ_trace(rho: np.ndarray, ops: SpinOperators, n_hat: np.ndarray) -> floa
     val = np.trace(pair.pi_plus @ np.kron(rho, xi_plus)).real
     val += np.trace(pair.pi_minus @ np.kron(rho, xi_minus)).real
     return float(0.5 * val)
-
-
-def usable_lifetime(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
-                    strategy=None, *, step_cap: int = 10**6) -> int:
-    """Number of measurements before p_succ (along the initial direction)
-    falls below the threshold, under average evolution with the given
-    correction strategy.
-
-    Steps forward one average channel at a time; the cap is reported by
-    exception if the threshold is never crossed.
-    """
-    # imported here to keep metrics importable from the trajectory engine
-    from .trajectory import average_lifetime_stepper
-
-    v0 = mean_angular_momentum(rho0, ops)
-    n0 = np.linalg.norm(v0)
-    if n0 <= UNPOLARIZED_EPS:
-        raise UnpolarizedFrame("initial state has no direction")
-    n_hat = v0 / n0
-    p0 = p_succ(rho0, ops, n_hat)
-    if not 0.5 < threshold < p0:
-        raise ThresholdOutOfRange(f"threshold must lie in (0.5, p_succ(rho0)) = (0.5, {p0:.6f}), "
-                         f"got {threshold!r}")
-    return average_lifetime_stepper(rho0, q, ops, threshold, n_hat, strategy, step_cap)

@@ -69,10 +69,12 @@ class SpinOperators:
     The two vectors are what the dense structured kernel consumes.  The band
     kernel reads them along the diagonals k = 0, 1, 2 instead:
     ``m_band[k, i] = m_{i+k}`` and ``ladder_band[k, i] = ladder[i+1] *
-    ladder[i+k+1]``, zero where the index leaves the matrix.  The (d, 6)
-    ``readout`` table gives the moments as one product ``B @ readout``: row
-    i, column c is the weight of rho[i, i+k] in the upper-triangle part of
-    <Lz>, <Lz^2>, <L+L- + L-L+> (k = 0), <L->, <{Lz, L-}> (k = 1), <L-^2> (k = 2).
+    ladder[i+k+1]``, zero where the index leaves the matrix.  The (d, 4)
+    ``readout`` table gives the second moments as one product
+    ``B @ readout``: row i, column c is the weight of rho[i, i+k] in the
+    upper-triangle part of <Lz^2>, <L+L- + L-L+> (k = 0), <{Lz, L-}> (k = 1)
+    and <L-^2> (k = 2).  The polarization is read from m_diag and ladder
+    directly (metrics.band_mean_L).
     """
 
     l: SpinQuantum
@@ -123,13 +125,11 @@ def _build_spin_operators(twice_l: int) -> SpinOperators:
         m_band[k, :d - k] = m[k:]
         ladder_band[k, :max(d - 1 - k, 0)] = np.diagonal(products, k)
     a = np.append(ladder, [0.0, 0.0])  # a[d] = a[d+1] = 0
-    readout = np.zeros((d, 6), dtype=np.complex128)
-    readout[:, 0] = m
-    readout[:, 1] = m * m
-    readout[:, 2] = a[:d] ** 2 + a[1:d + 1] ** 2
-    readout[:-1, 3] = a[1:d]
-    readout[:-1, 4] = a[1:d] * (m[:-1] + m[1:])
-    readout[:, 5] = a[1:d + 1] * a[2:]
+    readout = np.zeros((d, 4), dtype=np.complex128)
+    readout[:, 0] = m * m
+    readout[:, 1] = a[:d] ** 2 + a[1:d + 1] ** 2
+    readout[:-1, 2] = a[1:d] * (m[:-1] + m[1:])
+    readout[:, 3] = a[1:d + 1] * a[2:]
     return SpinOperators(l, Lx, Ly, Lz, Lplus, Lminus, m, ladder, m_band, ladder_band,
                          readout)
 

@@ -1,13 +1,15 @@
-"""Sequential evolution of the frame: averaged runs, seeded measurement
-records and the drift-correction strategies.
+"""Sequential evolution of the frame: averaged runs, the usable lifetime,
+seeded measurement records and the drift-correction strategies.
 
 Every run converts its initial state once to the band array of its
 diagonals 0-2 (kernels.to_bands) and steps that, O(d) per step; the records
 hold the final band array, not a d x d matrix.  All runs share one stepping
 loop, _evolve, and one step function, _apply: run_average and
-average_lifetime_stepper feed it average-map steps, the stochastic engine
+usable_lifetime feed it average-map steps, the stochastic engine
 measurements with drawn outcomes.  A strategy inserts its corrections after
-each step through the same hook in all of them.
+each step through the same hook in all of them.  Every run reads the
+polarization with metrics.band_mean_L and derives the inclination and
+p_succ (against the initial direction, unless given) from it.
 
 Trajectories are reproducible by construction: every seed owns a
 counter-based generator keyed by it (the algorithm identifier below is
@@ -39,12 +41,13 @@ from .channels import (
 )
 from .kernels import apply_factors, band_factors, to_bands
 from .metrics import (
-    FrameSummary,
+    UnpolarizedFrame,
     band_mean_L,
-    band_p_succ,
-    band_p_succ_theta,
-    band_summary,
-    summarize_frame,
+    inclination_of,
+    mean_angular_momentum,
+    p_succ,
+    p_succ_of,
+    unit_direction,
 )
 from .spin import SpinOperators, as_polarization
 
@@ -55,6 +58,10 @@ CHUNK = 256  # seeds stepped together; see the module docstring
 class NumericalInvariantError(RuntimeError):
     """A run left the finite domain, drew an outcome probability outside
     [0, 1] or selected a branch of nonpositive weight."""
+
+
+class ThresholdOutOfRange(ValueError):
+    """A usable-lifetime threshold outside (0.5, p_succ of the initial state)."""
 
 
 class LifetimeCapExceeded(RuntimeError):
@@ -309,12 +316,26 @@ def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, d
 # averaged evolution
 # ---------------------------------------------------------------------------
 
+def _initial_direction(rho0: np.ndarray, ops: SpinOperators) -> tuple[np.ndarray, float]:
+    """The unit vector along the polarization of rho0 and its inclination;
+    raises UnpolarizedFrame when rho0 has no direction."""
+    v = mean_angular_momentum(rho0, ops)
+    theta = float(inclination_of(v))
+    if np.isnan(theta):
+        raise UnpolarizedFrame(f"|<L>| = {np.linalg.norm(v):.3e}; the initial state has no "
+                               "direction")
+    return v / np.linalg.norm(v), theta
+
+
 @dataclass
 class AverageRun:
+    """The reads of an averaged run at its recorded steps."""
+
     step_indices: np.ndarray
-    summaries: list[FrameSummary]
+    mean_L: np.ndarray          # (n_rec, 3) polarization vectors
+    theta_series: np.ndarray    # NaN where the frame is unpolarized
     p_succ_series: np.ndarray
-    final_bands: np.ndarray  # (3, d) band array, kernels.to_bands
+    final_bands: np.ndarray     # (3, d) band array, kernels.to_bands
 
 
 def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
@@ -323,42 +344,49 @@ def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
     """Deterministic evolution under the average maps of a schedule.
 
     The strategy's corrections (outcome None) follow every schedule step and
-    are not counted as steps.  Snapshots (frame summary and p_succ against
-    n_hat, defaulting to the initial direction, which must then exist) are
-    recorded every record_every steps and always for the initial and final
-    states.
+    are not counted as steps.  The polarization, the inclination and p_succ
+    against the unit vector n_hat (default: the initial direction, which
+    must then exist) are recorded every record_every steps and always for
+    the initial and final states.
     """
     validate_schedule(schedule)
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     cur = to_bands(rho0)
+    reads = [band_mean_L(cur, ops)]
     if n_hat is None:
-        summary0 = summarize_frame(rho0, ops)
-        n_hat = summary0.mean_L / np.linalg.norm(summary0.mean_L)
+        n_hat, theta0 = _initial_direction(rho0, ops)
     else:  # the start may be unpolarized: its inclination is then NaN
-        summary0 = band_summary(cur, ops)
+        n_hat, theta0 = unit_direction(n_hat), float(inclination_of(reads[0]))
     indices = [0]
-    summaries = [summary0]
-    probs = [band_p_succ(cur, ops, n_hat)]
-    for i, (cur, _) in enumerate(_evolve(cur, schedule, strategy, ops, summary0.theta), 1):
+    for i, (cur, _) in enumerate(_evolve(cur, schedule, strategy, ops, theta0), 1):
         if i % record_every == 0 or i == len(schedule):
             indices.append(i)
-            summaries.append(band_summary(cur, ops))
-            probs.append(band_p_succ(cur, ops, n_hat))
-    return AverageRun(np.array(indices), summaries, np.array(probs), cur)
+            reads.append(band_mean_L(cur, ops))
+    mean_L = np.array(reads)
+    return AverageRun(np.array(indices), mean_L, inclination_of(mean_L),
+                      p_succ_of(mean_L, n_hat, ops), cur)
 
 
-def average_lifetime_stepper(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
-                             n_hat: np.ndarray, strategy, step_cap: int) -> int:
-    """First measurement count at which p_succ drops below the threshold.
+def usable_lifetime(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
+                    strategy=None, *, step_cap: int = 10**6) -> int:
+    """Number of measurements before p_succ (along the initial direction)
+    falls below the threshold, under average evolution with the given
+    correction strategy.
 
-    Correction steps are applied but not counted on the measurement axis.
-    Only outcome-independent strategies make sense under average evolution.
+    Steps forward one average channel at a time; correction steps are
+    applied but not counted, and only outcome-independent strategies have an
+    average evolution.  The cap is reported by exception if the threshold is
+    never crossed.
     """
+    n_hat, theta0 = _initial_direction(rho0, ops)
+    p0 = p_succ(rho0, ops, n_hat)
+    if not 0.5 < threshold < p0:
+        raise ThresholdOutOfRange(f"threshold must lie in (0.5, p_succ(rho0)) = (0.5, {p0:.6f}), "
+                                  f"got {threshold!r}")
     steps = repeat(MeasureStep(as_polarization(q)), step_cap)
-    theta0 = float(np.arctan2(n_hat[0], n_hat[2]))
     for n, (cur, _) in enumerate(_evolve(to_bands(rho0), steps, strategy, ops, theta0), 1):
-        if band_p_succ(cur, ops, n_hat) < threshold:
+        if p_succ_of(band_mean_L(cur, ops), n_hat, ops) < threshold:
             return n
     raise LifetimeCapExceeded(step_cap)
 
@@ -473,8 +501,12 @@ def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinO
     if n_measure < 1:
         raise ValueError("n_measure must be >= 1")
     steps = [MeasureStep(as_polarization(q))] * n_measure
-    summary0 = summarize_frame(rho0, ops)
-    n_hat = summary0.mean_L / np.linalg.norm(summary0.mean_L)
+    n_hat, theta0 = _initial_direction(rho0, ops)
+
+    def read(B):
+        v = band_mean_L(B, ops)
+        return p_succ_of(v, n_hat, ops), inclination_of(v)
+
     n_draws = n_measure * getattr(strategy, "draws_per_measurement", 1)
     B0 = to_bands(rho0)
     seeds = iter(seeds)
@@ -485,12 +517,12 @@ def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinO
         B = np.repeat(B0[None], len(chunk), axis=0)
         log = []
         reads = np.empty((2, len(chunk), n_measure + 1))
-        reads[:, :, 0] = band_p_succ_theta(B, ops, n_hat)
-        for i, (B, taken) in enumerate(_evolve(B, steps, strategy, ops, summary0.theta, draws)):
+        reads[:, :, 0] = read(B)
+        for i, (B, taken) in enumerate(_evolve(B, steps, strategy, ops, theta0, draws), 1):
             # the log keeps no kicked batch: one per step would outgrow the state
             log.append([(replace(step, bands=None) if isinstance(step, UnitaryStep) else step, o)
                         for step, o in taken])
-            reads[:, :, i + 1] = band_p_succ_theta(B, ops, n_hat)
+            reads[:, :, i] = read(B)
         yield _Chunk(chunk, log, reads, B)
 
 

@@ -13,7 +13,7 @@ from qrf_sim.channels import (
     unitary_channel,
 )
 from qrf_sim.kernels import apply_band, to_bands
-from qrf_sim.metrics import band_p_succ, band_summary, mean_angular_momentum, summarize_frame
+from qrf_sim.metrics import UNPOLARIZED_EPS, mean_angular_momentum, summarize_frame
 from qrf_sim.trajectory import (
     AlternatingAntipolarized,
     ConditionalTuned,
@@ -64,6 +64,26 @@ def dense_hygiene(rho: np.ndarray) -> np.ndarray:
     return rho / rho.trace().real
 
 
+def from_bands(B: np.ndarray) -> np.ndarray:
+    """The Hermitian d x d matrix whose diagonals 0-2 a band array holds, zero
+    beyond them."""
+    d = B.shape[-1]
+    rho = np.diag(B[0].real).astype(np.complex128)
+    for k in (1, 2):
+        rho += np.diag(B[k, :d - k], k) + np.diag(B[k, :d - k].conj(), -k)
+    return rho
+
+
+def dense_reads(B: np.ndarray, ops, n_hat: np.ndarray) -> tuple[float, float]:
+    """(p_succ along n_hat, inclination) of a band array, from traces of the
+    rebuilt matrix against the dense Lx, Ly, Lz; the inclination is NaN where
+    the frame is unpolarized."""
+    rho = from_bands(B)
+    v = np.array([np.trace(rho @ L).real for L in (ops.Lx, ops.Ly, ops.Lz)])
+    theta = np.arctan2(v[0], v[2]) if np.linalg.norm(v) > UNPOLARIZED_EPS else np.nan
+    return 0.5 * (1.0 + n_hat @ v / (ops.l_value + 0.5)), theta
+
+
 def band_error(bands: np.ndarray, rho: np.ndarray) -> float:
     """Largest difference between a band array and the diagonals 0-2 of rho."""
     return float(np.abs(bands - to_bands(rho)).max())
@@ -73,10 +93,14 @@ def reference_record(rho0: np.ndarray, n_measure: int, z: float, strategy, seed:
     """One seeded record from a one-seed loop over the band kernel and
     channels, with each strategy's rule written out here: (outcome string,
     correction events, p_succ series, inclination series, final band
-    array).  The reference for the batched stochastic engine."""
+    array).  The reference for the batched stochastic engine; p_succ and the
+    inclination are read from dense traces, not by the package's reader.
+    Only the conditional target, the initial inclination, comes from
+    summarize_frame, as the strategy gets it: a target one rounding away
+    would choose other kicks."""
     rng = np.random.default_rng(np.random.Philox(key=seed))
-    summary0 = summarize_frame(rho0, ops)
-    n_hat = summary0.mean_L / np.linalg.norm(summary0.mean_L)
+    v0 = np.array([np.trace(rho0 @ L).real for L in (ops.Lx, ops.Ly, ops.Lz)])
+    n_hat = v0 / np.linalg.norm(v0)
 
     def checked(B):
         assert np.isfinite(B).all()
@@ -98,8 +122,7 @@ def reference_record(rho0: np.ndarray, n_measure: int, z: float, strategy, seed:
         return checked(unitary_channel(B, z, ops, gamma, bands=True))
 
     B = to_bands(rho0)
-    outcomes, events = [], []
-    probs, thetas = [band_p_succ(B, ops, n_hat)], [summary0.theta]
+    outcomes, events, reads = [], [], [dense_reads(B, ops, n_hat)]
     for i in range(n_measure):
         outcome, B = measure(B, z)
         outcomes.append(outcome)
@@ -113,12 +136,13 @@ def reference_record(rho0: np.ndarray, n_measure: int, z: float, strategy, seed:
             events.append(CorrectionEvent(i, "unitary", strategy.gamma, -z))
         elif isinstance(strategy, ConditionalTuned):
             z_mag = abs(z) or 1.0
-            target = summary0.theta if strategy.theta_known is None else strategy.theta_known
+            target = strategy.theta_known
+            if target is None:
+                target = summarize_frame(rho0, ops).theta
             choice = conditional_correction_step(B, target, outcome, ops, z_mag)
             B = kick(B, choice.source_sign * z_mag, choice.gamma)
             events.append(CorrectionEvent(i, "conditional", choice.gamma,
                                           choice.source_sign * z_mag, choice.residual, outcome))
-        probs.append(band_p_succ(B, ops, n_hat))
-        thetas.append(band_summary(B, ops).theta)
-    return ("".join("+" if o > 0 else "-" for o in outcomes), events, np.array(probs),
-            np.array(thetas), B)
+        reads.append(dense_reads(B, ops, n_hat))
+    probs, thetas = np.array(reads).T
+    return "".join("+" if o > 0 else "-" for o in outcomes), events, probs, thetas, B

@@ -19,7 +19,7 @@ from qrf_sim.channels import (
     unitary_channel_tensor,
     verify_cptp,
 )
-from qrf_sim.metrics import axis_angle_fit, mean_angular_momentum, usable_lifetime
+from qrf_sim.metrics import axis_angle_fit, mean_angular_momentum
 from qrf_sim.predictions import (
     quartic_trace_coefficients_bruteforce,
     quartic_trace_coefficients_printed,
@@ -29,7 +29,7 @@ from qrf_sim.predictions import (
     unitary_rotation_prediction,
 )
 from qrf_sim.spin import build_spin_operators, coherent_state, rotated_dicke_state
-from qrf_sim.trajectory import run_average, run_ensemble, schedule_measurements
+from qrf_sim.trajectory import run_average, run_ensemble, schedule_measurements, usable_lifetime
 
 from helpers import band_error, inclination, random_density, replay_average, replay_outcomes
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +176,28 @@ def test_byte_reproducibility_and_thread_invariance(tmp_path):
     assert open(out3).read() == data1
 
 
+def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each config in a fresh process, with OpenBLAS left to pick its thread
+    # count and with one thread: the CSV and sidecar bytes must not change
+    cases = [("fig5", {"n_measure": 20, "seeds": {"base": 0, "count": 300}}),
+             ("fig3", {"n_steps": 100}),
+             ("custom", {"n_steps": 100, "strategy": {"kind": "unitary_every_k", "k": 2}})]
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    outputs = {}
+    for threads in (None, "1"):
+        run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+        for experiment, payload in cases:
+            cfg = write_config(tmp_path, payload, f"{experiment}.json")
+            out = tmp_path / f"{experiment}-{threads}.csv"
+            subprocess.run([sys.executable, "-m", "qrf_sim.cli", experiment, "--config", cfg,
+                            "--out", str(out)], env=run_env, check=True, capture_output=True)
+            outputs[experiment, threads] = (out.read_bytes(), out.with_suffix(".json").read_bytes())
+    for experiment, _ in cases:
+        assert outputs[experiment, None] == outputs[experiment, "1"], experiment
+
+
 def test_seeds_flag_overrides_config(tmp_path):
     rc, out = run(tmp_path, "fig5", {"n_measure": 4, "seeds": [1, 2, 3, 4, 5]},
                   extra=("--seeds", "7,9"))
@@ -210,6 +236,10 @@ BAD_CONFIGS = [
     ("custom", {"state": {"family": "thermal", "r": 0}}),
     ("custom", {"mode": "stochastic", "theta": 0.0, "strategy": {"kind": "conditional"}}),
     ("scaling", {"l_list": [8, 16], "thresholds": [0.99]}),  # above p_succ(rho0) at l = 8
+    ("fig2", {"l": 1e6}),                 # no d x d state of these sizes fits in memory
+    ("fig2", {"l": 20000}),
+    ("fig2", {"l": 2e9}),
+    ("scaling", {"l_list": [8, 2048]}),
 ]
 BAD_INVOCATIONS = [
     ("fig1", {}, ("--gamma", "1.0")),
@@ -229,7 +259,8 @@ BAD_INVOCATIONS = [
          "empty-l-list", "empty-thresholds", "average-unknown-strategy",
          "average-outcome-dependent-strategy", "average-conditional-strategy",
          "unpolarized-thermal-state", "conditional-default-target-out-of-range",
-         "threshold-above-initial-p-succ", "gamma-flag-without-gamma", "gamma-flag-on-scaling", "seeds-flag-without-seeds",
+         "threshold-above-initial-p-succ", "l-1e6", "l-20000", "l-2e9", "l-list-above-1024",
+         "gamma-flag-without-gamma", "gamma-flag-on-scaling", "seeds-flag-without-seeds",
          "negative-threads", "zero-threads"])
 def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, payload, extra):
     rc, _ = run(tmp_path, experiment, payload, extra)

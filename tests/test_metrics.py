@@ -8,17 +8,18 @@ from qrf_sim.channels import (
     unitary_channel,
     unitary_channel_tensor,
 )
+from qrf_sim.kernels import to_bands
 from qrf_sim.metrics import (
     UnpolarizedFrame,
     axis_angle_fit,
     background_moments,
+    band_mean_L,
     mean_angular_momentum,
     p_succ,
     p_succ_trace,
     quadratic_moments,
     rotation_between,
     summarize_frame,
-    usable_lifetime,
 )
 from qrf_sim.spin import build_spin_operators, coherent_state, dicke_state, rotated_dicke_state
 from qrf_sim.trajectory import (
@@ -27,6 +28,7 @@ from qrf_sim.trajectory import (
     LifetimeCapExceeded,
     UnitaryAfterEachPlus,
     UnitaryEveryK,
+    usable_lifetime,
 )
 
 from helpers import random_density
@@ -40,16 +42,30 @@ def test_moments_match_dense_operator_traces(twice_l, hermitian):
     rng = np.random.default_rng(twice_l)
     ops = build_spin_operators(twice_l / 2)
     if hermitian:
-        rho = random_density(ops.d, rng)
+        rhos = [random_density(ops.d, rng) for _ in range(4)]
     else:
-        rho = rng.normal(size=(ops.d, ops.d)) + 1j * rng.normal(size=(ops.d, ops.d))
+        rhos = [rng.normal(size=(ops.d, ops.d)) + 1j * rng.normal(size=(ops.d, ops.d))
+                for _ in range(4)]
     mats = (ops.Lx, ops.Ly, ops.Lz)
-    want_v = np.array([np.trace(rho @ L).real for L in mats])
+    want_v = np.array([[np.trace(rho @ L).real for L in mats] for rho in rhos])
+    tol = 1e-12 * max(1.0, (twice_l / 2) ** 2) * max(np.abs(rho).max() for rho in rhos)
+    rho = rhos[0]
     want_M = np.array([[0.5 * np.trace(rho @ (A @ B + B @ A)).real for B in mats]
                        for A in mats])
-    tol = 1e-12 * max(1.0, (twice_l / 2) ** 2) * np.abs(rho).max()
-    assert np.abs(mean_angular_momentum(rho, ops) - want_v).max() <= tol
+    assert np.abs(mean_angular_momentum(rho, ops) - want_v[0]).max() <= tol
     assert np.abs(quadratic_moments(rho, ops) - want_M).max() <= tol
+    # an (S, 3, d) batch reads as its arrays one by one, with or without the
+    # lower diagonals
+    upper = np.array([to_bands(r) for r in rhos])
+    lower = np.array([to_bands(r.T) for r in rhos])
+    batch = band_mean_L(upper, ops, lower)
+    assert batch.shape == (4, 3)
+    assert np.array_equal(batch, [mean_angular_momentum(r, ops) for r in rhos])
+    assert np.abs(batch - want_v).max() <= tol
+    if hermitian:
+        batch = band_mean_L(upper, ops)
+        assert np.array_equal(batch, [band_mean_L(b, ops) for b in upper])
+        assert np.abs(batch - want_v).max() <= tol
 
 
 def test_summary_of_coherent_state_is_identity():

@@ -15,7 +15,7 @@ from qrf_sim.channels import (
     unitary_channel_tensor,
 )
 from qrf_sim.kernels import to_bands
-from qrf_sim.metrics import UnpolarizedFrame, band_mean_L, mean_angular_momentum, usable_lifetime
+from qrf_sim.metrics import UnpolarizedFrame, band_mean_L, mean_angular_momentum
 from qrf_sim.spin import (
     build_spin_operators,
     coherent_state,
@@ -37,6 +37,7 @@ from qrf_sim.trajectory import (
     run_ensemble_statistics,
     run_stochastic,
     schedule_measurements,
+    usable_lifetime,
     validate_schedule,
 )
 
@@ -74,7 +75,8 @@ def test_run_average_fixed_point():
     rho = np.eye(OPS8.d) / OPS8.d
     # the unpolarized frame has no direction: supply one, and its inclination is NaN
     run = run_average(rho, schedule_measurements(5, 0.0), OPS8, n_hat=np.array([0.0, 0.0, 1.0]))
-    assert all(np.isnan(s.theta) for s in run.summaries)
+    assert np.isnan(run.theta_series).all()
+    assert np.abs(run.mean_L).max() <= 1e-15
     assert np.abs(run.p_succ_series - 0.5).max() <= 1e-15
     assert np.abs(run.final_bands - to_bands(rho)).max() <= 1e-15
     with pytest.raises(UnpolarizedFrame):
@@ -85,8 +87,8 @@ def test_run_average_recording_cadence():
     rho = coherent_state(8, 1.0)
     run = run_average(rho, schedule_measurements(10, 1.0), OPS8, record_every=4)
     assert list(run.step_indices) == [0, 4, 8, 10]
-    assert len(run.summaries) == 4
-    assert run.p_succ_series.shape == (4,)
+    assert run.mean_L.shape == (4, 3)
+    assert run.theta_series.shape == run.p_succ_series.shape == (4,)
 
 
 def test_reproducibility_identical_seeds():
@@ -152,7 +154,7 @@ def test_alternating_strategy_cancels_drift():
     ops = build_spin_operators(32)
     rho = coherent_state(32, theta0)
     uncorrected = run_average(rho, schedule_measurements(50, 1.0), ops)
-    drift_unc = abs(uncorrected.summaries[-1].theta - theta0)
+    drift_unc = abs(uncorrected.theta_series[-1] - theta0)
     stats = run_ensemble_statistics(rho, 50, 1.0, AlternatingAntipolarized(), range(200), ops)
     drift_alt = abs(stats.theta[-1] - theta0)
     assert drift_alt <= drift_unc / 10
