@@ -63,7 +63,7 @@ def band_mean_L(B: np.ndarray, ops: SpinOperators, lower: np.ndarray | None = No
         plus = (lower[..., 1, :-1] * ops.ladder[1:]).sum(axis=-1)
         x, y = 0.5 * (plus + minus).real, 0.5 * (plus - minus).imag
     v = np.array([x, y, (B[..., 0, :].real * ops.m_diag).sum(axis=-1)])
-    return v.transpose(*range(1, v.ndim), 0)
+    return v.transpose(*range(1, v.ndim), 0)  # a view, no copy per step
 
 
 def inclination_of(v: np.ndarray) -> np.ndarray:
