@@ -59,6 +59,7 @@ from .trajectory import (
 )
 
 PI = float(np.pi)
+L_MAX = 1024  # the largest frame the runs are sized for: each builds d x d states once
 
 
 class ConfigError(ValueError):
@@ -119,9 +120,6 @@ def load_config(experiment: str, path: str, overrides: dict) -> dict:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
-
-
-L_MAX = 1024  # the largest frame the runs are sized for; d x d states are built once
 
 
 def _valid_l(l):

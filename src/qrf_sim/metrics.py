@@ -54,15 +54,15 @@ class FrameSummary:
 def band_mean_L(B: np.ndarray, ops: SpinOperators, lower: np.ndarray | None = None) -> np.ndarray:
     """Polarization vectors (<Lx>, <Ly>, <Lz>), each Re Tr[rho L_a], of a
     (3, d) band array or an (..., 3, d) batch, shape (..., 3)."""
-    # <L-> = <Lx> - i<Ly> along the first upper diagonal, <L+> along the first
-    # lower one, which is its conjugate for a Hermitian rho
-    minus = (B[..., 1, :-1] * ops.ladder[1:]).sum(axis=-1)
+    # <L-> = <Lx> - i<Ly> on the first upper diagonal, <L+> on the first lower one
+    # (its conjugate for Hermitian rho); ufunc reductions skip .sum's wrapper
+    minus = np.add.reduce(B[..., 1, :-1] * ops.ladder[1:], axis=-1)
     if lower is None:
         x, y = minus.real, -minus.imag
     else:
-        plus = (lower[..., 1, :-1] * ops.ladder[1:]).sum(axis=-1)
+        plus = np.add.reduce(lower[..., 1, :-1] * ops.ladder[1:], axis=-1)
         x, y = 0.5 * (plus + minus).real, 0.5 * (plus - minus).imag
-    v = np.array([x, y, (B[..., 0, :].real * ops.m_diag).sum(axis=-1)])
+    v = np.array([x, y, np.add.reduce(B[..., 0, :].real * ops.m_diag, axis=-1)])
     return v.transpose(*range(1, v.ndim), 0)  # a view, no copy per step
 
 

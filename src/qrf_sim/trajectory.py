@@ -433,8 +433,8 @@ def conditional_correction_step(B: np.ndarray, theta_known: float, outcome,
     v0 = band_mean_L(B, ops)
     candidates = [(0.0, +1, v0)]
     for sign in (+1, -1) if error(v0) > 1e-12 else ():
-        v_pi, v_half = (band_mean_L(unitary_channel(B, sign * z_mag, ops, g, bands=True), ops)
-                        for g in (np.pi, 0.5 * np.pi))
+        v_pi, v_half = band_mean_L(np.array([unitary_channel(B, sign * z_mag, ops, g, bands=True)
+                                             for g in (np.pi, 0.5 * np.pi)]), ops)
         P, Q = 0.5 * (v0 + v_pi), 0.5 * (v0 - v_pi)
         R = v_half - P
         hit = _trig_roots(*(u[0] * cos_t - u[2] * sin_t for u in (P, Q, R)))
