@@ -192,7 +192,8 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
             cfg = write_config(tmp_path, payload, f"{experiment}.json")
             out = tmp_path / f"{experiment}-{threads}.csv"
             subprocess.run([sys.executable, "-m", "qrf_sim.cli", experiment, "--config", cfg,
-                            "--out", str(out)], env=run_env, check=True, capture_output=True)
+                            "--out", str(out)], env=run_env, check=True, capture_output=True,
+                           timeout=120)
             outputs[experiment, threads] = (out.read_bytes(), out.with_suffix(".json").read_bytes())
     for experiment, _ in cases:
         assert outputs[experiment, None] == outputs[experiment, "1"], experiment
