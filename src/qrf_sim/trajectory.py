@@ -45,7 +45,6 @@ from .metrics import (
     band_mean_L,
     inclination_of,
     mean_angular_momentum,
-    p_succ,
     p_succ_of,
     unit_direction,
 )
@@ -316,15 +315,15 @@ def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, d
 # averaged evolution
 # ---------------------------------------------------------------------------
 
-def _initial_direction(rho0: np.ndarray, ops: SpinOperators) -> tuple[np.ndarray, float]:
-    """The unit vector along the polarization of rho0 and its inclination;
-    raises UnpolarizedFrame when rho0 has no direction."""
+def _initial_direction(rho0: np.ndarray, ops: SpinOperators):
+    """The polarization v of rho0, the unit vector along it and its
+    inclination; raises UnpolarizedFrame when rho0 has no direction."""
     v = mean_angular_momentum(rho0, ops)
     theta = float(inclination_of(v))
     if np.isnan(theta):
         raise UnpolarizedFrame(f"|<L>| = {np.linalg.norm(v):.3e}; the initial state has no "
                                "direction")
-    return v / np.linalg.norm(v), theta
+    return v, v / np.linalg.norm(v), theta
 
 
 @dataclass
@@ -355,7 +354,7 @@ def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
     cur = to_bands(rho0)
     reads = [band_mean_L(cur, ops)]
     if n_hat is None:
-        n_hat, theta0 = _initial_direction(rho0, ops)
+        _, n_hat, theta0 = _initial_direction(rho0, ops)
     else:  # the start may be unpolarized: its inclination is then NaN
         n_hat, theta0 = unit_direction(n_hat), float(inclination_of(reads[0]))
     indices = [0]
@@ -379,8 +378,8 @@ def usable_lifetime(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
     average evolution.  The cap is reported by exception if the threshold is
     never crossed.
     """
-    n_hat, theta0 = _initial_direction(rho0, ops)
-    p0 = p_succ(rho0, ops, n_hat)
+    v0, n_hat, theta0 = _initial_direction(rho0, ops)
+    p0 = float(p_succ_of(v0, n_hat, ops))
     if not 0.5 < threshold < p0:
         raise ThresholdOutOfRange(f"threshold must lie in (0.5, p_succ(rho0)) = (0.5, {p0:.6f}), "
                                   f"got {threshold!r}")
@@ -419,8 +418,11 @@ def conditional_correction_step(B: np.ndarray, theta_known: float, outcome,
     least residual |atan2(x, z) - t| wins; residuals within 1e-12 of it tie
     and go to the largest forward component x sin t + z cos t.  That rule is
     load-bearing: both signs usually hit, and which one is taken sets the
-    trajectory.  Remaining ties go to the first of no kick, sign +1, hit
-    roots, phi + arccos.  B and the corrected state are band arrays
+    trajectory.  Exact ties go to the first of no kick, sign +1, hit roots,
+    phi + arccos; the forward components are compared without a window, so
+    mirror kicks whose components agree up to rounding (gamma and
+    2 pi - gamma for an in-plane state) are told apart by their last bits.
+    B and the corrected state are band arrays
     (kernels.to_bands); on target, gamma = 0 and B itself are returned.
     """
     if not 0.0 < theta_known < np.pi:
@@ -501,7 +503,7 @@ def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinO
     if n_measure < 1:
         raise ValueError("n_measure must be >= 1")
     steps = [MeasureStep(as_polarization(q))] * n_measure
-    n_hat, theta0 = _initial_direction(rho0, ops)
+    _, n_hat, theta0 = _initial_direction(rho0, ops)
 
     def read(B):
         v = band_mean_L(B, ops)
