@@ -419,11 +419,10 @@ def conditional_correction_step(B: np.ndarray, theta_known: float, outcome,
     and go to the largest forward component x sin t + z cos t.  That rule is
     load-bearing: both signs usually hit, and which one is taken sets the
     trajectory.  Exact ties go to the first of no kick, sign +1, hit roots,
-    phi + arccos; the forward components are compared without a window, so
-    mirror kicks whose components agree up to rounding (gamma and
-    2 pi - gamma for an in-plane state) are told apart by their last bits.
-    B and the corrected state are band arrays
-    (kernels.to_bands); on target, gamma = 0 and B itself are returned.
+    phi + arccos; forward components are compared without a window, so last
+    bits pick between the mirror kicks gamma, 2 pi - gamma of an in-plane
+    state.  B and the corrected state are band arrays (kernels.to_bands); on
+    target, gamma = 0 and B itself are returned.
     """
     if not 0.0 < theta_known < np.pi:
         raise ValueError(f"theta_known must lie in (0, pi), got {theta_known!r}")
