@@ -11,9 +11,10 @@ Each channel is implemented twice, on independent code paths:
   diagonals 0-2, the only state a run steps.
 
 The two routes agree to 1e-12 and disagreeing beyond that is treated as a
-bug in the structured coefficients, never in the tensor form.  The run
-loops form the band kernel's factors from the same coefficient builders,
-and ``hygiene`` repairs band arrays only.  Two functions still take
+bug in the structured coefficients, never in the tensor form.  The band
+kernel's factors of every step a run repeats come from one bounded memo,
+step_factors, built from the same coefficient builders once per process;
+``hygiene`` repairs band arrays only.  Two functions still take
 ``bands=True`` for the band kernel; see the comment above average_channel.
 """
 
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import apply_band, apply_structured
+from .kernels import apply_factors, apply_structured, band_factors
 from .spin import SpinOperators, SpinQuantum, as_polarization, build_spin_operators, source_state
 
 OUTCOME_EPS = 1e-12
@@ -136,29 +137,45 @@ def _coeffs_unitary(z: float, d: int, gamma: float):
     )
 
 
+@lru_cache(maxsize=32)
+def step_factors(twice_l: int, kind: str, z: float, gamma: float | None = None) -> tuple:
+    """The band-kernel factors (kernels.band_factors) of a z source's
+    "average" step, "unitary" kick by gamma or "selective" measurement (the -
+    and + branches' diagonals stacked in that order), built once per process
+    and read-only.  -0.0 shares 0.0's entry: their factors are the same bits.
+    Least recently used entries go first, so one-off kicks evict each other."""
+    ops = build_spin_operators(SpinQuantum(twice_l))
+    if kind == "average":
+        coeffs = _coeffs_average(z, ops.d)
+    elif kind == "selective":
+        coeffs = _coeffs_selective(z, ops.d, np.array([-1, 1]).reshape(2, 1, 1))
+    else:
+        coeffs = _coeffs_unitary(z, ops.d, gamma)
+    factors = band_factors(ops.m_band, ops.ladder_band, coeffs)
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
 # ---------------------------------------------------------------------------
 # channels, structured route (default)
 # ---------------------------------------------------------------------------
 
-def _apply(rho: np.ndarray, ops: SpinOperators, coeffs, bands: bool) -> np.ndarray:
-    if bands:
-        return apply_band(rho, ops.m_band, ops.ladder_band, coeffs)
-    return apply_structured(rho, ops.m_diag, ops.ladder, coeffs)
-
-
-# bands=True steps a band array.  It stays on this function and on unitary_channel
-# only because perfbench/test_perfbench.py pins the tracer's spans of both.
+# bands=True steps a band array with the memo's factors.  It stays on this function and
+# on unitary_channel only because perfbench/test_perfbench.py pins the tracer's spans.
 def average_channel(rho: np.ndarray, q, ops: SpinOperators, *, bands: bool = False) -> np.ndarray:
     """Frame back-action of one measurement with the outcome discarded."""
     z = as_polarization(q)
-    return _apply(rho, ops, _coeffs_average(z, ops.d), bands)
+    if bands:
+        return apply_factors(rho, *step_factors(ops.l.twice_l, "average", z))
+    return apply_structured(rho, ops.m_diag, ops.ladder, _coeffs_average(z, ops.d))
 
 
 def selective_unnormalized(rho: np.ndarray, q, ops: SpinOperators, outcome) -> np.ndarray:
     """Unnormalized branch map; its trace is the outcome probability."""
     z = as_polarization(q)
     sign = _sign(outcome)
-    return _apply(rho, ops, _coeffs_selective(z, ops.d, sign), False)
+    return apply_structured(rho, ops.m_diag, ops.ladder, _coeffs_selective(z, ops.d, sign))
 
 
 def selective_channel(rho: np.ndarray, q, ops: SpinOperators, outcome) -> SelectiveOutcome:
@@ -175,7 +192,7 @@ def selective_channel(rho: np.ndarray, q, ops: SpinOperators, outcome) -> Select
     return SelectiveOutcome(sign, p, sigma / p)
 
 
-# bands=True: kept for the perfbench spans of the conditional trial kicks; see above
+# bands=True: the memo's factors, as above; the engine's kicks and the conditional trials
 def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
                     bands: bool = False) -> np.ndarray:
     """Frame back-action of the rotationally invariant unitary coupling.
@@ -186,7 +203,9 @@ def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
     z = as_polarization(q)
     if not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
-    return _apply(rho, ops, _coeffs_unitary(z, ops.d, gamma), bands)
+    if bands:
+        return apply_factors(rho, *step_factors(ops.l.twice_l, "unitary", z, gamma))
+    return apply_structured(rho, ops.m_diag, ops.ladder, _coeffs_unitary(z, ops.d, gamma))
 
 
 def _p_plus(diagonal: np.ndarray, z: float, ops: SpinOperators):

@@ -19,13 +19,12 @@ Every such map commutes with rotations about Z, so it sends each diagonal
 rho[i, i+k] to itself with a tridiagonal update along it.  Everything the
 package records reads only the diagonals |k| <= 2, so the run loops carry a
 state as its band array B[..., k, i] = rho[i, i+k], k = 0, 1, 2, zero-padded
-to length d (the lower diagonals are the conjugates).  `apply_band` steps
-that array in O(d) with the same per-element expression as the dense kernel,
-so its output equals the dense kernel's diagonals bit for bit.  The one
-stepping loop of trajectory forms the factors of each kick and measurement
-it repeats once per run (`band_factors`) and applies them (`apply_factors`)
-with the same result; its average-map steps, and the conditional trial kicks,
-reach `apply_band` through the channels' ``bands=True``.
+to length d (the lower diagonals are the conjugates).  `band_factors` forms
+a step's factors from its coefficients and `apply_factors` steps that array
+in O(d) with the same per-element expression as the dense kernel, so its
+output equals the dense kernel's diagonals bit for bit.  The run loops take
+the factors of every step they repeat from the memo channels.step_factors,
+which calls `band_factors` once per process for each step.
 """
 
 from __future__ import annotations
@@ -48,10 +47,11 @@ def apply_structured(rho: np.ndarray, m: np.ndarray, a: np.ndarray, coeffs) -> n
 
 
 def band_factors(m_band: np.ndarray, ladder_band: np.ndarray, coeffs):
-    """The factors apply_band multiplies a band array by: w_i + u_i m_{i+k}
-    on the diagonal and the ladder products c_+ ladder, c_- ladder.  A
-    coefficient may be an array broadcasting against the band array, such as
-    one of shape (S, 1, 1) for an (S, 3, d) batch."""
+    """The factors a step multiplies a band array by, from the per-l tables
+    of SpinOperators: w_i + u_i m_{i+k} on element (k, i) and the ladder
+    products c_+ ladder, c_- ladder on B[k, i +- 1].  A coefficient may be an
+    array broadcasting against the band array, such as one of shape (S, 1, 1)
+    for an (S, 3, d) batch."""
     try:
         c_id, c_plus, c_minus, c_zz, c_anti, c_comm = map(complex, coeffs)
     except TypeError:  # an array coefficient
@@ -71,17 +71,6 @@ def apply_factors(B: np.ndarray, diagonal: np.ndarray, up: np.ndarray,
     out[..., :-1] += up * B[..., 1:]
     out[..., 1:] += down * B[..., :-1]
     return out
-
-
-def apply_band(B: np.ndarray, m_band: np.ndarray, ladder_band: np.ndarray, coeffs) -> np.ndarray:
-    """Apply the six-term structured superoperator to a (..., 3, d) band array.
-
-    m_band and ladder_band are the per-l tables of SpinOperators: element
-    (k, i) of the output is w_i + u_i m_{i+k} times B[k, i], plus the ladder
-    terms from B[k, i +- 1], in the dense kernel's order of operations.
-    Coefficients may be arrays (band_factors).
-    """
-    return apply_factors(B, *band_factors(m_band, ladder_band, coeffs))
 
 
 def to_bands(rho: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ hold the final band array, not a d x d matrix.  All runs share one stepping
 loop, _evolve, and one step function, _apply: run_average and
 usable_lifetime feed it average-map steps, the stochastic engine
 measurements with drawn outcomes.  A strategy inserts its corrections after
-each step through the same hook in all of them.  Every run reads the
+each step through the same hook in all of them.  Every step takes its
+kernel factors from the memo channels.step_factors.  Every run reads the
 polarization with metrics.band_mean_L and derives the inclination and
 p_succ (against the initial direction, unless given) from it.
 
@@ -30,16 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    OUTCOME_EPS,
-    _coeffs_selective,
-    _coeffs_unitary,
-    _p_plus,
-    average_channel,
-    hygiene,
-    unitary_channel,
-)
-from .kernels import apply_factors, band_factors, to_bands
+from .channels import OUTCOME_EPS, _p_plus, average_channel, hygiene, step_factors, unitary_channel
+from .kernels import apply_factors, to_bands
 from .metrics import (
     UnpolarizedFrame,
     band_mean_L,
@@ -52,6 +45,7 @@ from .spin import SpinOperators, as_polarization
 
 RNG_ALGORITHM = "numpy-philox4x64"
 CHUNK = 256  # seeds stepped together; see the module docstring
+LIFETIME_BLOCK = 16  # states usable_lifetime reads at once; at most 15 are stepped in vain
 
 
 class NumericalInvariantError(RuntimeError):
@@ -247,23 +241,12 @@ class TrajectoryRecord:
 # the stepping loop
 # ---------------------------------------------------------------------------
 
-def _factors(cache: dict, ops: SpinOperators, z: float, gamma: float | None = None):
-    """The kernel factors (kernels.band_factors) of a step a run repeats,
-    formed once per run: the kick (z, gamma), or for gamma None the - and +
-    branches of a z source, stacked in that order."""
-    if (z, gamma) not in cache:
-        coeffs = _coeffs_selective(z, ops.d, np.array([-1, 1]).reshape(2, 1, 1)) \
-            if gamma is None else _coeffs_unitary(z, ops.d, gamma)
-        cache[z, gamma] = band_factors(ops.m_band, ops.ladder_band, coeffs)
-    return cache[z, gamma]
-
-
-def _apply(B: np.ndarray, step, ops: SpinOperators, cache: dict, draws=None):
+def _apply(B: np.ndarray, step, ops: SpinOperators, draws=None):
     """One step on a band array or an (S, 3, d) batch: (state, outcomes).
 
-    A kick applies its cached factors, or the kicked bands a strategy already
-    formed, to the seeds its mask selects.  A measurement without draws is
-    the average map.  With draws, every seed's outcome is drawn from its next
+    A kick applies the unitary channel, or the kicked bands a strategy
+    already formed, to the seeds its mask selects.  A measurement without
+    draws is the average map.  With draws, every seed's outcome is drawn from its next
     uniform and that branch is applied, normalized; near-certain branches
     are forced so that conditioning stays well defined, and their uniform is
     consumed all the same.  Only a drawn measurement has outcomes, (S,) int8.
@@ -272,7 +255,7 @@ def _apply(B: np.ndarray, step, ops: SpinOperators, cache: dict, draws=None):
     outcome = None
     if isinstance(step, UnitaryStep):
         out = step.bands if step.bands is not None \
-            else apply_factors(B, *_factors(cache, ops, step.z, step.gamma))
+            else unitary_channel(B, step.z, ops, step.gamma, bands=True)
         if step.where is not None:
             out = np.where(step.where[:, None, None], out, B)
     elif draws is None:
@@ -285,7 +268,7 @@ def _apply(B: np.ndarray, step, ops: SpinOperators, cache: dict, draws=None):
                 f"outcome probability left [0, 1]: {p_plus[~valid][0]!r}")
         u = next(draws)
         plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
-        diagonal, up, down = _factors(cache, ops, step.z)
+        diagonal, up, down = step_factors(ops.l.twice_l, "selective", step.z)
         out = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
         p = out[:, 0].sum(axis=-1).real
         if (p <= 0.0).any():
@@ -301,12 +284,11 @@ def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, d
     corrections the strategy inserts after it (given the step's outcomes,
     None under average evolution), and yield the state and the steps taken
     with their outcomes, [(step, outcomes), (correction, outcomes), ...]."""
-    cache = {}
     for i, step in enumerate(steps):
-        B, outcome = _apply(B, step, ops, cache, draws)
+        B, outcome = _apply(B, step, ops, draws)
         taken = [(step, outcome)]
         for fix in strategy.corrections(i, step.z, outcome, B, ops, theta0) if strategy else ():
-            B, fix_outcome = _apply(B, fix, ops, cache, draws)
+            B, fix_outcome = _apply(B, fix, ops, draws)
             taken.append((fix, fix_outcome))
         yield B, taken
 
@@ -373,10 +355,11 @@ def usable_lifetime(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
     falls below the threshold, under average evolution with the given
     correction strategy.
 
-    Steps forward one average channel at a time; correction steps are
-    applied but not counted, and only outcome-independent strategies have an
-    average evolution.  The cap is reported by exception if the threshold is
-    never crossed.
+    Steps forward one average channel at a time and reads the states in
+    blocks of LIFETIME_BLOCK, returning the first crossing; correction steps
+    are applied but not counted, and only outcome-independent strategies
+    have an average evolution.  The cap is reported by exception if the
+    threshold is never crossed within step_cap steps.
     """
     v0, n_hat, theta0 = _initial_direction(rho0, ops)
     p0 = float(p_succ_of(v0, n_hat, ops))
@@ -384,9 +367,13 @@ def usable_lifetime(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
         raise ThresholdOutOfRange(f"threshold must lie in (0.5, p_succ(rho0)) = (0.5, {p0:.6f}), "
                                   f"got {threshold!r}")
     steps = repeat(MeasureStep(as_polarization(q)), step_cap)
-    for n, (cur, _) in enumerate(_evolve(to_bands(rho0), steps, strategy, ops, theta0), 1):
-        if p_succ_of(band_mean_L(cur, ops), n_hat, ops) < threshold:
-            return n
+    states = (cur for cur, _ in _evolve(to_bands(rho0), steps, strategy, ops, theta0))
+    n = 0
+    while block := list(islice(states, LIFETIME_BLOCK)):
+        below = p_succ_of(band_mean_L(np.array(block), ops), n_hat, ops) < threshold
+        if below.any():
+            return n + int(below.argmax()) + 1
+        n += len(block)
     raise LifetimeCapExceeded(step_cap)
 
 
@@ -418,11 +405,13 @@ def conditional_correction_step(B: np.ndarray, theta_known: float, outcome,
     least residual |atan2(x, z) - t| wins; residuals within 1e-12 of it tie
     and go to the largest forward component x sin t + z cos t.  That rule is
     load-bearing: both signs usually hit, and which one is taken sets the
-    trajectory.  Exact ties go to the first of no kick, sign +1, hit roots,
-    phi + arccos; forward components are compared without a window, so last
-    bits pick between the mirror kicks gamma, 2 pi - gamma of an in-plane
-    state.  B and the corrected state are band arrays (kernels.to_bands); on
-    target, gamma = 0 and B itself are returned.
+    trajectory.  Forward components within 1e-12 of the largest tie too, and
+    such ties go to the first of no kick, sign +1, hit roots, phi + arccos,
+    so rounding never picks between the mirror kicks gamma, 2 pi - gamma of
+    an in-plane state.  B and the corrected state are band arrays
+    (kernels.to_bands); corrected_bands is returned as the channel gives it,
+    without the hygiene repair the stepping loop applies.  On target,
+    gamma = 0 and B itself are returned.
     """
     if not 0.0 < theta_known < np.pi:
         raise ValueError(f"theta_known must lie in (0, pi), got {theta_known!r}")
@@ -444,11 +433,13 @@ def conditional_correction_step(B: np.ndarray, theta_known: float, outcome,
         candidates += [(g, sign, P + Q * np.cos(g) + R * np.sin(g))
                        for g in np.mod(hit + stationary, 2.0 * np.pi)]
     least = min(error(v) for _, _, v in candidates)
-    gamma, sign, _ = max((c for c in candidates if error(c[2]) <= least + 1e-12),
-                         key=lambda c: c[2][0] * sin_t + c[2][2] * cos_t)
+    tied = [(g, sign, v[0] * sin_t + v[2] * cos_t) for g, sign, v in candidates
+            if error(v) <= least + 1e-12]
+    most = max(forward for _, _, forward in tied)
+    gamma, sign = next((g, sign) for g, sign, forward in tied if forward >= most - 1e-12)
     if gamma == 0.0:
         return CorrectionChoice(0.0, +1, B, error(v0))
-    kicked = hygiene(unitary_channel(B, sign * z_mag, ops, gamma, bands=True))
+    kicked = unitary_channel(B, sign * z_mag, ops, gamma, bands=True)
     return CorrectionChoice(float(gamma), sign, kicked, error(band_mean_L(kicked, ops)))
 
 
@@ -521,8 +512,8 @@ def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinO
         reads[:, :, 0] = read(B)
         for i, (B, taken) in enumerate(_evolve(B, steps, strategy, ops, theta0, draws), 1):
             # the log keeps no kicked batch: one per step would outgrow the state
-            log.append([(replace(step, bands=None) if isinstance(step, UnitaryStep) else step, o)
-                        for step, o in taken])
+            log.append([(replace(step, bands=None) if getattr(step, "bands", None) is not None
+                         else step, o) for step, o in taken])
             reads[:, :, i] = read(B)
         yield _Chunk(chunk, log, reads, B)
 

@@ -12,7 +12,7 @@ from qrf_sim.channels import (
     selective_channel,
     unitary_channel,
 )
-from qrf_sim.kernels import apply_band, to_bands
+from qrf_sim.kernels import apply_factors, band_factors, to_bands
 from qrf_sim.metrics import UNPOLARIZED_EPS, mean_angular_momentum, summarize_frame
 from qrf_sim.trajectory import (
     AlternatingAntipolarized,
@@ -115,7 +115,8 @@ def reference_record(rho0: np.ndarray, n_measure: int, z: float, strategy, seed:
             outcome = +1
         else:
             outcome = +1 if u < p_plus else -1
-        sigma = apply_band(B, ops.m_band, ops.ladder_band, _coeffs_selective(z, ops.d, outcome))
+        coeffs = _coeffs_selective(z, ops.d, outcome)
+        sigma = apply_factors(B, *band_factors(ops.m_band, ops.ladder_band, coeffs))
         return outcome, checked(sigma / sigma[0].sum().real)
 
     def kick(B, z, gamma):

@@ -6,6 +6,9 @@ import pytest
 from qrf_sim.channels import (
     ChoiDimensionError,
     OutcomeImpossible,
+    _coeffs_average,
+    _coeffs_selective,
+    _coeffs_unitary,
     _p_plus,
     average_channel,
     average_channel_tensor,
@@ -15,11 +18,12 @@ from qrf_sim.channels import (
     outcome_probabilities,
     selective_channel,
     selective_channel_tensor,
+    step_factors,
     unitary_channel,
     unitary_channel_tensor,
     verify_cptp,
 )
-from qrf_sim.kernels import to_bands
+from qrf_sim.kernels import band_factors, to_bands
 from qrf_sim.metrics import mean_angular_momentum
 from qrf_sim.spin import build_spin_operators, coherent_state, rotated_dicke_state, source_state
 
@@ -297,6 +301,31 @@ def test_verify_cptp_dimension_cap():
     ops = build_spin_operators(16)
     with pytest.raises(ChoiDimensionError):
         verify_cptp(lambda rho: rho, ops)
+
+
+@pytest.mark.parametrize("l", [0.5, 16])
+def test_step_factors_memo_equals_fresh_factors_bit_for_bit(l):
+    ops = build_spin_operators(l)
+    step_factors.cache_clear()
+    for z in (0.0, -0.0, 0.4):  # -0.0 after 0.0 shares its entry
+        signs = np.array([-1, 1]).reshape(2, 1, 1)
+        fresh = {("average", None): _coeffs_average(z, ops.d),
+                 ("selective", None): _coeffs_selective(z, ops.d, signs),
+                 **{("unitary", g): _coeffs_unitary(z, ops.d, g)
+                    for g in (np.pi, 0.5 * np.pi, 1.3)}}
+        for (kind, gamma), coeffs in fresh.items():
+            memo = step_factors(ops.l.twice_l, kind, z, gamma)
+            for got, want in zip(memo, band_factors(ops.m_band, ops.ladder_band, coeffs)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[...] = 0.0
+        # the stacked selective diagonals are the - and + branches' own factors
+        diagonal, up, down = step_factors(ops.l.twice_l, "selective", z)
+        for row, sign in zip(diagonal, (-1, +1)):
+            want = band_factors(ops.m_band, ops.ladder_band, _coeffs_selective(z, ops.d, sign))
+            for got, expected in zip((row, up, down), want):
+                assert got.tobytes() == expected.tobytes()
 
 
 def test_hygiene_restores_hermiticity_and_trace():

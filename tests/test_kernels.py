@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qrf_sim.channels import _coeffs_average, _coeffs_selective, _coeffs_unitary
-from qrf_sim.kernels import apply_band, apply_factors, apply_structured, band_factors, to_bands
+from qrf_sim.kernels import apply_factors, apply_structured, band_factors, to_bands
 from qrf_sim.spin import build_spin_operators
 
 from helpers import random_density
@@ -50,7 +50,7 @@ def test_band_step_equals_dense_diagonals_exactly(twice_l):
     for coeffs in (_coeffs_average(z, ops.d), _coeffs_selective(z, ops.d, +1),
                    _coeffs_selective(z, ops.d, -1), _coeffs_unitary(z, ops.d, gamma)):
         dense = apply_structured(rho, ops.m_diag, ops.ladder, coeffs)
-        band = apply_band(to_bands(rho), ops.m_band, ops.ladder_band, coeffs)
+        band = apply_factors(to_bands(rho), *band_factors(ops.m_band, ops.ladder_band, coeffs))
         for k in range(3):
             assert np.array_equal(band[k, :ops.d - k], np.diagonal(dense, k))
             assert not band[k, ops.d - k:].any()  # the padding stays zero
@@ -69,8 +69,7 @@ def test_band_step_with_per_seed_coefficients_equals_one_step_per_seed():
                     [_coeffs_unitary(z[s], ops.d, gamma[s]) for s in range(5)]),
     }
     for per_seed, one_by_one in batch.values():
-        out = apply_band(B, ops.m_band, ops.ladder_band, per_seed)
-        factors = band_factors(ops.m_band, ops.ladder_band, per_seed)
-        assert np.array_equal(apply_factors(B, *factors), out)
+        out = apply_factors(B, *band_factors(ops.m_band, ops.ladder_band, per_seed))
         for s, coeffs in enumerate(one_by_one):
-            assert np.array_equal(out[s], apply_band(B[s], ops.m_band, ops.ladder_band, coeffs))
+            one = apply_factors(B[s], *band_factors(ops.m_band, ops.ladder_band, coeffs))
+            assert np.array_equal(out[s], one)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qrf_sim.channels as channels
 import qrf_sim.trajectory as trajectory
 from qrf_sim.channels import (
     average_channel,
@@ -11,10 +12,11 @@ from qrf_sim.channels import (
     selective_unnormalized,
     outcome_probabilities,
     selective_channel,
+    step_factors,
     unitary_channel,
     unitary_channel_tensor,
 )
-from qrf_sim.kernels import to_bands
+from qrf_sim.kernels import band_factors, to_bands
 from qrf_sim.metrics import UnpolarizedFrame, band_mean_L, mean_angular_momentum
 from qrf_sim.spin import (
     build_spin_operators,
@@ -26,6 +28,7 @@ from qrf_sim.spin import (
 from qrf_sim.trajectory import (
     AlternatingAntipolarized,
     ConditionalTuned,
+    LifetimeCapExceeded,
     MeasureStep,
     NumericalInvariantError,
     UnitaryAfterEachPlus,
@@ -292,17 +295,48 @@ def test_conditional_correction_makes_at_most_five_channel_calls(monkeypatch):
 
 def test_conditional_run_applies_each_chosen_kick_once(monkeypatch):
     # the trial kicks and the chosen one of conditional_correction_step, and
-    # no second application of the chosen kick by the run
-    calls = []
+    # no second application of the chosen kick by the run; the run repairs
+    # each step's state once, the kicked one included
+    calls, repairs = [], []
 
     def counting(*args, **kwargs):
         calls.append(args[3] if len(args) > 3 else kwargs["gamma"])
         return unitary_channel(*args, **kwargs)
 
+    def counting_hygiene(B):
+        repairs.append(B.shape)
+        return channels.hygiene(B)
+
     monkeypatch.setattr(trajectory, "unitary_channel", counting)
+    monkeypatch.setattr(trajectory, "hygiene", counting_hygiene)
     rec = run_stochastic(coherent_state(16, 2 * np.pi / 3), 50, 1.0, ConditionalTuned(), 3, OPS16)
     assert sum(e.gamma != 0.0 for e in rec.correction_events) > 0
     assert len(calls) <= 5 * 50
+    assert len(repairs) == 2 * 50  # one per measurement and one per correction step
+
+
+@pytest.mark.parametrize("l", [3.5, 16])
+def test_conditional_mirror_choice_survives_one_ulp(l):
+    # on an in-plane post-measurement state the mirror kicks gamma and
+    # 2 pi - gamma both hit the target with the same forward component: a
+    # one-ulp change of any entry moves gamma by rounding only, never to the mirror
+    ops = build_spin_operators(l)
+    B = to_bands(selective_channel(coherent_state(l, np.pi / 2), 1.0, ops, +1).post_state)
+    gamma = conditional_correction_step(B, np.pi / 2, +1, ops).gamma
+    assert gamma != 0.0
+    for k in range(3):
+        for j in range(2 * (ops.d - k)):  # the real and imaginary parts of band k
+            P = B.copy()
+            P.view(np.float64)[k, j] = np.nextafter(P.view(np.float64)[k, j], np.inf)
+            assert abs(conditional_correction_step(P, np.pi / 2, +1, ops).gamma - gamma) <= 1e-12
+
+
+def test_factor_memo_stays_bounded_over_a_conditional_run():
+    step_factors.cache_clear()
+    run_stochastic(coherent_state(16, 2 * np.pi / 3), 100, 1.0, ConditionalTuned(), 4, OPS16)
+    info = step_factors.cache_info()
+    assert info.misses > info.maxsize  # each chosen kick is a new entry
+    assert info.currsize <= info.maxsize == 32
 
 
 def test_conditional_strategy_runs_and_records():
@@ -387,7 +421,7 @@ def test_band_run_steps_match_dense_loop(l):
             sigma = selective_unnormalized(rho, z, ops, outcome)
             rho = dense_hygiene(sigma / sigma.trace().real)
             u = 0.5 * p_plus if outcome > 0 else 0.5 * (1.0 + p_plus)
-            batch, drawn = trajectory._apply(B[None], MeasureStep(z), ops, {},
+            batch, drawn = trajectory._apply(B[None], MeasureStep(z), ops,
                                              iter([np.array([u])]))
             assert drawn.tolist() == [outcome]
             B = batch[0]
@@ -396,7 +430,7 @@ def test_band_run_steps_match_dense_loop(l):
             dense = (average_channel(rho, z, ops) if kind == 0
                      else unitary_channel(rho, z, ops, step.gamma))
             rho = dense_hygiene(dense)
-            B, drawn = trajectory._apply(B, step, ops, {})
+            B, drawn = trajectory._apply(B, step, ops)
             assert drawn is None
         worst = max(worst, np.abs(B - to_bands(rho)).max())
     assert worst <= 1e-12
@@ -411,6 +445,36 @@ def test_usable_lifetime_is_first_crossing_of_run_average(strategy):
     life = usable_lifetime(rho, 1.0, ops, 0.9, strategy)
     run = run_average(rho, schedule_measurements(life + 5, 1.0), ops, strategy=strategy)
     assert np.flatnonzero(run.p_succ_series < 0.9)[0] == life
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 24])
+def test_usable_lifetime_block_reads_find_the_first_crossing(n):
+    # crossings at the first step, at both ends of a block boundary and mid-block,
+    # against the per-step reads of run_average
+    rho = coherent_state(8, np.pi / 2)
+    p = run_average(rho, schedule_measurements(40, 1.0), OPS8).p_succ_series
+    assert (np.diff(p) < 0).all()
+    threshold = 0.5 * (p[n - 1] + p[n])
+    assert usable_lifetime(rho, 1.0, OPS8, threshold) == n
+    assert usable_lifetime(rho, 1.0, OPS8, threshold, step_cap=n) == n  # the cap ends a block
+    if n > 20:
+        with pytest.raises(LifetimeCapExceeded) as exc:
+            usable_lifetime(rho, 1.0, OPS8, threshold, step_cap=20)
+        assert exc.value.cap == 20
+
+
+def test_usable_lifetime_builds_its_step_factors_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return band_factors(*args)
+
+    monkeypatch.setattr(channels, "band_factors", counting)
+    step_factors.cache_clear()
+    ops = build_spin_operators(64)
+    assert usable_lifetime(coherent_state(64, np.pi / 2), 0.0, ops, 0.9) == 1792
+    assert 1 <= len(calls) <= 2
 
 
 STRATEGIES = {"none": None, "alternating": AlternatingAntipolarized(),
