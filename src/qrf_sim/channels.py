@@ -21,6 +21,7 @@ step_factors, built from the same coefficient builders once per process;
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -201,7 +202,7 @@ def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
     gamma = 0 is the identity, gamma = pi the maximal kick.
     """
     z = as_polarization(q)
-    if not np.isfinite(gamma):
+    if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
     if bands:
         return apply_factors(rho, *step_factors(ops.l.twice_l, "unitary", z, gamma))
@@ -268,22 +269,24 @@ HYGIENE_TRIGGER = 1e-13
 HYGIENE_WARN = 1e-10
 
 
-def hygiene(B: np.ndarray) -> np.ndarray:
-    """Renormalize each band array (kernels.to_bands) of a (3, d) array or an
-    (..., 3, d) batch whose float drift exceeds 1e-13.
-
-    Used by the long stepping loops to stop rounding from accumulating;
-    corrections above 1e-10 are logged as suspicious, one line per array.
-    A band array is Hermitian by construction except for the imaginary part
-    of its main diagonal, so the check and correction are O(d); the drift
-    measured is the |rho - rho^dag| entry a dense check would find there.
-    A clean input comes back as the same object.
-    """
+def _drift(B: np.ndarray) -> tuple:
+    """(clean, hermiticity drift, trace drift) of each band array of a (3, d)
+    array or an (..., 3, d) batch, clean within 1e-13 and never for NaN.  A
+    band array loses hermiticity only on its main diagonal, where the drift
+    is the |rho - rho^dag| a dense check finds."""
     diag = B[..., 0, :]
-    # the ufunc reductions themselves, not their method wrappers: every step runs this
+    # the ufunc reductions themselves, not their method wrappers: every block runs this
     herm_drift = 2.0 * np.maximum.reduce(abs(diag.imag), axis=-1)
     tr_drift = abs(np.add.reduce(diag, axis=-1) - 1.0)
-    clean = (herm_drift <= HYGIENE_TRIGGER) & (tr_drift <= HYGIENE_TRIGGER)
+    return np.maximum(herm_drift, tr_drift) <= HYGIENE_TRIGGER, herm_drift, tr_drift
+
+
+def hygiene(B: np.ndarray) -> np.ndarray:
+    """Renormalize each band array (kernels.to_bands) of a (3, d) array or an
+    (..., 3, d) batch whose drift (_drift) exceeds 1e-13, so rounding cannot
+    accumulate over a run, and log corrections above 1e-10, one line per
+    array.  A clean input is returned as is."""
+    clean, herm_drift, tr_drift = _drift(B)
     if clean.all():
         return B
     drifted = ~clean

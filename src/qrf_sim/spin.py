@@ -189,7 +189,7 @@ class SourceQubit:
 def as_polarization(q) -> float:
     """Coerce a SourceQubit or bare float into a validated polarization."""
     z = q.z if isinstance(q, SourceQubit) else float(q)
-    if not np.isfinite(z) or abs(z) > 1.0:
+    if not math.isfinite(z) or abs(z) > 1.0:
         raise ValueError(f"polarization must lie in [-1, 1], got {q!r}")
     return z
 

@@ -8,8 +8,10 @@ loop, _evolve, and one step function, _apply: run_average and
 usable_lifetime feed it average-map steps, the stochastic engine
 measurements with drawn outcomes.  A strategy inserts its corrections after
 each step through the same hook in all of them.  Every step takes its
-kernel factors from the memo channels.step_factors.  Every run reads the
-polarization with metrics.band_mean_L and derives the inclination and
+kernel factors from the memo channels.step_factors.  Every state is checked
+to be finite and repaired by channels.hygiene, in blocks where no draw
+waits on it (see _evolve).  Every run reads the polarization with
+metrics.band_mean_L, a block at a time, and derives the inclination and
 p_succ (against the initial direction, unless given) from it.
 
 Trajectories are reproducible by construction: every seed owns a
@@ -31,7 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import OUTCOME_EPS, _p_plus, average_channel, hygiene, step_factors, unitary_channel
+from .channels import (OUTCOME_EPS, _drift, _p_plus, average_channel, hygiene, step_factors,
+                       unitary_channel)
 from .kernels import apply_factors, to_bands
 from .metrics import (
     UnpolarizedFrame,
@@ -45,7 +48,7 @@ from .spin import SpinOperators, as_polarization
 
 RNG_ALGORITHM = "numpy-philox4x64"
 CHUNK = 256  # seeds stepped together; see the module docstring
-LIFETIME_BLOCK = 16  # states usable_lifetime reads at once; at most 15 are stepped in vain
+STEP_BLOCK = 16  # steps checked and read at once without draws: larger blocks save no more
 
 
 class NumericalInvariantError(RuntimeError):
@@ -250,7 +253,7 @@ def _apply(B: np.ndarray, step, ops: SpinOperators, draws=None):
     uniform and that branch is applied, normalized; near-certain branches
     are forced so that conditioning stays well defined, and their uniform is
     consumed all the same.  Only a drawn measurement has outcomes, (S,) int8.
-    The new state must be finite and then gets the O(d) hygiene repair.
+    The new state is returned unchecked; _evolve checks it (_checked).
     """
     outcome = None
     if isinstance(step, UnitaryStep):
@@ -274,23 +277,60 @@ def _apply(B: np.ndarray, step, ops: SpinOperators, draws=None):
         if (p <= 0.0).any():
             raise NumericalInvariantError(f"selected branch has nonpositive weight {p.min()!r}")
         out, outcome = out / p[:, None, None], np.where(plus, np.int8(1), np.int8(-1))
-    if not np.isfinite(out).all():
+    return out, outcome
+
+
+def _checked(B: np.ndarray) -> np.ndarray:
+    """A stepped state, checked to be finite and then repaired by hygiene."""
+    if not np.isfinite(B).all():
         raise NumericalInvariantError("state left the finite domain during the run")
-    return hygiene(out), outcome
+    return hygiene(B)
 
 
 def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, draws=None):
     """The one stepping loop of every run: apply each step, then the
     corrections the strategy inserts after it (given the step's outcomes,
-    None under average evolution), and yield the state and the steps taken
-    with their outcomes, [(step, outcomes), (correction, outcomes), ...]."""
-    for i, step in enumerate(steps):
-        B, outcome = _apply(B, step, ops, draws)
-        taken = [(step, outcome)]
-        for fix in strategy.corrections(i, step.z, outcome, B, ops, theta0) if strategy else ():
-            B, fix_outcome = _apply(B, fix, ops, draws)
-            taken.append((fix, fix_outcome))
-        yield B, taken
+    None under average evolution), and yield blocks of primary steps as
+    (states, log): the state after each one's corrections, stacked, and per
+    step [(step, outcomes), (correction, outcomes), ...].
+
+    With draws, a block is one step, checked (_checked) before the next draw.
+    Without, STEP_BLOCK steps are taken by the kernel alone, then all their
+    states get one finite and one silent drift check (_drift); a block that
+    fails or raises is replayed from its start with _checked after every
+    step, so states, repairs, warnings and errors are those of checking each
+    state.
+    """
+    def run(B, block, check):
+        states, ends, log = [], [], []
+        for i, step in block:
+            B, outcome = _apply(B, step, ops, draws)
+            states.append(B := check(B))
+            log.append([(step, outcome)])
+            for fix in strategy.corrections(i, step.z, outcome, B, ops, theta0) if strategy else ():
+                B, fix_outcome = _apply(B, fix, ops, draws)
+                states.append(B := check(B))
+                log[-1].append((fix, fix_outcome))
+            ends.append(len(states) - 1)
+        return states, ends, log
+
+    steps = enumerate(steps)
+    while block := list(islice(steps, STEP_BLOCK if draws is None else 1)):
+        clean = False
+        if draws is None:
+            try:  # a replay raises, and warns, as checking each state does
+                with np.errstate(all="ignore"):
+                    states, ends, log = run(B, block, lambda state: state)
+                stack = np.array(states)
+                clean = _drift(stack)[0].all() and np.isfinite(stack).all()
+            except Exception:
+                pass
+        if not clean:
+            states, ends, log = run(B, block, _checked)
+            # a drawn block is one step: its batch is kept, not copied into a stack
+            stack = np.array(states) if draws is None else states[-1][None]
+        B = states[-1]
+        yield stack if len(ends) == len(stack) else stack[ends], log
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +374,19 @@ def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     cur = to_bands(rho0)
-    reads = [band_mean_L(cur, ops)]
+    reads = [band_mean_L(cur[None], ops)]
     if n_hat is None:
         _, n_hat, theta0 = _initial_direction(rho0, ops)
     else:  # the start may be unpolarized: its inclination is then NaN
-        n_hat, theta0 = unit_direction(n_hat), float(inclination_of(reads[0]))
-    indices = [0]
-    for i, (cur, _) in enumerate(_evolve(cur, schedule, strategy, ops, theta0), 1):
-        if i % record_every == 0 or i == len(schedule):
-            indices.append(i)
-            reads.append(band_mean_L(cur, ops))
-    mean_L = np.array(reads)
-    return AverageRun(np.array(indices), mean_L, inclination_of(mean_L),
+        n_hat, theta0 = unit_direction(n_hat), float(inclination_of(reads[0][0]))
+    at = np.arange(len(schedule) + 1)
+    keep = (at % record_every == 0) | (at == len(schedule))
+    n = 0
+    for states, _ in _evolve(cur, schedule, strategy, ops, theta0):
+        reads.append(band_mean_L(states[keep[n + 1:n + 1 + len(states)]], ops))
+        n, cur = n + len(states), states[-1]
+    mean_L = np.concatenate(reads)
+    return AverageRun(at[keep], mean_L, inclination_of(mean_L),
                       p_succ_of(mean_L, n_hat, ops), cur)
 
 
@@ -355,8 +396,8 @@ def usable_lifetime(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
     falls below the threshold, under average evolution with the given
     correction strategy.
 
-    Steps forward one average channel at a time and reads the states in
-    blocks of LIFETIME_BLOCK, returning the first crossing; correction steps
+    Steps forward one average channel at a time and reads each checked
+    block of _evolve at once, returning the first crossing; correction steps
     are applied but not counted, and only outcome-independent strategies
     have an average evolution.  The cap is reported by exception if the
     threshold is never crossed within step_cap steps.
@@ -367,13 +408,12 @@ def usable_lifetime(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
         raise ThresholdOutOfRange(f"threshold must lie in (0.5, p_succ(rho0)) = (0.5, {p0:.6f}), "
                                   f"got {threshold!r}")
     steps = repeat(MeasureStep(as_polarization(q)), step_cap)
-    states = (cur for cur, _ in _evolve(to_bands(rho0), steps, strategy, ops, theta0))
     n = 0
-    while block := list(islice(states, LIFETIME_BLOCK)):
-        below = p_succ_of(band_mean_L(np.array(block), ops), n_hat, ops) < threshold
+    for states, _ in _evolve(to_bands(rho0), steps, strategy, ops, theta0):
+        below = p_succ_of(band_mean_L(states, ops), n_hat, ops) < threshold
         if below.any():
             return n + int(below.argmax()) + 1
-        n += len(block)
+        n += len(states)
     raise LifetimeCapExceeded(step_cap)
 
 
@@ -510,7 +550,8 @@ def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinO
         log = []
         reads = np.empty((2, len(chunk), n_measure + 1))
         reads[:, :, 0] = read(B)
-        for i, (B, taken) in enumerate(_evolve(B, steps, strategy, ops, theta0, draws), 1):
+        for i, (states, (taken,)) in enumerate(_evolve(B, steps, strategy, ops, theta0, draws), 1):
+            B = states[0]
             # the log keeps no kicked batch: one per step would outgrow the state
             log.append([(replace(step, bands=None) if getattr(step, "bands", None) is not None
                          else step, o) for step, o in taken])

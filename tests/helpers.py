@@ -14,10 +14,13 @@ from qrf_sim.channels import (
 )
 from qrf_sim.kernels import apply_factors, band_factors, to_bands
 from qrf_sim.metrics import UNPOLARIZED_EPS, mean_angular_momentum, summarize_frame
+import qrf_sim.trajectory as trajectory
 from qrf_sim.trajectory import (
     AlternatingAntipolarized,
     ConditionalTuned,
     CorrectionEvent,
+    MeasureStep,
+    NumericalInvariantError,
     UnitaryAfterEachPlus,
     UnitaryEveryK,
     conditional_correction_step,
@@ -147,3 +150,28 @@ def reference_record(rho0: np.ndarray, n_measure: int, z: float, strategy, seed:
         reads.append(dense_reads(B, ops, n_hat))
     probs, thetas = np.array(reads).T
     return "".join("+" if o > 0 else "-" for o in outcomes), events, probs, thetas, B
+
+
+def checked_average_steps(B: np.ndarray, n: int, z: float, ops) -> list:
+    """The band states of n average steps, each checked before the next: the
+    step function, a finite check and hygiene, the stepping loop's rule
+    written out state by state."""
+    states = []
+    for _ in range(n):
+        B, _ = trajectory._apply(B, MeasureStep(z), ops)
+        if not np.isfinite(B).all():
+            raise NumericalInvariantError("state left the finite domain during the run")
+        B = hygiene(B)
+        states.append(B)
+    return states
+
+
+def inject_after(monkeypatch, target: np.ndarray, delta: np.ndarray):
+    """Add delta to the result of every average step the stepping loop takes
+    from the state target: a fault tied to a state, so a replayed block
+    meets it again."""
+    def injecting(B, *args, **kwargs):
+        out = average_channel(B, *args, **kwargs)
+        return out + delta if np.array_equal(B, target) else out
+
+    monkeypatch.setattr(trajectory, "average_channel", injecting)

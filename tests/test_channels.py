@@ -9,6 +9,7 @@ from qrf_sim.channels import (
     _coeffs_average,
     _coeffs_selective,
     _coeffs_unitary,
+    _drift,
     _p_plus,
     average_channel,
     average_channel_tensor,
@@ -362,3 +363,31 @@ def test_band_hygiene_and_probabilities_of_a_batch_go_seed_by_seed(caplog):
         assert np.array_equal(fixed[s], hygiene(dirty[s]))
         assert not fixed[s, 0].imag.any()
         assert abs(fixed[s, 0].sum() - 1.0) <= 1e-15
+
+
+def test_drift_is_the_rule_hygiene_repairs_by_and_logs_nothing(caplog):
+    # one measure for the stepping loop's silent block check and for hygiene:
+    # clean exactly where hygiene returns its input, NaN never clean
+    ops = build_spin_operators(2)
+    B = np.repeat(to_bands(coherent_state(2, 1.0))[None], 5, axis=0)
+    B[1, 0, 2] += 2e-9j                 # hermiticity drift 4e-9, above the warning level
+    B[2, 0] *= 1.0 + 1e-12              # trace drift above the trigger only
+    B[3, 0, 0] += 4e-14j                # hermiticity drift 8e-14, within the trigger
+    B[4, 0, 1] = np.nan
+    with caplog.at_level(logging.WARNING, logger="qrf_sim.channels"):
+        clean, herm, tr = _drift(B)
+    assert not caplog.records
+    assert clean.tolist() == [True, False, False, True, False]
+    assert herm[1] == 4e-9 and tr[2] > 1e-13
+    for row, row_clean in zip(B[:4], clean):
+        assert (hygiene(row) is row) == row_clean
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, np.float64(np.nan),
+                                   np.float64(np.inf)])
+def test_unitary_channel_rejects_a_non_finite_gamma(gamma):
+    ops = build_spin_operators(2)
+    rho = coherent_state(2, 1.0)
+    for bands in (False, True):
+        with pytest.raises(ValueError, match="gamma"):
+            unitary_channel(to_bands(rho) if bands else rho, 1.0, ops, gamma, bands=bands)

@@ -15,8 +15,11 @@ from qrf_sim.channels import (
     unitary_channel_tensor,
 )
 from qrf_sim.cli import main
+from qrf_sim.kernels import to_bands
 from qrf_sim.metrics import p_succ
 from qrf_sim.spin import build_spin_operators, coherent_state
+
+from helpers import checked_average_steps, inject_after
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -181,7 +184,8 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # count and with one thread: the CSV and sidecar bytes must not change
     cases = [("fig5", {"n_measure": 20, "seeds": {"base": 0, "count": 300}}),
              ("fig3", {"n_steps": 100}),
-             ("custom", {"n_steps": 100, "strategy": {"kind": "unitary_every_k", "k": 2}})]
+             ("custom", {"n_steps": 100, "strategy": {"kind": "unitary_every_k", "k": 2}}),
+             ("scaling", {"l_list": [8, 64], "z_list": [0.0, 1.0], "thresholds": [0.9]})]
     blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in blas_vars}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
@@ -390,6 +394,24 @@ def test_fig5_frame_left_unpolarized_matches_tensor_replay(tmp_path):
         assert np.abs(cols[:, column] - np.mean(series, axis=0)).max() <= 1e-12
         assert np.abs(cols[:, column + 3]
                       - np.std(series, axis=0, ddof=1) / np.sqrt(6)).max() <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_average_step_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch, value):
+    # a non-finite entry from step 21, inside the second block of 16; steps
+    # taken on inf warn, and no such warning may come before the replay's error
+    ops = build_spin_operators(8)
+    rho = coherent_state(8, 0.5 * np.pi)
+    target = checked_average_steps(to_bands(rho), 20, 1.0, ops)[-1]
+    delta = np.zeros_like(target)
+    delta[0, 4] = value
+    inject_after(monkeypatch, target, delta)
+    rc, _ = run(tmp_path, "custom", {"l": 8, "n_steps": 40})
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical-invariant: ")
+    assert "finite domain" in err[0]
 
 
 def test_custom_undefined_theta_is_exit_3_with_one_line(tmp_path, capsys):

@@ -7,6 +7,7 @@ from qrf_sim.spin import (
     SourceQubit,
     SpinQuantum,
     SpinValueError,
+    as_polarization,
     build_spin_operators,
     check_density_matrix,
     coherent_state,
@@ -246,6 +247,20 @@ def test_source_state_values():
         source_state(1.5)
     with pytest.raises(ValueError):
         SourceQubit(-1.0001)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan),
+                                 np.float64(np.inf), np.float64(-np.inf), 1.0 + 1e-12, -1.5, 2])
+def test_as_polarization_rejects_non_finite_and_out_of_range(bad):
+    with pytest.raises(ValueError, match="polarization"):
+        as_polarization(bad)
+
+
+def test_as_polarization_accepts_sources_ints_and_numpy_floats():
+    for q, z in [(SourceQubit(-0.25), -0.25), (1, 1.0), (0, 0.0), (-1, -1.0),
+                 (np.float64(0.4), 0.4), (np.float64(-1.0), -1.0)]:
+        got = as_polarization(q)
+        assert got == z and isinstance(got, float)
 
 
 def test_all_state_families_are_density_matrices():

@@ -1,4 +1,5 @@
 import inspect
+import logging
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from qrf_sim.channels import (
     unitary_channel_tensor,
 )
 from qrf_sim.kernels import band_factors, to_bands
-from qrf_sim.metrics import UnpolarizedFrame, band_mean_L, mean_angular_momentum
+from qrf_sim.metrics import UnpolarizedFrame, band_mean_L, mean_angular_momentum, p_succ_of
 from qrf_sim.spin import (
     build_spin_operators,
     coherent_state,
@@ -45,7 +46,15 @@ from qrf_sim.trajectory import (
 )
 
 
-from helpers import band_error, dense_hygiene, reference_record, replay_average, replay_outcomes
+from helpers import (
+    band_error,
+    checked_average_steps,
+    dense_hygiene,
+    inject_after,
+    reference_record,
+    replay_average,
+    replay_outcomes,
+)
 
 OPS8 = build_spin_operators(8)
 OPS16 = build_spin_operators(16)
@@ -404,9 +413,9 @@ def test_stochastic_mean_state_approaches_average_map():
 
 @pytest.mark.parametrize("l", [0.5, 1, 3.5, 16, 128])
 def test_band_run_steps_match_dense_loop(l):
-    # 1000 mixed steps through the run loop's step function against the
-    # dense kernel plus hygiene: average, unitary, and a drawn measurement on
-    # a one-seed batch whose uniform picks the outcome of the dense branch
+    # 1000 mixed steps through the run loop's step function and per-state
+    # check against the dense kernel plus hygiene: average, unitary, and a drawn
+    # measurement on a one-seed batch whose uniform picks the dense branch's outcome
     rng = np.random.default_rng(int(2 * l))
     ops = build_spin_operators(l)
     rho = thermal_partial_coherent(l, 0.6, 1.1)
@@ -424,13 +433,14 @@ def test_band_run_steps_match_dense_loop(l):
             batch, drawn = trajectory._apply(B[None], MeasureStep(z), ops,
                                              iter([np.array([u])]))
             assert drawn.tolist() == [outcome]
-            B = batch[0]
+            B = trajectory._checked(batch)[0]
         else:
             step = MeasureStep(z) if kind == 0 else UnitaryStep(z, rng.uniform(0, 2 * np.pi))
             dense = (average_channel(rho, z, ops) if kind == 0
                      else unitary_channel(rho, z, ops, step.gamma))
             rho = dense_hygiene(dense)
             B, drawn = trajectory._apply(B, step, ops)
+            B = trajectory._checked(B)
             assert drawn is None
         worst = max(worst, np.abs(B - to_bands(rho)).max())
     assert worst <= 1e-12
@@ -475,6 +485,80 @@ def test_usable_lifetime_builds_its_step_factors_once(monkeypatch):
     ops = build_spin_operators(64)
     assert usable_lifetime(coherent_state(64, np.pi / 2), 0.0, ops, 0.9) == 1792
     assert 1 <= len(calls) <= 2
+
+
+def test_clean_lifetime_checks_each_block_once(monkeypatch):
+    # a run without draws checks a clean block of 16 states at once, without hygiene
+    calls = []
+
+    def counting(B):
+        calls.append(B.shape)
+        return channels.hygiene(B)
+
+    monkeypatch.setattr(trajectory, "hygiene", counting)
+    ops = build_spin_operators(64)
+    assert usable_lifetime(coherent_state(64, np.pi / 2), 0.0, ops, 0.9) == 1792
+    assert len(calls) <= 1792 // trajectory.STEP_BLOCK + 16
+
+
+def _lifetime_setup():
+    """A start whose lifetime outlasts two blocks, its band array, the
+    clean checked states of 40 steps and a threshold crossed at step 37."""
+    rho = coherent_state(8, np.pi / 2)
+    B0 = to_bands(rho)
+    states = checked_average_steps(B0, 40, 1.0, OPS8)
+    v0 = mean_angular_momentum(rho, OPS8)
+    p = p_succ_of(band_mean_L(np.array(states), OPS8), v0 / np.linalg.norm(v0), OPS8)
+    return rho, B0, states, 0.5 * (p[35] + p[36])
+
+
+@pytest.mark.parametrize("size, warnings", [(1e-11, 0), (1e-9, 1)])
+def test_drifted_block_is_replayed_like_a_per_step_loop(monkeypatch, caplog, size, warnings):
+    # a trace drift injected at step 21, mid-block: the kernel-only block fails the
+    # silent drift check and its replay repairs step 21 as checking each state
+    # does; a drift above 1e-10 logs its one warning there, and only there
+    rho, B0, clean, threshold = _lifetime_setup()
+    delta = np.zeros_like(B0)
+    delta[0, 3] = size
+    inject_after(monkeypatch, clean[19], delta)
+    with caplog.at_level(logging.WARNING, logger="qrf_sim.channels"):
+        states = checked_average_steps(B0, 40, 1.0, OPS8)
+    assert len(caplog.records) == warnings
+    assert not np.array_equal(states[-1], clean[-1])  # the repair changed the run
+    reads = band_mean_L(np.array([B0, *states]), OPS8)
+    v0 = reads[0]
+    below = p_succ_of(reads[1:], v0 / np.linalg.norm(v0), OPS8) < threshold
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="qrf_sim.channels"):
+        run = run_average(rho, schedule_measurements(40, 1.0), OPS8)
+        assert len(caplog.records) == warnings
+        assert usable_lifetime(rho, 1.0, OPS8, threshold) == below.argmax() + 1
+        assert len(caplog.records) == 2 * warnings
+    assert np.array_equal(run.mean_L, reads)
+    assert np.array_equal(run.final_bands, states[-1])
+
+
+def test_non_finite_state_mid_block_raises(monkeypatch):
+    rho, B0, clean, threshold = _lifetime_setup()
+    delta = np.zeros_like(B0)
+    delta[1, 2] = np.nan
+    inject_after(monkeypatch, clean[19], delta)
+    with pytest.raises(NumericalInvariantError, match="finite domain"):
+        checked_average_steps(B0, 40, 1.0, OPS8)
+    with pytest.raises(NumericalInvariantError, match="finite domain"):
+        run_average(rho, schedule_measurements(40, 1.0), OPS8)
+    with pytest.raises(NumericalInvariantError, match="finite domain"):
+        usable_lifetime(rho, 1.0, OPS8, threshold)
+
+
+def test_block_that_raises_is_replayed_to_the_first_error_of_a_per_step_loop():
+    # a non-finite start fails the check of step 1 before the outcome-dependent
+    # strategy refuses its average evolution after it
+    rho = coherent_state(2, 1.0).copy()
+    rho[0, 1] = np.nan
+    with pytest.raises(NumericalInvariantError, match="finite domain"):
+        run_average(rho, schedule_measurements(5, 1.0), build_spin_operators(2),
+                    n_hat=[0.0, 0.0, 1.0], strategy=UnitaryAfterEachPlus())
 
 
 STRATEGIES = {"none": None, "alternating": AlternatingAntipolarized(),
