@@ -7,8 +7,8 @@ Each channel is implemented twice, on independent code paths:
   qubit out -- the reference used by the tests, and
 * a *structured* route through :mod:`qrf_sim.kernels` that applies the same
   map from its six coefficients: an O(d^2) update of a d x d matrix here,
-  and in the run loops an O(d) update of the (3, d) band array of the
-  diagonals 0-2, the only state a run steps.
+  and in the run loops an O(d) update of the (2, d) band array of the
+  diagonals 0 and 1, the only state a run steps.
 
 The two routes agree to 1e-12 and disagreeing beyond that is treated as a
 bug in the structured coefficients, never in the tensor form.  The band
@@ -267,11 +267,12 @@ logger = logging.getLogger(__name__)
 
 HYGIENE_TRIGGER = 1e-13
 HYGIENE_WARN = 1e-10
+CHOI_L_CAP = 8.0
 
 
 def _drift(B: np.ndarray) -> tuple:
-    """(clean, hermiticity drift, trace drift) of each band array of a (3, d)
-    array or an (..., 3, d) batch, clean within 1e-13 and never for NaN.  A
+    """(clean, hermiticity drift, trace drift) of each band array of a (2, d)
+    array or an (..., 2, d) batch, clean within 1e-13 and never for NaN.  A
     band array loses hermiticity only on its main diagonal, where the drift
     is the |rho - rho^dag| a dense check finds."""
     diag = B[..., 0, :]
@@ -282,8 +283,8 @@ def _drift(B: np.ndarray) -> tuple:
 
 
 def hygiene(B: np.ndarray) -> np.ndarray:
-    """Renormalize each band array (kernels.to_bands) of a (3, d) array or an
-    (..., 3, d) batch whose drift (_drift) exceeds 1e-13, so rounding cannot
+    """Renormalize each band array (kernels.to_bands) of a (2, d) array or an
+    (..., 2, d) batch whose drift (_drift) exceeds 1e-13, so rounding cannot
     accumulate over a run, and log corrections above 1e-10, one line per
     array.  A clean input is returned as is."""
     clean, herm_drift, tr_drift = _drift(B)
@@ -308,17 +309,16 @@ class ChoiReport:
     tp_defect: float
 
 
-def verify_cptp(channel: Callable[[np.ndarray], np.ndarray], ops: SpinOperators,
-                l_cap: float = 8.0) -> ChoiReport:
+def verify_cptp(channel: Callable[[np.ndarray], np.ndarray], ops: SpinOperators) -> ChoiReport:
     """Certify a frame channel by building its Choi matrix explicitly.
 
     The channel acts on one half of a maximally entangled pair; complete
     positivity is the positivity of the resulting d^2 x d^2 matrix and trace
-    preservation the defect of the traced-out half.  Capped at l <= l_cap
+    preservation the defect of the traced-out half.  Capped at l <= CHOI_L_CAP
     (the Choi matrix grows as d^2).
     """
-    if ops.l_value > l_cap:
-        raise ChoiDimensionError(f"l = {ops.l_value} exceeds the Choi cap l <= {l_cap}")
+    if ops.l_value > CHOI_L_CAP:
+        raise ChoiDimensionError(f"l = {ops.l_value} exceeds the Choi cap l <= {CHOI_L_CAP}")
     d = ops.d
     choi = np.zeros((d * d, d * d), dtype=np.complex128)
     tp_defect = 0.0

@@ -10,8 +10,9 @@ JSON documents; unknown keys are rejected (they are usually typos in physics
 parameters).  All angles are radians.  Every output CSV embeds the config
 hash, RNG identifier and seed list as '#' header comments and is
 byte-reproducible for a fixed config; a JSON summary sidecar is written next
-to it.  Exit codes: 0 success, 2 config error, 3 numerical-invariant
-violation during the run (including an output value that is not finite).
+to it.  Exit codes: 0 success, 2 config error (an output path that would
+overwrite the config or the other output, or cannot be written, too), 3
+numerical-invariant violation (including an output value that is not finite).
 --threads is accepted and must be a positive integer, but changes nothing:
 every run is single-threaded and its bytes never depended on it.
 """
@@ -95,11 +96,11 @@ def load_config(experiment: str, path: str, overrides: dict) -> dict:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"choose from {sorted(DEFAULTS)}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -454,7 +455,21 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def write_outputs(out_path: str, experiment: str, cfg: dict, columns, rows, sidecar):
+def sidecar_path(config_path: str, out_path: str) -> str:
+    """The JSON sidecar next to the CSV out_path, once checked that no run overwrites
+    its config or one output with the other, or finishes with nowhere to write."""
+    side_path = os.path.splitext(out_path)[0] + ".json"
+    _require(len({os.path.realpath(p) for p in (config_path, out_path, side_path)}) == 3,
+             f"the config {config_path!r}, the CSV {out_path!r} and the sidecar "
+             f"{side_path!r} must be three different files")
+    _require(not os.path.isdir(out_path), f"the CSV path {out_path!r} is a directory")
+    _require(os.path.isdir(os.path.dirname(out_path) or "."),
+             f"the directory of the CSV path {out_path!r} does not exist")
+    return side_path
+
+
+def write_outputs(out_path: str, side_path: str, experiment: str, cfg: dict, columns, rows,
+                  sidecar):
     for i, row in enumerate(rows):
         for name, value in zip(columns, row):
             if not math.isfinite(value):
@@ -475,7 +490,6 @@ def write_outputs(out_path: str, experiment: str, cfg: dict, columns, rows, side
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    side_path = os.path.splitext(out_path)[0] + ".json"
     payload = {
         "experiment": experiment,
         "version": __version__,
@@ -487,7 +501,6 @@ def write_outputs(out_path: str, experiment: str, cfg: dict, columns, rows, side
     with open(side_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return side_path
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output CSV path (default <experiment>.csv)")
     parser.add_argument("--seeds", default=None, help="comma-separated seed list override")
     parser.add_argument("--gamma", type=float, default=None, help="kick-angle override (radians)")
+    # --threads stays because perfbench/worker.py passes --threads 1
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility and validated; runs are "
                              "single-threaded")
@@ -533,11 +547,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _require(args.threads >= 1, f"--threads must be a positive integer, got {args.threads}")
+        out = args.out or f"{args.experiment}.csv"
+        side = sidecar_path(args.config, out)
         cfg = load_config(args.experiment, args.config, _flag_overrides(args))
         columns, rows, sidecar = RUNNERS[args.experiment](cfg)
-        out = args.out or f"{args.experiment}.csv"
-        side = write_outputs(out, args.experiment, cfg, columns, rows, sidecar)
-    except ConfigError as exc:
+        write_outputs(out, side, args.experiment, cfg, columns, rows, sidecar)
+    except (ConfigError, OSError) as exc:  # an OSError here is a failed write
         print(f"config-error: {exc}", file=sys.stderr)
         return 2
     except (NumericalInvariantError, DensityMatrixError) as exc:

@@ -16,15 +16,16 @@ products.  `apply_structured` does it on a d x d matrix: one outer product
 for the Lz terms and two shifted slices for the ladder terms.
 
 Every such map commutes with rotations about Z, so it sends each diagonal
-rho[i, i+k] to itself with a tridiagonal update along it.  Everything the
-package records reads only the diagonals |k| <= 2, so the run loops carry a
-state as its band array B[..., k, i] = rho[i, i+k], k = 0, 1, 2, zero-padded
-to length d (the lower diagonals are the conjugates).  `band_factors` forms
-a step's factors from its coefficients and `apply_factors` steps that array
-in O(d) with the same per-element expression as the dense kernel, so its
-output equals the dense kernel's diagonals bit for bit.  The run loops take
-the factors of every step they repeat from the memo channels.step_factors,
-which calls `band_factors` once per process for each step.
+rho[i, i+k] to itself with a tridiagonal update along it.  Everything a run
+records is read from the polarization <L>, which lives on the diagonals 0
+and 1, so the run loops carry a state as its band array B[..., k, i] =
+rho[i, i+k], k = 0, 1, zero-padded to length d (the lower diagonals are the
+conjugates).  `band_factors` forms a step's factors from its coefficients
+and `apply_factors` steps that array in O(d) with the same per-element
+expression as the dense kernel, so its output equals the dense kernel's
+diagonals bit for bit, whatever the number of rows.  The run loops take the
+factors of every step they repeat from the memo channels.step_factors, which
+calls `band_factors` once per process for each step.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def band_factors(m_band: np.ndarray, ladder_band: np.ndarray, coeffs):
     of SpinOperators: w_i + u_i m_{i+k} on element (k, i) and the ladder
     products c_+ ladder, c_- ladder on B[k, i +- 1].  A coefficient may be an
     array broadcasting against the band array, such as one of shape (S, 1, 1)
-    for an (S, 3, d) batch."""
+    for an (S, 2, d) batch."""
     try:
         c_id, c_plus, c_minus, c_zz, c_anti, c_comm = map(complex, coeffs)
     except TypeError:  # an array coefficient
@@ -65,7 +66,7 @@ def band_factors(m_band: np.ndarray, ladder_band: np.ndarray, coeffs):
 
 def apply_factors(B: np.ndarray, diagonal: np.ndarray, up: np.ndarray,
                   down: np.ndarray) -> np.ndarray:
-    """Apply the factors of band_factors to a (..., 3, d) band array."""
+    """Apply the factors of band_factors to a (..., 2, d) band array."""
     B = np.asarray(B, dtype=np.complex128)
     out = diagonal * B
     out[..., :-1] += up * B[..., 1:]
@@ -74,9 +75,9 @@ def apply_factors(B: np.ndarray, diagonal: np.ndarray, up: np.ndarray,
 
 
 def to_bands(rho: np.ndarray) -> np.ndarray:
-    """The (3, d) band array of the diagonals 0, 1, 2 of a d x d matrix."""
+    """The (2, d) band array of the diagonals 0 and 1 of a d x d matrix."""
     d = rho.shape[0]
-    B = np.zeros((3, d), dtype=np.complex128)
-    for k in range(3):
-        B[k, :d - k] = np.diagonal(rho, k)
+    B = np.zeros((2, d), dtype=np.complex128)
+    B[0] = np.diagonal(rho)
+    B[1, :d - 1] = np.diagonal(rho, 1)
     return B

@@ -2,16 +2,17 @@
 probability that follow from it, and the rotated quadratic moments.
 
 Every figure reads one quantity per step, the polarization <L>, each
-component exact Re Tr[rho L_a].  band_mean_L is its one reader, on the band
-array of a state (kernels.to_bands: the diagonals 0-2) or an (..., 3, d)
-batch of them: <Lz> comes from the main diagonal and <L-> from the first, as
+component exact Re Tr[rho L_a].  band_mean_L is its one reader, on the
+two-row band array of a state (kernels.to_bands) or an (..., 2, d) batch
+of them: <Lz> comes from the main diagonal and <L-> from the first, as
 elementwise sums, O(d) per array with no matrix product.  inclination_of and
 p_succ_of derive theta and p_succ from its output, one formula each.  A band
 array stands for a Hermitian matrix; the optional ``lower`` band array
 supplies the lower diagonals of a non-Hermitian one.  The dense functions
 are wrappers that pass both triangles, so they stay exact for any square
 rho.  summarize_frame adds the second moments, which live on the diagonals
-|k| <= 2 too and are read through the SpinOperators readout table."""
+|k| <= 2 of the dense rho; quadratic_moments reads them there, with the
+weights of each moment written out in it."""
 
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ class FrameSummary:
 
 def band_mean_L(B: np.ndarray, ops: SpinOperators, lower: np.ndarray | None = None) -> np.ndarray:
     """Polarization vectors (<Lx>, <Ly>, <Lz>), each Re Tr[rho L_a], of a
-    (3, d) band array or an (..., 3, d) batch, shape (..., 3)."""
+    (2, d) band array or an (..., 2, d) batch, shape (..., 3)."""
     # <L-> = <Lx> - i<Ly> on the first upper diagonal, <L+> on the first lower one
     # (its conjugate for Hermitian rho); ufunc reductions skip .sum's wrapper
     minus = np.add.reduce(B[..., 1, :-1] * ops.ladder[1:], axis=-1)
@@ -92,27 +93,24 @@ def mean_angular_momentum(rho: np.ndarray, ops: SpinOperators) -> np.ndarray:
     return band_mean_L(to_bands(rho), ops, to_bands(rho.T))
 
 
-def _quadratic(B: np.ndarray, lower: np.ndarray, ops: SpinOperators) -> np.ndarray:
-    # upper[k, c] and low[k, c]: column c of the readout table read along the
-    # k-th upper (rho[i, i+k]) and lower (rho[i+k, i]) diagonal; the moments
-    # follow from L+- = Lx +- i Ly expanded to second order
-    upper, low = B @ ops.readout, lower @ ops.readout
-    pp, mm = low[2, 3], upper[2, 3]                           # <L+^2>, <L-^2>
-    zp, zm = low[1, 2], upper[1, 2]                           # <{Lz,L+}>, <{Lz,L-}>
-    pm = upper[0, 1].real                                     # <L+L- + L-L+>
+def quadratic_moments(rho: np.ndarray, ops: SpinOperators) -> np.ndarray:
+    """Symmetrized second moments M_ij = Re Tr[rho {L_i, L_j}]/2 in the
+    background frame, read from the diagonals |k| <= 2 of rho."""
+    # L+- = Lx +- i Ly expanded to second order: each moment is a weighted sum along
+    # one diagonal, the upper one rho[i, i+k] for L-, the lower one rho[i+k, i] for L+
+    m, a, a2 = ops.m_diag, ops.ladder, ops.ladder ** 2
+    diag = np.diagonal(rho).real
+    zz = diag @ (m * m)                                           # <Lz^2>
+    pm = diag @ (a2 + np.append(a2[1:], 0.0))                     # <L+L- + L-L+>
+    w1, w2 = a[1:] * (m[:-1] + m[1:]), a[1:-1] * a[2:]
+    zp, zm = np.diagonal(rho, -1) @ w1, np.diagonal(rho, 1) @ w1  # <{Lz,L+}>, <{Lz,L-}>
+    pp, mm = np.diagonal(rho, -2) @ w2, np.diagonal(rho, 2) @ w2  # <L+^2>, <L-^2>
     xx = 0.25 * (pm + (pp + mm).real)
     yy = 0.25 * (pm - (pp + mm).real)
     xy = 0.25 * (pp - mm).imag
     xz = 0.25 * (zp + zm).real
     yz = 0.25 * (zp - zm).imag
-    zz = upper[0, 0].real
     return np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
-
-
-def quadratic_moments(rho: np.ndarray, ops: SpinOperators) -> np.ndarray:
-    """Symmetrized second moments M_ij = Re Tr[rho {L_i, L_j}]/2 in the
-    background frame."""
-    return _quadratic(to_bands(rho), to_bands(rho.T), ops)
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -129,14 +127,13 @@ def summarize_frame(rho: np.ndarray, ops: SpinOperators) -> FrameSummary:
     carry a nonzero out_of_plane fraction.  Raises UnpolarizedFrame when the
     frame has no direction.
     """
-    B, lower = to_bands(rho), to_bands(rho.T)
-    v = band_mean_L(B, ops, lower)
+    v = mean_angular_momentum(rho, ops)
     theta, norm = float(inclination_of(v)), np.linalg.norm(v)
     if np.isnan(theta):
         raise UnpolarizedFrame(f"|<L>| = {norm:.3e}; no direction to summarize")
     R = _rotation(theta)
     return FrameSummary(v, float(norm / ops.l_value), theta, float(abs(v[1]) / norm),
-                        R @ _quadratic(B, lower, ops) @ R.T)
+                        R @ quadratic_moments(rho, ops) @ R.T)
 
 
 def background_moments(summary: FrameSummary) -> tuple[float, float]:

@@ -20,6 +20,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
+THERMAL_TOL = 1e-12  # |<L'z>/l - r| at which the thermal bisection stops
 
 
 class DensityMatrixError(ValueError):
@@ -67,14 +68,9 @@ class SpinOperators:
     ``m_diag`` is the diagonal of Lz and ``ladder`` holds the raising
     coefficients: ``ladder[k] = <m_{k-1}| L+ |m_k>`` with ``ladder[0] = 0``.
     The two vectors are what the dense structured kernel consumes.  The band
-    kernel reads them along the diagonals k = 0, 1, 2 instead:
+    kernel reads them along the diagonals k = 0, 1 instead:
     ``m_band[k, i] = m_{i+k}`` and ``ladder_band[k, i] = ladder[i+1] *
-    ladder[i+k+1]``, zero where the index leaves the matrix.  The (d, 4)
-    ``readout`` table gives the second moments as one product
-    ``B @ readout``: row i, column c is the weight of rho[i, i+k] in the
-    upper-triangle part of <Lz^2>, <L+L- + L-L+> (k = 0), <{Lz, L-}> (k = 1)
-    and <L-^2> (k = 2).  The polarization is read from m_diag and ladder
-    directly (metrics.band_mean_L).
+    ladder[i+k+1]``, zero where the index leaves the matrix.
     """
 
     l: SpinQuantum
@@ -87,7 +83,6 @@ class SpinOperators:
     ladder: np.ndarray
     m_band: np.ndarray
     ladder_band: np.ndarray
-    readout: np.ndarray
 
     @property
     def d(self) -> int:
@@ -118,20 +113,10 @@ def _build_spin_operators(twice_l: int) -> SpinOperators:
     Lminus = Lplus.conj().T
     Lx = (Lplus + Lminus) / 2.0
     Ly = (Lplus - Lminus) / 2.0j
-    m_band = np.zeros((3, d))
-    ladder_band = np.zeros((3, d - 1))
-    products = np.outer(ladder[1:], ladder[1:])  # the dense kernel's ladder factor
-    for k in range(3):
-        m_band[k, :d - k] = m[k:]
-        ladder_band[k, :max(d - 1 - k, 0)] = np.diagonal(products, k)
-    a = np.append(ladder, [0.0, 0.0])  # a[d] = a[d+1] = 0
-    readout = np.zeros((d, 4), dtype=np.complex128)
-    readout[:, 0] = m * m
-    readout[:, 1] = a[:d] ** 2 + a[1:d + 1] ** 2
-    readout[:-1, 2] = a[1:d] * (m[:-1] + m[1:])
-    readout[:, 3] = a[1:d + 1] * a[2:]
-    return SpinOperators(l, Lx, Ly, Lz, Lplus, Lminus, m, ladder, m_band, ladder_band,
-                         readout)
+    m_band = np.array([m, np.append(m[1:], 0.0)])
+    # the dense kernel's ladder products ladder[i+1] ladder[i+k+1] along diagonal k
+    ladder_band = np.array([ladder[1:] * ladder[1:], np.append(ladder[1:-1] * ladder[2:], 0.0)])
+    return SpinOperators(l, Lx, Ly, Lz, Lplus, Lminus, m, ladder, m_band, ladder_band)
 
 
 def build_spin_operators(l) -> SpinOperators:
@@ -270,12 +255,12 @@ def _diagonal_thermal_weights(beta: float, m: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def thermal_partial_coherent(l, r: float, theta: float, *, tol: float = 1e-12) -> np.ndarray:
+def thermal_partial_coherent(l, r: float, theta: float) -> np.ndarray:
     """Maximum-entropy state with polarization <L'z>/l = r at inclination theta.
 
     Solves exp(-beta L'z)/Z for beta by bisection on [-50, 50];
-    <Lz>(beta) is strictly decreasing so the root is unique.  The default
-    tolerance (in r) leaves |<L'z> - r l| below 1e-9 for every l this
+    <Lz>(beta) is strictly decreasing so the root is unique.  The tolerance
+    THERMAL_TOL (in r) leaves |<L'z> - r l| below 1e-9 for every l this
     package targets.  r = 0 is the maximally mixed state (beta = 0);
     |r| >= 1 is unreachable at finite beta.
     """
@@ -296,14 +281,14 @@ def thermal_partial_coherent(l, r: float, theta: float, *, tol: float = 1e-12) -
         beta_lo, beta_hi = lo, hi
         for _ in range(200):
             mid = 0.5 * (beta_lo + beta_hi)
-            if mean_pol(mid) > r:
+            if (pol := mean_pol(mid)) > r:
                 beta_lo = mid
             else:
                 beta_hi = mid
-            if abs(mean_pol(mid) - r) <= tol:
+            if abs(pol - r) <= THERMAL_TOL:
                 break
         else:
-            raise RuntimeError(f"thermal bisection failed to reach |<L'z>/l - r| <= {tol}")
+            raise RuntimeError(f"thermal bisection failed to reach |<L'z>/l - r| <= {THERMAL_TOL}")
         diag = _diagonal_thermal_weights(mid, ops.m_diag)
     R = rotation_y(theta, ops)
     return R @ np.diag(diag).astype(np.complex128) @ R.conj().T

@@ -1,10 +1,10 @@
 """Sequential evolution of the frame: averaged runs, the usable lifetime,
 seeded measurement records and the drift-correction strategies.
 
-Every run converts its initial state once to the band array of its
-diagonals 0-2 (kernels.to_bands) and steps that, O(d) per step; the records
-hold the final band array, not a d x d matrix.  All runs share one stepping
-loop, _evolve, and one step function, _apply: run_average and
+Every run converts its initial state once to the two-row band array of its
+diagonals 0 and 1 (kernels.to_bands) and steps that, O(d) per step; the
+records hold the final band array, not a d x d matrix.  All runs share one
+stepping loop, _evolve, and one step function, _apply: run_average and
 usable_lifetime feed it average-map steps, the stochastic engine
 measurements with drawn outcomes.  A strategy inserts its corrections after
 each step through the same hook in all of them.  Every step takes its
@@ -18,7 +18,7 @@ Trajectories are reproducible by construction: every seed owns a
 counter-based generator keyed by it (the algorithm identifier below is
 recorded in every output file), so a record depends on its seed alone.
 The stochastic engine steps the seeds of an ensemble together, in chunks of
-CHUNK seeds held as one (S, 3, d) batch of band arrays: one kernel call per
+CHUNK seeds held as one (S, 2, d) batch of band arrays: one kernel call per
 channel step advances every seed of a chunk, each along its own outcomes.
 The chunk size is a constant, so ensemble statistics accumulate in a fixed
 order, give the same bytes on any machine and take memory that does not
@@ -117,7 +117,7 @@ def schedule_unitaries(n: int, z: float, gamma: float) -> list:
 # corrections(i, z, outcome, B, ops, theta0): the steps applied after primary measurement
 # i (from 0) of a z source left the band state B.  Under average evolution outcome is None
 # and B one band array; in the stochastic engine outcome holds the (S,) outcomes of a chunk
-# and B its (S, 3, d) batch.  A strategy whose corrections measure declares how many
+# and B its (S, 2, d) batch.  A strategy whose corrections measure declares how many
 # uniforms each primary measurement consumes as draws_per_measurement (default 1).
 
 class NoAverageEvolution(ValueError):
@@ -216,7 +216,7 @@ class CorrectionEvent:
 class CorrectionChoice:
     gamma: float
     source_sign: int
-    corrected_bands: np.ndarray  # (3, d) band array, kernels.to_bands
+    corrected_bands: np.ndarray  # (2, d) band array, kernels.to_bands
     residual: float
 
 
@@ -232,7 +232,7 @@ class TrajectoryRecord:
     theta_series: np.ndarray  # NaN where the frame is unpolarized
     p_succ_series: np.ndarray
     correction_events: list[CorrectionEvent]
-    final_bands: np.ndarray  # (3, d) band array, kernels.to_bands
+    final_bands: np.ndarray  # (2, d) band array, kernels.to_bands
     rng_algorithm: str = RNG_ALGORITHM
 
     @property
@@ -245,7 +245,7 @@ class TrajectoryRecord:
 # ---------------------------------------------------------------------------
 
 def _apply(B: np.ndarray, step, ops: SpinOperators, draws=None):
-    """One step on a band array or an (S, 3, d) batch: (state, outcomes).
+    """One step on a band array or an (S, 2, d) batch: (state, outcomes).
 
     A kick applies the unitary channel, or the kicked bands a strategy
     already formed, to the seeds its mask selects.  A measurement without
@@ -356,7 +356,7 @@ class AverageRun:
     mean_L: np.ndarray          # (n_rec, 3) polarization vectors
     theta_series: np.ndarray    # NaN where the frame is unpolarized
     p_succ_series: np.ndarray
-    final_bands: np.ndarray     # (3, d) band array, kernels.to_bands
+    final_bands: np.ndarray     # (2, d) band array, kernels.to_bands
 
 
 def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
@@ -499,7 +499,7 @@ class _Chunk:
     seeds: list[int]
     log: list                   # per primary measurement, the (step, outcomes) taken
     reads: np.ndarray           # (2, S, n_measure + 1): p_succ and theta
-    final: np.ndarray           # (S, 3, d)
+    final: np.ndarray           # (S, 2, d)
 
     def events(self, s: int) -> list[CorrectionEvent]:
         events = []
@@ -527,7 +527,7 @@ class _Chunk:
 
 def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinOperators):
     """The stochastic engine: yield the seeds in chunks of CHUNK, each stepped
-    as one (S, 3, d) batch by _evolve, with p_succ (against the initial
+    as one (S, 2, d) batch by _evolve, with p_succ (against the initial
     direction) and the inclination read once per primary measurement,
     corrections included."""
     if n_measure < 1:

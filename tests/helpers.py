@@ -68,13 +68,11 @@ def dense_hygiene(rho: np.ndarray) -> np.ndarray:
 
 
 def from_bands(B: np.ndarray) -> np.ndarray:
-    """The Hermitian d x d matrix whose diagonals 0-2 a band array holds, zero
-    beyond them."""
+    """The Hermitian d x d matrix whose diagonals 0 and 1 a band array holds,
+    zero beyond them."""
     d = B.shape[-1]
-    rho = np.diag(B[0].real).astype(np.complex128)
-    for k in (1, 2):
-        rho += np.diag(B[k, :d - k], k) + np.diag(B[k, :d - k].conj(), -k)
-    return rho
+    upper = np.diag(B[1, :d - 1], 1)
+    return np.diag(B[0].real) + upper + upper.conj().T
 
 
 def dense_reads(B: np.ndarray, ops, n_hat: np.ndarray) -> tuple[float, float]:
@@ -88,7 +86,7 @@ def dense_reads(B: np.ndarray, ops, n_hat: np.ndarray) -> tuple[float, float]:
 
 
 def band_error(bands: np.ndarray, rho: np.ndarray) -> float:
-    """Largest difference between a band array and the diagonals 0-2 of rho."""
+    """Largest difference between a band array and the diagonals 0 and 1 of rho."""
     return float(np.abs(bands - to_bands(rho)).max())
 
 

@@ -279,6 +279,57 @@ def test_missing_config_is_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe",                                              # not UTF-8
+    b'{"state": ' + b"[" * 5000 + b"]" * 5000 + b"}",         # nested too deep to decode
+    b'{"l": 16',                                              # not JSON
+], ids=["not-utf8", "nested-5000-deep", "truncated"])
+def test_undecodable_config_is_exit_2_with_one_line(tmp_path, capsys, content):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    rc = main(["custom", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config-error: ") and "not valid JSON" in err[0]
+
+
+@pytest.mark.parametrize("config_name, out", [
+    ("fig2.json", None),            # the default fig2.csv puts its sidecar on the config
+    ("config.json", "config.csv"),  # an explicit CSV whose sidecar is the config
+    ("config.json", "res.json"),    # the CSV and its sidecar are one file
+    ("config.json", "absent/x.csv"),
+    ("config.json", "outdir"),      # a directory
+], ids=["default-out-over-config", "sidecar-over-config", "csv-is-sidecar",
+        "missing-directory", "out-is-directory"])
+def test_output_path_clash_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                     config_name, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    cfg = tmp_path / config_name
+    cfg.write_text(json.dumps({"n_steps": 3}))
+    before = cfg.read_bytes()
+
+    def no_work(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(cli.RUNNERS, "fig2", no_work)
+    rc = main(["fig2", "--config", config_name] + (["--out", out] if out else []))
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config-error: ")
+    assert cfg.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config_name, "outdir"])
+
+
+def test_output_write_failure_is_exit_2_with_one_line(tmp_path, capsys):
+    (tmp_path / "x.json").mkdir()  # the sidecar's path is taken by a directory
+    cfg = write_config(tmp_path, {"n_steps": 3})
+    rc = main(["fig2", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config-error: ") and "x.json" in err[0]
+
+
 def test_mismatched_experiment_name_is_exit_2(tmp_path):
     cfg = write_config(tmp_path, {"experiment": "fig3"})
     rc = main(["fig2", "--config", cfg, "--out", str(tmp_path / "x.csv")])

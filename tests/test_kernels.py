@@ -41,16 +41,41 @@ def test_kernel_works_on_nonhermitian_input():
     assert np.abs(got - want).max() < 1e-12
 
 
+def three_row_tables(ops):
+    """m_band, ladder_band and a band-array builder over the diagonals 0, 1, 2,
+    from m_diag and ladder as SpinOperators builds its two rows: the kernel
+    does not depend on the row count, so a third row checks diagonal 2 too."""
+    d, m, a = ops.d, ops.m_diag, ops.ladder
+    m_band, ladder_band = np.zeros((3, d)), np.zeros((3, d - 1))
+    for k in range(3):
+        m_band[k, :d - k] = m[k:]
+        ladder_band[k, :max(d - 1 - k, 0)] = a[1:d - k] * a[k + 1:]
+
+    def bands(rho):
+        B = np.zeros((3, d), dtype=np.complex128)
+        for k in range(3):
+            B[k, :d - k] = np.diagonal(rho, k)
+        return B
+
+    return m_band, ladder_band, bands
+
+
 @pytest.mark.parametrize("twice_l", [1, 2, 3, 7, 32, 256])
 def test_band_step_equals_dense_diagonals_exactly(twice_l):
     rng = np.random.default_rng(100 + twice_l)
     ops = build_spin_operators(twice_l / 2)
     rho = random_density(ops.d, rng)
+    m_band, ladder_band, bands = three_row_tables(ops)
+    assert np.array_equal(m_band[:2], ops.m_band)
+    assert np.array_equal(ladder_band[:2], ops.ladder_band)
+    assert np.array_equal(bands(rho)[:2], to_bands(rho))
     z, gamma = rng.uniform(-1, 1), rng.uniform(0, 2 * np.pi)
     for coeffs in (_coeffs_average(z, ops.d), _coeffs_selective(z, ops.d, +1),
                    _coeffs_selective(z, ops.d, -1), _coeffs_unitary(z, ops.d, gamma)):
         dense = apply_structured(rho, ops.m_diag, ops.ladder, coeffs)
-        band = apply_factors(to_bands(rho), *band_factors(ops.m_band, ops.ladder_band, coeffs))
+        band = apply_factors(bands(rho), *band_factors(m_band, ladder_band, coeffs))
+        two = apply_factors(to_bands(rho), *band_factors(ops.m_band, ops.ladder_band, coeffs))
+        assert np.array_equal(two, band[:2])
         for k in range(3):
             assert np.array_equal(band[k, :ops.d - k], np.diagonal(dense, k))
             assert not band[k, ops.d - k:].any()  # the padding stays zero

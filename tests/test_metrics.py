@@ -55,7 +55,7 @@ def test_moments_match_dense_operator_traces(twice_l, hermitian):
                        for A in mats])
     assert np.abs(mean_angular_momentum(rho, ops) - want_v[0]).max() <= tol
     assert np.abs(quadratic_moments(rho, ops) - want_M).max() <= tol
-    # an (S, 3, d) batch reads as its arrays one by one, with or without the
+    # an (S, 2, d) batch reads as its arrays one by one, with or without the
     # lower diagonals
     upper = np.array([to_bands(r) for r in rhos])
     lower = np.array([to_bands(r.T) for r in rhos])
