@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import sys
 
 import numpy as np
@@ -92,9 +93,8 @@ DEFAULTS = {
 
 
 def load_config(experiment: str, path: str, overrides: dict) -> dict:
-    if experiment not in DEFAULTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; "
-                          f"choose from {sorted(DEFAULTS)}")
+    _require(experiment in DEFAULTS,
+             f"unknown experiment {experiment!r}; choose from {sorted(DEFAULTS)}")
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -102,16 +102,13 @@ def load_config(experiment: str, path: str, overrides: dict) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    _require(isinstance(raw, dict), "config must be a JSON object")
     declared = raw.pop("experiment", experiment)
-    if declared != experiment:
-        raise ConfigError(f"config declares experiment {declared!r} but {experiment!r} "
-                          "was requested")
+    _require(declared == experiment,
+             f"config declares experiment {_echo(declared)} but {experiment!r} was requested")
     allowed = set(DEFAULTS[experiment])
     unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)} "
+    _require(not unknown, f"unknown config keys for {experiment}: {_echo(sorted(unknown))} "
                           f"(allowed: {sorted(allowed)})")
     config = {**DEFAULTS[experiment], **raw, **{k: v for k, v in overrides.items() if k in allowed}}
     _validate(experiment, config)
@@ -123,40 +120,45 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+_echo = reprlib.repr  # a config value quoted in an error message, abridged to stay short
+
+
 def _valid_l(l):
     _require(isinstance(l, (int, float)) and l >= 0.5 and abs(2 * l - round(2 * l)) < 1e-12,
-             f"l must be a positive integer or half-integer, got {l!r}")
-    _require(l <= L_MAX, f"l must be at most {L_MAX}, got {l!r}")
+             f"l must be a positive integer or half-integer, got {_echo(l)}")
+    _require(l <= L_MAX, f"l must be at most {L_MAX}, got {_echo(l)}")
 
 
 def _valid_z(z):
     _require(isinstance(z, (int, float)) and -1.0 <= z <= 1.0,
-             f"z must lie in [-1, 1], got {z!r}")
+             f"z must lie in [-1, 1], got {_echo(z)}")
 
 
-def _check_leaves(value, where: str):
+def _check_leaves(cfg: dict):
     # no config key takes a bool (json true passes isinstance(x, int)), and
-    # json accepts NaN and Infinity, which no parameter can use
-    if isinstance(value, (dict, list)):
-        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            _check_leaves(item, f"{where}[{key}]" if where else key)
-        return
-    _require(not isinstance(value, bool), f"{where} must not be a boolean, got {value!r}")
-    _require(not isinstance(value, float) or math.isfinite(value),
-             f"{where} must be finite, got {value!r}")
+    # json accepts NaN and Infinity, which no parameter can use; a stack, not
+    # recursion, walks nesting as deep as json decodes, leaves in file order
+    stack = list(reversed(cfg.items()))
+    while stack:
+        where, value = stack.pop()
+        if isinstance(value, (dict, list)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            stack += reversed([(f"{where}[{key}]", item) for key, item in items])
+        elif isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{_echo(where)} must be a finite number, got {_echo(value)}")
 
 
 def _validate(experiment: str, cfg: dict):
-    _check_leaves(cfg, "")
+    _check_leaves(cfg)
     # a key whose default is a number, or a list of numbers, takes the same
     for key, default in DEFAULTS[experiment].items():
         value = cfg[key]
         if isinstance(default, (int, float)):
-            _require(isinstance(value, (int, float)), f"{key} must be a number, got {value!r}")
+            _require(isinstance(value, (int, float)), f"{key} must be a number, got {_echo(value)}")
         elif isinstance(default, list):
             _require(isinstance(value, list) and value
                      and all(isinstance(v, (int, float)) for v in value),
-                     f"{key} must be a nonempty list of numbers, got {value!r}")
+                     f"{key} must be a nonempty list of numbers, got {_echo(value)}")
     if "seeds" in cfg:
         resolve_seeds(cfg["seeds"])
     if "l" in cfg:
@@ -164,13 +166,13 @@ def _validate(experiment: str, cfg: dict):
     if "z" in cfg:
         _valid_z(cfg["z"])
     if "theta" in cfg:
-        _require(0.0 <= cfg["theta"] <= PI, f"theta must lie in [0, pi], got {cfg['theta']!r}")
+        _require(0.0 <= cfg["theta"] <= PI, f"theta must lie in [0, pi], got {_echo(cfg['theta'])}")
     for key in ("n_steps", "n_measure", "theta_points", "k", "record_every", "step_cap"):
         if key in cfg:
             _require(isinstance(cfg[key], int) and cfg[key] >= 1,
-                     f"{key} must be a positive integer, got {cfg[key]!r}")
+                     f"{key} must be a positive integer, got {_echo(cfg[key])}")
     if experiment == "fig1":
-        _require(0.0 <= cfg["p"] <= 1.0, f"p must lie in [0, 1], got {cfg['p']!r}")
+        _require(0.0 <= cfg["p"] <= 1.0, f"p must lie in [0, 1], got {_echo(cfg['p'])}")
         _require(0.0 < cfg["theta_start"] < cfg["theta_stop"] < PI,
                  "theta grid must satisfy 0 < start < stop < pi")
     if experiment == "scaling":
@@ -179,7 +181,7 @@ def _validate(experiment: str, cfg: dict):
         for z in cfg["z_list"]:
             _valid_z(z)
         for t in cfg["thresholds"]:
-            _require(0.5 < t < 1.0, f"threshold must lie in (0.5, 1), got {t!r}")
+            _require(0.5 < t < 1.0, f"threshold must lie in (0.5, 1), got {_echo(t)}")
 
 
 def resolve_seeds(spec) -> list[int]:
@@ -188,7 +190,7 @@ def resolve_seeds(spec) -> list[int]:
     if isinstance(spec, dict) and set(spec) <= {"base", "count"}:
         base, count = spec.get("base", 0), spec.get("count")
         _require(isinstance(base, int) and isinstance(count, int) and base >= 0 and count >= 1,
-                 f"seeds needs integers base >= 0 and count >= 1, got {spec!r}")
+                 f"seeds needs integers base >= 0 and count >= 1, got {_echo(spec)}")
         return list(range(base, base + count))
     _require(isinstance(spec, list) and spec and all(isinstance(s, int) and s >= 0 for s in spec),
              "seeds must be a nonempty list of non-negative integers or {base, count}")
@@ -224,23 +226,19 @@ def run_fig1(cfg: dict):
         rho = _construct("initial state", mixed_dicke_state,
                          l, cfg["k1"], cfg["k2"], cfg["p"], theta)
         frame = summarize_frame(rho, ops)
-        exact = []
-        for outcome in (+1, -1):
-            post = selective_channel(rho, cfg["z"], ops, outcome).post_state
-            exact.append(summarize_frame(post, ops).theta - frame.theta)
+        exact = [summarize_frame(selective_channel(rho, cfg["z"], ops, outcome).post_state,
+                                 ops).theta - frame.theta for outcome in (+1, -1)]
         formula = selective_angles_partially_coherent(l, frame.r, cfg["z"], theta)
         return (theta, exact[0], exact[1], formula[0], formula[1],
                 abs(exact[0] - formula[0]), abs(exact[1] - formula[1])), frame.r
 
-    results = [one(theta) for theta in thetas]
-    rows = [r for r, _ in results]
-    r_value = results[0][1]
+    rows, r_values = zip(*[one(theta) for theta in thetas])
     over = sum(1 for row in rows for e, f in ((row[1], row[3]), (row[2], row[4]))
                if abs(f) >= abs(e))
     gaps = [abs(f - e) / abs(e) for row in rows for e, f in ((row[1], row[3]), (row[2], row[4]))]
     columns = ["theta", "omega_plus_exact", "omega_minus_exact",
                "omega_plus_analytic", "omega_minus_analytic", "abs_err_plus", "abs_err_minus"]
-    sidecar = {"r": r_value, "overestimate_fraction": over / (2 * len(rows)),
+    sidecar = {"r": r_values[0], "overestimate_fraction": over / (2 * len(rows)),
                "max_relative_gap": max(gaps)}
     return columns, rows, sidecar
 
@@ -264,14 +262,10 @@ def run_fig3(cfg: dict):
     ops = build_spin_operators(l)
     rho0 = coherent_state(l, cfg["theta"])
     n = cfg["n_steps"]
-
-    def series(schedule):
-        return run_average(rho0, schedule, ops).p_succ_series
-
     arms = [("p_succ_measurement", schedule_measurements(n, cfg["z"]))]
     for g in cfg["gammas"]:
         arms.append((f"p_succ_unitary_gamma_{g:.6g}", schedule_unitaries(n, cfg["z"], g)))
-    curves = [series(schedule) for _, schedule in arms]
+    curves = [run_average(rho0, schedule, ops).p_succ_series for _, schedule in arms]
     rows = [tuple([step] + [float(curve[step]) for curve in curves]) for step in range(n + 1)]
     return ["step"] + [name for name, _ in arms], rows, {}
 
@@ -313,10 +307,8 @@ def run_fig5(cfg: dict):
              for _, strat in strategies]
     columns = ["n_measurements"] + [f"p_succ_{name}" for name, _ in strategies] \
         + [f"p_succ_{name}_stderr" for name, _ in strategies]
-    rows = []
-    for step in range(n + 1):
-        rows.append(tuple([step] + [float(st.p_succ[step]) for st in stats]
-                          + [float(st.p_succ_stderr[step]) for st in stats]))
+    rows = [tuple([step] + [float(st.p_succ[step]) for st in stats]
+                  + [float(st.p_succ_stderr[step]) for st in stats]) for step in range(n + 1)]
     sidecar = {"n_seeds": len(seeds),
                "final_p_succ": {name: float(st.p_succ[-1])
                                 for (name, _), st in zip(strategies, stats)}}
@@ -329,8 +321,7 @@ def run_scaling(cfg: dict):
     combos = [(l, z, thr) for z in cfg["z_list"] for thr in cfg["thresholds"]
               for l in cfg["l_list"]]
 
-    def one(combo):
-        l, z, thr = combo
+    def one(l, z, thr):
         ops = build_spin_operators(l)
         rho0 = coherent_state(l, cfg["theta"])
         try:
@@ -341,7 +332,7 @@ def run_scaling(cfg: dict):
             raise ConfigError(f"scaling at l = {l}, z = {z}: {exc}") from exc
         return (l, z, thr, life)
 
-    rows = [one(combo) for combo in combos]
+    rows = [one(*combo) for combo in combos]
     fits = []
     for z in cfg["z_list"]:
         for thr in cfg["thresholds"]:
@@ -356,33 +347,40 @@ def run_scaling(cfg: dict):
     return ["l", "z", "threshold", "lifetime"], rows, {"fits": fits}
 
 
+def _pop_number(spec: dict, key: str, *default):
+    """The number under key, popped from spec (KeyError if missing without default)."""
+    value = spec.pop(key, *default)
+    _require(isinstance(value, (int, float)), f"{key} must be a number, got {_echo(value)}")
+    return value
+
+
 def _build_custom_state(cfg: dict, ops):
-    _require(isinstance(cfg["state"], dict), f"state must be an object, got {cfg['state']!r}")
+    _require(isinstance(cfg["state"], dict), f"state must be an object, got {_echo(cfg['state'])}")
     state = dict(cfg["state"])
     family = state.pop("family", "coherent")
     l, theta = cfg["l"], cfg["theta"]
     if family == "coherent":
         rho = coherent_state(l, theta)
     elif family == "rotated_dicke":
-        rho = rotated_dicke_state(l, state.pop("k"), theta)
+        rho = rotated_dicke_state(l, _pop_number(state, "k"), theta)
     elif family == "mixed_dicke":
-        rho = mixed_dicke_state(l, state.pop("k1"), state.pop("k2"), state.pop("p"), theta)
+        rho = mixed_dicke_state(l, *(_pop_number(state, k) for k in ("k1", "k2", "p")), theta)
     elif family == "thermal":
-        rho = thermal_partial_coherent(l, state.pop("r"), theta)
+        rho = thermal_partial_coherent(l, _pop_number(state, "r"), theta)
     elif family == "quadratic_bloch":
         spec = QuadraticBlochSpec(np.asarray(state.pop("R"), dtype=float),
                                   np.asarray(state.pop("T"), dtype=float))
         rho = quadratic_bloch_state(l, spec)
     else:
-        raise ConfigError(f"unknown state family {family!r}")
-    _require(not state, f"unknown keys for state family {family!r}: {sorted(state)}")
+        raise ConfigError(f"unknown state family {_echo(family)}")
+    _require(not state, f"unknown keys for state family {family!r}: {_echo(sorted(state))}")
     return rho
 
 
 def _parse_strategy(spec: dict, gamma: float, theta0: float):
     """The strategy object of a spec; gamma is the kick angle a spec without
     one gets, theta0 the conditional target a spec without theta_known gets."""
-    _require(isinstance(spec, dict), f"strategy must be an object, got {spec!r}")
+    _require(isinstance(spec, dict), f"strategy must be an object, got {_echo(spec)}")
     spec = dict(spec)
     kind = spec.pop("kind", "none")
     if kind == "none":
@@ -390,14 +388,16 @@ def _parse_strategy(spec: dict, gamma: float, theta0: float):
     elif kind == "alternating":
         strategy = AlternatingAntipolarized()
     elif kind == "unitary_every_k":
-        strategy = _construct("strategy", UnitaryEveryK, spec.pop("k", 2), spec.pop("gamma", gamma))
+        strategy = _construct("strategy", UnitaryEveryK, _pop_number(spec, "k", 2),
+                              _pop_number(spec, "gamma", gamma))
     elif kind == "unitary_after_each_plus":
-        strategy = _construct("strategy", UnitaryAfterEachPlus, spec.pop("gamma", gamma))
+        strategy = _construct("strategy", UnitaryAfterEachPlus, _pop_number(spec, "gamma", gamma))
     elif kind == "conditional":
-        strategy = _construct("strategy", ConditionalTuned, spec.pop("theta_known", theta0))
+        strategy = _construct("strategy", ConditionalTuned,
+                              _pop_number(spec, "theta_known", theta0))
     else:
-        raise ConfigError(f"unknown strategy kind {kind!r}")
-    _require(not spec, f"unknown keys for strategy kind {kind!r}: {sorted(spec)}")
+        raise ConfigError(f"unknown strategy kind {_echo(kind)}")
+    _require(not spec, f"unknown keys for strategy kind {kind!r}: {_echo(sorted(spec))}")
     return strategy
 
 
@@ -429,7 +429,7 @@ def run_custom(cfg: dict):
         sidecar = {"n_seeds": len(seeds),
                    "plus_fraction_mean": float(st.plus_fraction.mean())}
         return ["step", "theta_mean", "theta_stderr", "p_succ_mean", "p_succ_stderr"], rows, sidecar
-    raise ConfigError(f"mode must be 'average' or 'stochastic', got {cfg['mode']!r}")
+    raise ConfigError(f"mode must be 'average' or 'stochastic', got {_echo(cfg['mode'])}")
 
 
 RUNNERS = {
@@ -443,9 +443,7 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
         return str(int(value))
     return format(float(value), ".17g")
 
@@ -462,7 +460,8 @@ def sidecar_path(config_path: str, out_path: str) -> str:
     _require(len({os.path.realpath(p) for p in (config_path, out_path, side_path)}) == 3,
              f"the config {config_path!r}, the CSV {out_path!r} and the sidecar "
              f"{side_path!r} must be three different files")
-    _require(not os.path.isdir(out_path), f"the CSV path {out_path!r} is a directory")
+    for name, path in (("CSV", out_path), ("sidecar", side_path)):
+        _require(not os.path.isdir(path), f"the {name} path {path!r} is a directory")
     _require(os.path.isdir(os.path.dirname(out_path) or "."),
              f"the directory of the CSV path {out_path!r} does not exist")
     return side_path
@@ -477,19 +476,15 @@ def write_outputs(out_path: str, side_path: str, experiment: str, cfg: dict, col
                     if name.startswith("theta") else ""
                 raise NumericalInvariantError(f"output {name} is {value} in data row {i}{reason}")
     seeds = resolve_seeds(cfg["seeds"]) if "seeds" in cfg else None
-    comments = [
+    lines = [
         f"# qrf-sim version: {__version__}",
         f"# experiment: {experiment}",
         f"# config-hash: sha256:{config_hash(cfg)}",
         f"# rng: {RNG_ALGORITHM}",
         f"# seeds: {','.join(map(str, seeds)) if seeds else 'none'}",
+        ",".join(columns),
+        *(",".join(_fmt(v) for v in row) for row in rows),
     ]
-    with open(out_path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
     payload = {
         "experiment": experiment,
         "version": __version__,
@@ -498,9 +493,13 @@ def write_outputs(out_path: str, side_path: str, experiment: str, cfg: dict, col
         "rng": RNG_ALGORITHM,
         "summary": sidecar,
     }
-    with open(side_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for path, text in ((out_path, "\n".join(lines)),
+                       (side_path, json.dumps(payload, indent=2, sort_keys=True))):
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +537,7 @@ def _flag_overrides(args) -> dict:
     if args.gamma is not None:
         _require("gamma" in keys or "gammas" in keys,
                  f"--gamma does not apply to {args.experiment}: it has no kick angle")
-        overrides["gamma"] = args.gamma
-        overrides["gammas"] = [args.gamma]
+        overrides.update(gamma=args.gamma, gammas=[args.gamma])
     return overrides
 
 
@@ -552,7 +550,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.experiment, args.config, _flag_overrides(args))
         columns, rows, sidecar = RUNNERS[args.experiment](cfg)
         write_outputs(out, side, args.experiment, cfg, columns, rows, sidecar)
-    except (ConfigError, OSError) as exc:  # an OSError here is a failed write
+    except ConfigError as exc:
         print(f"config-error: {exc}", file=sys.stderr)
         return 2
     except (NumericalInvariantError, DensityMatrixError) as exc:

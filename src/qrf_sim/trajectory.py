@@ -9,10 +9,10 @@ usable_lifetime feed it average-map steps, the stochastic engine
 measurements with drawn outcomes.  A strategy inserts its corrections after
 each step through the same hook in all of them.  Every step takes its
 kernel factors from the memo channels.step_factors.  Every state is checked
-to be finite and repaired by channels.hygiene, in blocks where no draw
-waits on it (see _evolve).  Every run reads the polarization with
-metrics.band_mean_L, a block at a time, and derives the inclination and
-p_succ (against the initial direction, unless given) from it.
+to be finite and repaired by channels.hygiene, a block of steps at a time
+(see _evolve), and _evolve reads each block's polarization with
+metrics.band_mean_L; the runs derive the inclination and p_succ (against
+the initial direction, unless given) from it.
 
 Trajectories are reproducible by construction: every seed owns a
 counter-based generator keyed by it (the algorithm identifier below is
@@ -28,7 +28,7 @@ grow with the seed count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import islice, repeat, tee
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,9 @@ from .spin import SpinOperators, as_polarization
 
 RNG_ALGORITHM = "numpy-philox4x64"
 CHUNK = 256  # seeds stepped together; see the module docstring
-STEP_BLOCK = 16  # steps checked and read at once without draws: larger blocks save no more
+STEP_BLOCK = 16  # primary steps checked and read at once: larger blocks save no more
+BLOCK_BYTES = 2**18  # fewer steps a block where 16 states outgrow this; at least one
+NO_DRAWS = repeat(None)  # the draws of an average run: every measurement is the average map
 
 
 class NumericalInvariantError(RuntimeError):
@@ -244,16 +246,16 @@ class TrajectoryRecord:
 # the stepping loop
 # ---------------------------------------------------------------------------
 
-def _apply(B: np.ndarray, step, ops: SpinOperators, draws=None):
+def _apply(B: np.ndarray, step, ops: SpinOperators, draws=NO_DRAWS):
     """One step on a band array or an (S, 2, d) batch: (state, outcomes).
 
     A kick applies the unitary channel, or the kicked bands a strategy
-    already formed, to the seeds its mask selects.  A measurement without
-    draws is the average map.  With draws, every seed's outcome is drawn from its next
-    uniform and that branch is applied, normalized; near-certain branches
-    are forced so that conditioning stays well defined, and their uniform is
-    consumed all the same.  Only a drawn measurement has outcomes, (S,) int8.
-    The new state is returned unchecked; _evolve checks it (_checked).
+    already formed, to the seeds its mask selects.  A measurement whose next
+    draw is None is the average map; otherwise each seed's outcome is drawn
+    from its uniform in the draw and that branch applied, normalized;
+    near-certain branches are forced so that conditioning stays well
+    defined, their uniform consumed all the same.  Only a drawn measurement
+    has outcomes, (S,) int8.  The state is returned unchecked (see _evolve).
     """
     outcome = None
     if isinstance(step, UnitaryStep):
@@ -261,7 +263,7 @@ def _apply(B: np.ndarray, step, ops: SpinOperators, draws=None):
             else unitary_channel(B, step.z, ops, step.gamma, bands=True)
         if step.where is not None:
             out = np.where(step.where[:, None, None], out, B)
-    elif draws is None:
+    elif (u := next(draws)) is None:
         out = average_channel(B, step.z, ops, bands=True)
     else:
         p_plus = _p_plus(B[:, 0], step.z, ops)
@@ -269,7 +271,6 @@ def _apply(B: np.ndarray, step, ops: SpinOperators, draws=None):
         if not valid.all():
             raise NumericalInvariantError(
                 f"outcome probability left [0, 1]: {p_plus[~valid][0]!r}")
-        u = next(draws)
         plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
         diagonal, up, down = step_factors(ops.l.twice_l, "selective", step.z)
         out = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
@@ -287,20 +288,23 @@ def _checked(B: np.ndarray) -> np.ndarray:
     return hygiene(B)
 
 
-def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, draws=None):
+def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, draws=NO_DRAWS):
     """The one stepping loop of every run: apply each step, then the
     corrections the strategy inserts after it (given the step's outcomes,
     None under average evolution), and yield blocks of primary steps as
-    (states, log): the state after each one's corrections, stacked, and per
-    step [(step, outcomes), (correction, outcomes), ...].
+    (v, state, log): the polarization after each one's corrections, the last
+    state, and per step [(step, outcomes), (correction, outcomes), ...].
 
-    With draws, a block is one step, checked (_checked) before the next draw.
-    Without, STEP_BLOCK steps are taken by the kernel alone, then all their
-    states get one finite and one silent drift check (_drift); a block that
-    fails or raises is replayed from its start with _checked after every
-    step, so states, repairs, warnings and errors are those of checking each
-    state.
+    A block is min(STEP_BLOCK, BLOCK_BYTES // B.nbytes) primary steps, at
+    least one, taken by the kernel alone; then its states, stacked unless the
+    block is one step, get one finite and one silent drift check (_drift),
+    and the states that end primary steps, stacked alike, one read.  A block
+    that fails or raises is replayed from its start, on the same draws, with
+    _checked after every step, so states, outcomes, repairs, warnings and
+    errors are those of checking each state.
     """
+    steps, size = enumerate(steps), min(STEP_BLOCK, max(1, BLOCK_BYTES // B.nbytes))
+
     def run(B, block, check):
         states, ends, log = [], [], []
         for i, step in block:
@@ -314,23 +318,25 @@ def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, d
             ends.append(len(states) - 1)
         return states, ends, log
 
-    steps = enumerate(steps)
-    while block := list(islice(steps, STEP_BLOCK if draws is None else 1)):
-        clean = False
-        if draws is None:
-            try:  # a replay raises, and warns, as checking each state does
-                with np.errstate(all="ignore"):
-                    states, ends, log = run(B, block, lambda state: state)
-                stack = np.array(states)
-                clean = _drift(stack)[0].all() and np.isfinite(stack).all()
-            except Exception:
-                pass
+    def stacked(states):  # a one-step block's states are large: a copy costs more than a call
+        return [np.array(states)] if size > 1 else [state[None] for state in states]
+
+    while block := list(islice(steps, size)):
+        draws, replay = tee(draws)
+        try:  # a replay raises, and warns, as checking each state does
+            with np.errstate(all="ignore"):
+                states, ends, log = run(B, block, lambda state: state)
+            stacks = stacked(states)
+            clean = all(_drift(x)[0].all() and np.isfinite(x).all() for x in stacks)
+        except Exception:
+            clean = False
         if not clean:
+            draws = replay
             states, ends, log = run(B, block, _checked)
-            # a drawn block is one step: its batch is kept, not copied into a stack
-            stack = np.array(states) if draws is None else states[-1][None]
+            stacks = stacked(states)
         B = states[-1]
-        yield stack if len(ends) == len(stack) else stack[ends], log
+        ended = stacks if len(ends) == len(states) else stacked([states[e] for e in ends])
+        yield np.concatenate([band_mean_L(x, ops) for x in ended]), B, log
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +387,9 @@ def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
         n_hat, theta0 = unit_direction(n_hat), float(inclination_of(reads[0][0]))
     at = np.arange(len(schedule) + 1)
     keep = (at % record_every == 0) | (at == len(schedule))
-    n = 0
-    for states, _ in _evolve(cur, schedule, strategy, ops, theta0):
-        reads.append(band_mean_L(states[keep[n + 1:n + 1 + len(states)]], ops))
-        n, cur = n + len(states), states[-1]
-    mean_L = np.concatenate(reads)
+    for v, cur, _ in _evolve(cur, schedule, strategy, ops, theta0):
+        reads.append(v)
+    mean_L = np.concatenate(reads)[keep]
     return AverageRun(at[keep], mean_L, inclination_of(mean_L),
                       p_succ_of(mean_L, n_hat, ops), cur)
 
@@ -409,11 +413,11 @@ def usable_lifetime(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
                                   f"got {threshold!r}")
     steps = repeat(MeasureStep(as_polarization(q)), step_cap)
     n = 0
-    for states, _ in _evolve(to_bands(rho0), steps, strategy, ops, theta0):
-        below = p_succ_of(band_mean_L(states, ops), n_hat, ops) < threshold
+    for v, _, _ in _evolve(to_bands(rho0), steps, strategy, ops, theta0):
+        below = p_succ_of(v, n_hat, ops) < threshold
         if below.any():
             return n + int(below.argmax()) + 1
-        n += len(states)
+        n += len(v)
     raise LifetimeCapExceeded(step_cap)
 
 
@@ -528,16 +532,15 @@ class _Chunk:
 def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinOperators):
     """The stochastic engine: yield the seeds in chunks of CHUNK, each stepped
     as one (S, 2, d) batch by _evolve, with p_succ (against the initial
-    direction) and the inclination read once per primary measurement,
-    corrections included."""
+    direction) and the inclination of the polarization _evolve reads, once
+    per primary measurement, corrections included."""
     if n_measure < 1:
         raise ValueError("n_measure must be >= 1")
     steps = [MeasureStep(as_polarization(q))] * n_measure
     _, n_hat, theta0 = _initial_direction(rho0, ops)
 
-    def read(B):
-        v = band_mean_L(B, ops)
-        return p_succ_of(v, n_hat, ops), inclination_of(v)
+    def read(v):  # (2, S, n) reads of the (n, S, 3) polarizations of n primary steps
+        return np.array([p_succ_of(v, n_hat, ops), inclination_of(v)]).transpose(0, 2, 1)
 
     n_draws = n_measure * getattr(strategy, "draws_per_measurement", 1)
     B0 = to_bands(rho0)
@@ -547,16 +550,14 @@ def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinO
         draws = iter(np.array([np.random.default_rng(np.random.Philox(key=s)).random(n_draws)
                                for s in chunk]).T)
         B = np.repeat(B0[None], len(chunk), axis=0)
-        log = []
-        reads = np.empty((2, len(chunk), n_measure + 1))
-        reads[:, :, 0] = read(B)
-        for i, (states, (taken,)) in enumerate(_evolve(B, steps, strategy, ops, theta0, draws), 1):
-            B = states[0]
+        log, reads = [], [read(band_mean_L(B, ops)[None])]
+        for v, B, taken in _evolve(B, steps, strategy, ops, theta0, draws):
+            reads.append(read(v))
             # the log keeps no kicked batch: one per step would outgrow the state
-            log.append([(replace(step, bands=None) if getattr(step, "bands", None) is not None
-                         else step, o) for step, o in taken])
-            reads[:, :, i] = read(B)
-        yield _Chunk(chunk, log, reads, B)
+            log += [[(replace(step, bands=None) if getattr(step, "bands", None) is not None
+                      else step, o) for step, o in fixes] for fixes in taken]
+        # concatenate keeps the blocks' strides; C order keeps the ensemble sums' order
+        yield _Chunk(chunk, log, np.concatenate(reads, axis=2).copy(), B)
 
 
 def run_ensemble(rho0: np.ndarray, n_measure: int, q, strategy, seeds,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrf_sim import cli
+from qrf_sim import cli, trajectory
 from qrf_sim.channels import (
     average_channel,
     selective_channel_tensor,
@@ -203,6 +203,22 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert outputs[experiment, None] == outputs[experiment, "1"], experiment
 
 
+@pytest.mark.parametrize("kind", ["conditional", "unitary_after_each_plus"])
+def test_bytes_do_not_depend_on_the_block_length(tmp_path, monkeypatch, kind):
+    # blocks of one step and the default blocks write the same CSV and sidecar
+    payload = {"mode": "stochastic", "l": 4, "n_measure": 40, "strategy": {"kind": kind},
+               "seeds": {"base": 0, "count": 6}}
+    outputs = []
+    for setting in ({}, {"STEP_BLOCK": 1}, {"BLOCK_BYTES": 1}):
+        with monkeypatch.context() as patch:
+            for name, value in setting.items():
+                patch.setattr(trajectory, name, value)
+            rc, out = run(tmp_path, "custom", payload)
+        assert rc == 0
+        outputs.append((Path(out).read_bytes(), Path(out).with_suffix(".json").read_bytes()))
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_seeds_flag_overrides_config(tmp_path):
     rc, out = run(tmp_path, "fig5", {"n_measure": 4, "seeds": [1, 2, 3, 4, 5]},
                   extra=("--seeds", "7,9"))
@@ -299,12 +315,14 @@ def test_undecodable_config_is_exit_2_with_one_line(tmp_path, capsys, content):
     ("config.json", "res.json"),    # the CSV and its sidecar are one file
     ("config.json", "absent/x.csv"),
     ("config.json", "outdir"),      # a directory
+    ("config.json", "taken.csv"),   # its sidecar taken.json is a directory
 ], ids=["default-out-over-config", "sidecar-over-config", "csv-is-sidecar",
-        "missing-directory", "out-is-directory"])
+        "missing-directory", "out-is-directory", "sidecar-is-directory"])
 def test_output_path_clash_is_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                      config_name, out):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "outdir").mkdir()
+    (tmp_path / "taken.json").mkdir()
     cfg = tmp_path / config_name
     cfg.write_text(json.dumps({"n_steps": 3}))
     before = cfg.read_bytes()
@@ -318,16 +336,41 @@ def test_output_path_clash_is_exit_2_before_any_work(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config-error: ")
     assert cfg.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config_name, "outdir"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config_name, "outdir",
+                                                                 "taken.json"])
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_output_write_failure_is_exit_2_with_one_line(tmp_path, capsys):
-    (tmp_path / "x.json").mkdir()  # the sidecar's path is taken by a directory
+    out = tmp_path / "x.csv"
+    out.symlink_to("/dev/full")  # every write to it fails with ENOSPC
     cfg = write_config(tmp_path, {"n_steps": 3})
-    rc = main(["fig2", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    rc = main(["fig2", "--config", cfg, "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config-error: ") and "x.json" in err[0]
+    assert len(err) == 1 and err[0].startswith(f"config-error: cannot write {str(out)!r}: ")
+
+
+@pytest.mark.parametrize("content", [
+    '{"state": ' + "[" * 988 + "]" * 988 + "}",
+    '{"state": ' + "[" * 980 + "true" + "]" * 980 + "}",
+    json.dumps({"l_list": [8] * 9999 + ["x"]}),
+    json.dumps({"strategy": {"kind": "unitary_every_k", "k": list(range(10**4))}}),
+    json.dumps({f"x{i}": 1 for i in range(1000)}),
+], ids=["state-988-deep", "bool-980-deep", "l_list-10k", "k-10k", "1000-unknown-keys"])
+def test_config_error_echoes_values_abridged(tmp_path, content):
+    # a fresh process, so the nesting meets the decoder's depth limit, not this stack's
+    cfg = tmp_path / "config.json"
+    cfg.write_text(content)
+    experiment = "scaling" if "l_list" in content else "custom"
+    done = subprocess.run([sys.executable, "-m", "qrf_sim.cli", experiment, "--config", str(cfg),
+                           "--out", str(tmp_path / "x.csv")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+                          timeout=120)
+    err = done.stderr.splitlines()
+    assert done.returncode == 2
+    assert len(err) == 1 and err[0].startswith("config-error: ") and len(err[0]) < 300
+    assert "not valid JSON" not in err[0]  # the value is echoed, not the decoder's error
 
 
 def test_mismatched_experiment_name_is_exit_2(tmp_path):

@@ -1,6 +1,7 @@
 import inspect
 import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,9 +305,10 @@ def test_conditional_correction_makes_at_most_five_channel_calls(monkeypatch):
 
 def test_conditional_run_applies_each_chosen_kick_once(monkeypatch):
     # the trial kicks and the chosen one of conditional_correction_step, and
-    # no second application of the chosen kick by the run; the run repairs
-    # each step's state once, the kicked one included
-    calls, repairs = [], []
+    # no second application of the chosen kick by the run; a clean run checks
+    # each block once and repairs nothing, a drifted kick replays its block
+    # with one repair per state, the kicked ones included
+    calls, repairs, checks = [], [], []
 
     def counting(*args, **kwargs):
         calls.append(args[3] if len(args) > 3 else kwargs["gamma"])
@@ -316,12 +318,26 @@ def test_conditional_run_applies_each_chosen_kick_once(monkeypatch):
         repairs.append(B.shape)
         return channels.hygiene(B)
 
+    def counting_drift(B):
+        checks.append(B.shape)
+        return channels._drift(B)
+
+    class DriftingKick(ConditionalTuned):
+        def corrections(self, i, z, outcome, B=None, ops=None, theta0=None):
+            (kick,) = super().corrections(i, z, outcome, B, ops, theta0)
+            return (replace(kick, bands=B * (1 + 1e-9)),) if i == 20 else (kick,)
+
     monkeypatch.setattr(trajectory, "unitary_channel", counting)
     monkeypatch.setattr(trajectory, "hygiene", counting_hygiene)
-    rec = run_stochastic(coherent_state(16, 2 * np.pi / 3), 50, 1.0, ConditionalTuned(), 3, OPS16)
+    monkeypatch.setattr(trajectory, "_drift", counting_drift)
+    rho = coherent_state(16, 2 * np.pi / 3)
+    rec = run_stochastic(rho, 50, 1.0, ConditionalTuned(), 3, OPS16)
     assert sum(e.gamma != 0.0 for e in rec.correction_events) > 0
     assert len(calls) <= 5 * 50
-    assert len(repairs) == 2 * 50  # one per measurement and one per correction step
+    assert len(repairs) == 0
+    assert len(checks) == -(-50 // trajectory.STEP_BLOCK)  # one seed at l = 16: full blocks
+    run_stochastic(rho, 50, 1.0, DriftingKick(), 3, OPS16)
+    assert len(repairs) == 2 * trajectory.STEP_BLOCK  # a measurement and a kick per step
 
 
 @pytest.mark.parametrize("l", [3.5, 16])
@@ -615,17 +631,47 @@ def test_batched_engine_consumes_draws_of_forced_outcomes():
     assert_matches_reference(rho, 12, 1.0, None, range(3), ops)
 
 
-@pytest.mark.parametrize("band", [0, 1])
-def test_nonfinite_value_in_one_seed_raises(band):
-    # band 0 feeds the next outcome probability; band 1 only the finiteness check
+@pytest.mark.parametrize("band, error", [(0, "outcome probability"), (1, "finite domain")],
+                         ids=["0", "1"])
+def test_nonfinite_value_in_one_seed_raises(band, error):
+    # band 0 feeds the next outcome probability; band 1 only the finiteness check;
+    # the block is replayed to the error a per-step loop raises
     class Poison:
         def corrections(self, i, z, outcome, B, ops, theta0):
             if i == 3:
                 B[7, band, 2] = np.nan
             return ()
 
-    with pytest.raises(NumericalInvariantError):
+    with pytest.raises(NumericalInvariantError, match=error):
         run_ensemble_statistics(coherent_state(8, 1.0), 10, 1.0, Poison(), range(20), OPS8)
+
+
+def test_drifted_drawn_block_is_replayed_on_the_same_draws(monkeypatch, caplog):
+    # kicked bands handed back with a trace drift at steps 20 and 37, mid-block:
+    # the replays repair them on the uniforms the block drew, as blocks of one step do;
+    # only the 1e-9 drift is large enough to log, once per seed
+    class DriftingKicks:
+        def corrections(self, i, z, outcome, B, ops, theta0):
+            size = {20: 1e-11, 37: 1e-9}.get(i)
+            return (UnitaryStep(-z, 0.0, True, bands=B * (1 + size)),) if size else ()
+
+    def records():
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="qrf_sim.channels"):
+            recs = run_ensemble(coherent_state(8, 1.0), 60, 1.0, DriftingKicks(), range(7), OPS8)
+        return recs, [r.getMessage() for r in caplog.records]
+
+    assert 60 // trajectory.STEP_BLOCK > 2  # the drifts lie in two different blocks
+    blocked, blocked_warnings = records()
+    monkeypatch.setattr(trajectory, "STEP_BLOCK", 1)
+    stepped, stepped_warnings = records()
+    assert len(blocked_warnings) == 7 and blocked_warnings == stepped_warnings
+    for a, b in zip(blocked, stepped, strict=True):
+        assert a.outcome_string == b.outcome_string
+        assert np.array_equal(a.p_succ_series, b.p_succ_series)
+        assert np.array_equal(a.theta_series, b.theta_series, equal_nan=True)
+        assert np.array_equal(a.final_bands, b.final_bands)
+        assert a.correction_events == b.correction_events
 
 
 def test_ensemble_statistics_memory_does_not_grow_with_seed_count():
@@ -660,7 +706,10 @@ def test_conditional_statistics_memory_does_not_grow_by_a_batch_per_step():
         finally:
             tracemalloc.stop()
 
-    run_ensemble_statistics(rho, 2, 1.0, ConditionalTuned(), range(2), OPS8)
+    # the first run of a length keeps about 90 KB more under the factor memo, so the
+    # warm-up is as long as the longer measured run
+    run_ensemble_statistics(rho, 120, 1.0, ConditionalTuned(), range(n_seeds), OPS8)
     rows = len(to_bands(rho))
     batch = n_seeds * rows * OPS8.d * 16  # bytes of one complex (S, rows, d) batch
-    assert peak(30) - peak(10) < 0.5 * 20 * batch  # one batch a step would be 20
+    # both runs hold one block of states at their peak; 120 measurements span several blocks
+    assert peak(120) - peak(40) < 0.5 * 80 * batch  # one batch a step would be 80
