@@ -93,8 +93,9 @@ DEFAULTS = {
 
 
 def load_config(experiment: str, path: str, overrides: dict) -> dict:
-    _require(experiment in DEFAULTS,
-             f"unknown experiment {experiment!r}; choose from {sorted(DEFAULTS)}")
+    if experiment not in DEFAULTS:
+        raise ConfigError(f"unknown experiment {experiment!r}; "
+                          f"choose from {sorted(DEFAULTS)}")
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -102,13 +103,16 @@ def load_config(experiment: str, path: str, overrides: dict) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    _require(isinstance(raw, dict), "config must be a JSON object")
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     declared = raw.pop("experiment", experiment)
-    _require(declared == experiment,
-             f"config declares experiment {_echo(declared)} but {experiment!r} was requested")
+    if declared != experiment:
+        raise ConfigError(f"config declares experiment {_echo(declared)} but {experiment!r} "
+                          "was requested")
     allowed = set(DEFAULTS[experiment])
     unknown = set(raw) - allowed
-    _require(not unknown, f"unknown config keys for {experiment}: {_echo(sorted(unknown))} "
+    if unknown:
+        raise ConfigError(f"unknown config keys for {experiment}: {_echo(sorted(unknown))} "
                           f"(allowed: {sorted(allowed)})")
     config = {**DEFAULTS[experiment], **raw, **{k: v for k, v in overrides.items() if k in allowed}}
     _validate(experiment, config)
@@ -144,8 +148,11 @@ def _check_leaves(cfg: dict):
         if isinstance(value, (dict, list)):
             items = value.items() if isinstance(value, dict) else enumerate(value)
             stack += reversed([(f"{where}[{key}]", item) for key, item in items])
-        elif isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{_echo(where)} must be a finite number, got {_echo(value)}")
+            continue
+        _require(not isinstance(value, bool),
+                 f"{_echo(where)} must not be a boolean, got {value!r}")
+        _require(not isinstance(value, float) or math.isfinite(value),
+                 f"{_echo(where)} must be finite, got {value!r}")
 
 
 def _validate(experiment: str, cfg: dict):
@@ -226,19 +233,23 @@ def run_fig1(cfg: dict):
         rho = _construct("initial state", mixed_dicke_state,
                          l, cfg["k1"], cfg["k2"], cfg["p"], theta)
         frame = summarize_frame(rho, ops)
-        exact = [summarize_frame(selective_channel(rho, cfg["z"], ops, outcome).post_state,
-                                 ops).theta - frame.theta for outcome in (+1, -1)]
+        exact = []
+        for outcome in (+1, -1):
+            post = selective_channel(rho, cfg["z"], ops, outcome).post_state
+            exact.append(summarize_frame(post, ops).theta - frame.theta)
         formula = selective_angles_partially_coherent(l, frame.r, cfg["z"], theta)
         return (theta, exact[0], exact[1], formula[0], formula[1],
                 abs(exact[0] - formula[0]), abs(exact[1] - formula[1])), frame.r
 
-    rows, r_values = zip(*[one(theta) for theta in thetas])
+    results = [one(theta) for theta in thetas]
+    rows = [r for r, _ in results]
+    r_value = results[0][1]
     over = sum(1 for row in rows for e, f in ((row[1], row[3]), (row[2], row[4]))
                if abs(f) >= abs(e))
     gaps = [abs(f - e) / abs(e) for row in rows for e, f in ((row[1], row[3]), (row[2], row[4]))]
     columns = ["theta", "omega_plus_exact", "omega_minus_exact",
                "omega_plus_analytic", "omega_minus_analytic", "abs_err_plus", "abs_err_minus"]
-    sidecar = {"r": r_values[0], "overestimate_fraction": over / (2 * len(rows)),
+    sidecar = {"r": r_value, "overestimate_fraction": over / (2 * len(rows)),
                "max_relative_gap": max(gaps)}
     return columns, rows, sidecar
 
@@ -262,10 +273,14 @@ def run_fig3(cfg: dict):
     ops = build_spin_operators(l)
     rho0 = coherent_state(l, cfg["theta"])
     n = cfg["n_steps"]
+
+    def series(schedule):
+        return run_average(rho0, schedule, ops).p_succ_series
+
     arms = [("p_succ_measurement", schedule_measurements(n, cfg["z"]))]
     for g in cfg["gammas"]:
         arms.append((f"p_succ_unitary_gamma_{g:.6g}", schedule_unitaries(n, cfg["z"], g)))
-    curves = [run_average(rho0, schedule, ops).p_succ_series for _, schedule in arms]
+    curves = [series(schedule) for _, schedule in arms]
     rows = [tuple([step] + [float(curve[step]) for curve in curves]) for step in range(n + 1)]
     return ["step"] + [name for name, _ in arms], rows, {}
 
@@ -307,8 +322,10 @@ def run_fig5(cfg: dict):
              for _, strat in strategies]
     columns = ["n_measurements"] + [f"p_succ_{name}" for name, _ in strategies] \
         + [f"p_succ_{name}_stderr" for name, _ in strategies]
-    rows = [tuple([step] + [float(st.p_succ[step]) for st in stats]
-                  + [float(st.p_succ_stderr[step]) for st in stats]) for step in range(n + 1)]
+    rows = []
+    for step in range(n + 1):
+        rows.append(tuple([step] + [float(st.p_succ[step]) for st in stats]
+                          + [float(st.p_succ_stderr[step]) for st in stats]))
     sidecar = {"n_seeds": len(seeds),
                "final_p_succ": {name: float(st.p_succ[-1])
                                 for (name, _), st in zip(strategies, stats)}}
@@ -321,7 +338,8 @@ def run_scaling(cfg: dict):
     combos = [(l, z, thr) for z in cfg["z_list"] for thr in cfg["thresholds"]
               for l in cfg["l_list"]]
 
-    def one(l, z, thr):
+    def one(combo):
+        l, z, thr = combo
         ops = build_spin_operators(l)
         rho0 = coherent_state(l, cfg["theta"])
         try:
@@ -332,7 +350,7 @@ def run_scaling(cfg: dict):
             raise ConfigError(f"scaling at l = {l}, z = {z}: {exc}") from exc
         return (l, z, thr, life)
 
-    rows = [one(*combo) for combo in combos]
+    rows = [one(combo) for combo in combos]
     fits = []
     for z in cfg["z_list"]:
         for thr in cfg["thresholds"]:
@@ -347,13 +365,6 @@ def run_scaling(cfg: dict):
     return ["l", "z", "threshold", "lifetime"], rows, {"fits": fits}
 
 
-def _pop_number(spec: dict, key: str, *default):
-    """The number under key, popped from spec (KeyError if missing without default)."""
-    value = spec.pop(key, *default)
-    _require(isinstance(value, (int, float)), f"{key} must be a number, got {_echo(value)}")
-    return value
-
-
 def _build_custom_state(cfg: dict, ops):
     _require(isinstance(cfg["state"], dict), f"state must be an object, got {_echo(cfg['state'])}")
     state = dict(cfg["state"])
@@ -362,11 +373,11 @@ def _build_custom_state(cfg: dict, ops):
     if family == "coherent":
         rho = coherent_state(l, theta)
     elif family == "rotated_dicke":
-        rho = rotated_dicke_state(l, _pop_number(state, "k"), theta)
+        rho = rotated_dicke_state(l, state.pop("k"), theta)
     elif family == "mixed_dicke":
-        rho = mixed_dicke_state(l, *(_pop_number(state, k) for k in ("k1", "k2", "p")), theta)
+        rho = mixed_dicke_state(l, state.pop("k1"), state.pop("k2"), state.pop("p"), theta)
     elif family == "thermal":
-        rho = thermal_partial_coherent(l, _pop_number(state, "r"), theta)
+        rho = thermal_partial_coherent(l, state.pop("r"), theta)
     elif family == "quadratic_bloch":
         spec = QuadraticBlochSpec(np.asarray(state.pop("R"), dtype=float),
                                   np.asarray(state.pop("T"), dtype=float))
@@ -388,13 +399,11 @@ def _parse_strategy(spec: dict, gamma: float, theta0: float):
     elif kind == "alternating":
         strategy = AlternatingAntipolarized()
     elif kind == "unitary_every_k":
-        strategy = _construct("strategy", UnitaryEveryK, _pop_number(spec, "k", 2),
-                              _pop_number(spec, "gamma", gamma))
+        strategy = _construct("strategy", UnitaryEveryK, spec.pop("k", 2), spec.pop("gamma", gamma))
     elif kind == "unitary_after_each_plus":
-        strategy = _construct("strategy", UnitaryAfterEachPlus, _pop_number(spec, "gamma", gamma))
+        strategy = _construct("strategy", UnitaryAfterEachPlus, spec.pop("gamma", gamma))
     elif kind == "conditional":
-        strategy = _construct("strategy", ConditionalTuned,
-                              _pop_number(spec, "theta_known", theta0))
+        strategy = _construct("strategy", ConditionalTuned, spec.pop("theta_known", theta0))
     else:
         raise ConfigError(f"unknown strategy kind {_echo(kind)}")
     _require(not spec, f"unknown keys for strategy kind {kind!r}: {_echo(sorted(spec))}")
@@ -443,7 +452,9 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
 
@@ -476,14 +487,12 @@ def write_outputs(out_path: str, side_path: str, experiment: str, cfg: dict, col
                     if name.startswith("theta") else ""
                 raise NumericalInvariantError(f"output {name} is {value} in data row {i}{reason}")
     seeds = resolve_seeds(cfg["seeds"]) if "seeds" in cfg else None
-    lines = [
+    comments = [
         f"# qrf-sim version: {__version__}",
         f"# experiment: {experiment}",
         f"# config-hash: sha256:{config_hash(cfg)}",
         f"# rng: {RNG_ALGORITHM}",
         f"# seeds: {','.join(map(str, seeds)) if seeds else 'none'}",
-        ",".join(columns),
-        *(",".join(_fmt(v) for v in row) for row in rows),
     ]
     payload = {
         "experiment": experiment,
@@ -493,13 +502,20 @@ def write_outputs(out_path: str, side_path: str, experiment: str, cfg: dict, col
         "rng": RNG_ALGORITHM,
         "summary": sidecar,
     }
-    for path, text in ((out_path, "\n".join(lines)),
-                       (side_path, json.dumps(payload, indent=2, sort_keys=True))):
-        try:
-            with open(path, "w", newline="") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    path = out_path  # the file being written, named if the write fails
+    try:
+        with open(out_path, "w", newline="") as fh:
+            for line in comments:
+                fh.write(line + "\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        path = side_path
+        with open(side_path, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +553,8 @@ def _flag_overrides(args) -> dict:
     if args.gamma is not None:
         _require("gamma" in keys or "gammas" in keys,
                  f"--gamma does not apply to {args.experiment}: it has no kick angle")
-        overrides.update(gamma=args.gamma, gammas=[args.gamma])
+        overrides["gamma"] = args.gamma
+        overrides["gammas"] = [args.gamma]
     return overrides
 
 
@@ -550,7 +567,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.experiment, args.config, _flag_overrides(args))
         columns, rows, sidecar = RUNNERS[args.experiment](cfg)
         write_outputs(out, side, args.experiment, cfg, columns, rows, sidecar)
-    except ConfigError as exc:
+    except ConfigError as exc:  # a failed write included
         print(f"config-error: {exc}", file=sys.stderr)
         return 2
     except (NumericalInvariantError, DensityMatrixError) as exc:

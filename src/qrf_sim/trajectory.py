@@ -296,12 +296,12 @@ def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, d
     state, and per step [(step, outcomes), (correction, outcomes), ...].
 
     A block is min(STEP_BLOCK, BLOCK_BYTES // B.nbytes) primary steps, at
-    least one, taken by the kernel alone; then its states, stacked unless the
-    block is one step, get one finite and one silent drift check (_drift),
-    and the states that end primary steps, stacked alike, one read.  A block
-    that fails or raises is replayed from its start, on the same draws, with
-    _checked after every step, so states, outcomes, repairs, warnings and
-    errors are those of checking each state.
+    least one, taken by the kernel alone; then its states, stacked, get one
+    finite and one silent drift check (_drift) and one read (band_mean_L),
+    of which the states that end primary steps are kept.  A block that fails
+    or raises is replayed from its start, on the same draws, with _checked
+    after every step, so states, outcomes, repairs, warnings and errors are
+    those of checking each state.
     """
     steps, size = enumerate(steps), min(STEP_BLOCK, max(1, BLOCK_BYTES // B.nbytes))
 
@@ -318,25 +318,21 @@ def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, d
             ends.append(len(states) - 1)
         return states, ends, log
 
-    def stacked(states):  # a one-step block's states are large: a copy costs more than a call
-        return [np.array(states)] if size > 1 else [state[None] for state in states]
-
     while block := list(islice(steps, size)):
         draws, replay = tee(draws)
         try:  # a replay raises, and warns, as checking each state does
             with np.errstate(all="ignore"):
                 states, ends, log = run(B, block, lambda state: state)
-            stacks = stacked(states)
-            clean = all(_drift(x)[0].all() and np.isfinite(x).all() for x in stacks)
+            stack = np.array(states)
+            clean = _drift(stack)[0].all() and np.isfinite(stack).all()
         except Exception:
             clean = False
         if not clean:
             draws = replay
             states, ends, log = run(B, block, _checked)
-            stacks = stacked(states)
+            stack = np.array(states)
         B = states[-1]
-        ended = stacks if len(ends) == len(states) else stacked([states[e] for e in ends])
-        yield np.concatenate([band_mean_L(x, ops) for x in ended]), B, log
+        yield band_mean_L(stack, ops)[ends], B, log
 
 
 # ---------------------------------------------------------------------------

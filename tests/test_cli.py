@@ -219,6 +219,17 @@ def test_bytes_do_not_depend_on_the_block_length(tmp_path, monkeypatch, kind):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+def test_conditional_theta_known_null_is_the_initial_inclination(tmp_path):
+    # null is the strategy's default target: the run's initial inclination
+    base = {"mode": "stochastic", "l": 4, "n_measure": 10, "seeds": {"base": 0, "count": 3}}
+    data = []
+    for strategy in ({"kind": "conditional"}, {"kind": "conditional", "theta_known": None}):
+        rc, out = run(tmp_path, "custom", {**base, "strategy": strategy})
+        assert rc == 0
+        data.append(read_csv(out)[1:])
+    assert data[0] == data[1]
+
+
 def test_seeds_flag_overrides_config(tmp_path):
     rc, out = run(tmp_path, "fig5", {"n_measure": 4, "seeds": [1, 2, 3, 4, 5]},
                   extra=("--seeds", "7,9"))
@@ -355,9 +366,8 @@ def test_output_write_failure_is_exit_2_with_one_line(tmp_path, capsys):
     '{"state": ' + "[" * 988 + "]" * 988 + "}",
     '{"state": ' + "[" * 980 + "true" + "]" * 980 + "}",
     json.dumps({"l_list": [8] * 9999 + ["x"]}),
-    json.dumps({"strategy": {"kind": "unitary_every_k", "k": list(range(10**4))}}),
     json.dumps({f"x{i}": 1 for i in range(1000)}),
-], ids=["state-988-deep", "bool-980-deep", "l_list-10k", "k-10k", "1000-unknown-keys"])
+], ids=["state-988-deep", "bool-980-deep", "l_list-10k", "1000-unknown-keys"])
 def test_config_error_echoes_values_abridged(tmp_path, content):
     # a fresh process, so the nesting meets the decoder's depth limit, not this stack's
     cfg = tmp_path / "config.json"
