@@ -49,7 +49,7 @@ from .spin import SpinOperators, as_polarization
 RNG_ALGORITHM = "numpy-philox4x64"
 CHUNK = 256  # seeds stepped together; see the module docstring
 STEP_BLOCK = 16  # primary steps checked and read at once: larger blocks save no more
-BLOCK_BYTES = 2**18  # fewer steps a block where 16 states outgrow this; at least one
+BLOCK_BYTES = 2**18  # caps a block's memory: fewer steps where 16 states outgrow it, one at least
 NO_DRAWS = repeat(None)  # the draws of an average run: every measurement is the average map
 
 
@@ -528,8 +528,8 @@ class _Chunk:
 def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinOperators):
     """The stochastic engine: yield the seeds in chunks of CHUNK, each stepped
     as one (S, 2, d) batch by _evolve, with p_succ (against the initial
-    direction) and the inclination of the polarization _evolve reads, once
-    per primary measurement, corrections included."""
+    direction) and the inclination derived a block at a time from the
+    polarization _evolve reads after each primary measurement's corrections."""
     if n_measure < 1:
         raise ValueError("n_measure must be >= 1")
     steps = [MeasureStep(as_polarization(q))] * n_measure
