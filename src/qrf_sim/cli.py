@@ -47,7 +47,6 @@ from .trajectory import (
     RNG_ALGORITHM,
     AlternatingAntipolarized,
     ConditionalTuned,
-    LifetimeCapExceeded,
     NoAverageEvolution,
     NumericalInvariantError,
     ThresholdOutOfRange,
@@ -57,11 +56,11 @@ from .trajectory import (
     run_ensemble_statistics,
     schedule_measurements,
     schedule_unitaries,
-    usable_lifetime,
+    usable_lifetimes,
 )
 
 PI = float(np.pi)
-L_MAX = 1024  # the largest frame the runs are sized for: each builds d x d states once
+L_MAX = 1024  # the largest frame the runs are sized for: each builds one d x d start, no operators
 
 
 class ConfigError(ValueError):
@@ -219,7 +218,10 @@ def _construct(what: str, build, *args):
     except KeyError as exc:
         raise ConfigError(f"{what} is missing parameter {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
+        msg = str(exc)  # it may quote a value whole, such as a 4000-digit k: keep both ends
+        if len(msg) > 200:
+            msg = f"{msg[:100]}...{msg[-100:]}"
+        raise ConfigError(f"{what}: {msg}") from exc
 
 
 def run_fig1(cfg: dict):
@@ -334,23 +336,22 @@ def run_fig5(cfg: dict):
 
 def run_scaling(cfg: dict):
     """Usable lifetime (measurements until p_succ crosses a threshold) as a
-    function of l, with a log-log exponent fit per (z, threshold)."""
-    combos = [(l, z, thr) for z in cfg["z_list"] for thr in cfg["thresholds"]
-              for l in cfg["l_list"]]
+    function of l, with a log-log exponent fit per (z, threshold); one pass
+    per (l, z) finds every threshold's lifetime."""
 
-    def one(combo):
-        l, z, thr = combo
+    def one(l, z):
         ops = build_spin_operators(l)
         rho0 = coherent_state(l, cfg["theta"])
         try:
-            life = usable_lifetime(rho0, z, ops, thr, None, step_cap=cfg["step_cap"])
-        except LifetimeCapExceeded:
-            life = cfg["step_cap"]
+            lives = usable_lifetimes(rho0, z, ops, cfg["thresholds"], None,
+                                     step_cap=cfg["step_cap"])
         except ThresholdOutOfRange as exc:
             raise ConfigError(f"scaling at l = {l}, z = {z}: {exc}") from exc
-        return (l, z, thr, life)
+        return [cfg["step_cap"] if life is None else life for life in lives]
 
-    rows = [one(combo) for combo in combos]
+    lives = {(l, z): one(l, z) for z in cfg["z_list"] for l in cfg["l_list"]}
+    rows = [(l, z, thr, lives[l, z][i]) for z in cfg["z_list"]
+            for i, thr in enumerate(cfg["thresholds"]) for l in cfg["l_list"]]
     fits = []
     for z in cfg["z_list"]:
         for thr in cfg["thresholds"]:

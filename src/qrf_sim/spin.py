@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,22 +63,20 @@ def as_spin(l) -> SpinQuantum:
 
 @dataclass(frozen=True)
 class SpinOperators:
-    """Dense matrix representation of the angular momentum algebra for one l.
+    """The angular momentum algebra for one l.
 
     ``m_diag`` is the diagonal of Lz and ``ladder`` holds the raising
     coefficients: ``ladder[k] = <m_{k-1}| L+ |m_k>`` with ``ladder[0] = 0``.
     The two vectors are what the dense structured kernel consumes.  The band
     kernel reads them along the diagonals k = 0, 1 instead:
     ``m_band[k, i] = m_{i+k}`` and ``ladder_band[k, i] = ladder[i+1] *
-    ladder[i+k+1]``, zero where the index leaves the matrix.
+    ladder[i+k+1]``, zero where the index leaves the matrix.  No run reads
+    more; the dense d x d Lx, Ly, Lz, Lplus and Lminus are built on first use,
+    by the tensor oracles, rotation_y, quadratic_bloch_state and the
+    brute-force traces, and then kept.
     """
 
     l: SpinQuantum
-    Lx: np.ndarray
-    Ly: np.ndarray
-    Lz: np.ndarray
-    Lplus: np.ndarray
-    Lminus: np.ndarray
     m_diag: np.ndarray
     ladder: np.ndarray
     m_band: np.ndarray
@@ -91,6 +89,26 @@ class SpinOperators:
     @property
     def l_value(self) -> float:
         return self.l.l
+
+    @cached_property
+    def Lz(self) -> np.ndarray:
+        return np.diag(self.m_diag).astype(np.complex128)
+
+    @cached_property
+    def Lplus(self) -> np.ndarray:
+        return np.diag(self.ladder[1:], 1).astype(np.complex128)
+
+    @cached_property
+    def Lminus(self) -> np.ndarray:
+        return self.Lplus.conj().T
+
+    @cached_property
+    def Lx(self) -> np.ndarray:
+        return (self.Lplus + self.Lminus) / 2.0
+
+    @cached_property
+    def Ly(self) -> np.ndarray:
+        return (self.Lplus - self.Lminus) / 2.0j
 
 
 @lru_cache(maxsize=None)
@@ -106,21 +124,14 @@ def _build_spin_operators(twice_l: int) -> SpinOperators:
     ladder[1:] = np.sqrt(
         (twice_l * (twice_l + 2) - twice_m[1:] * (twice_m[1:] + 2)) / 4.0
     )
-    Lz = np.diag(m).astype(np.complex128)
-    Lplus = np.zeros((d, d), dtype=np.complex128)
-    for k in range(1, d):
-        Lplus[k - 1, k] = ladder[k]
-    Lminus = Lplus.conj().T
-    Lx = (Lplus + Lminus) / 2.0
-    Ly = (Lplus - Lminus) / 2.0j
     m_band = np.array([m, np.append(m[1:], 0.0)])
     # the dense kernel's ladder products ladder[i+1] ladder[i+k+1] along diagonal k
     ladder_band = np.array([ladder[1:] * ladder[1:], np.append(ladder[1:-1] * ladder[2:], 0.0)])
-    return SpinOperators(l, Lx, Ly, Lz, Lplus, Lminus, m, ladder, m_band, ladder_band)
+    return SpinOperators(l, m, ladder, m_band, ladder_band)
 
 
 def build_spin_operators(l) -> SpinOperators:
-    """Construct the dense spin operators for magnitude l (cached, shared)."""
+    """The spin operators for magnitude l (cached, shared); see SpinOperators."""
     return _build_spin_operators(as_spin(l).twice_l)
 
 
@@ -218,11 +229,11 @@ def rotated_dicke_state(l, k, theta: float) -> np.ndarray:
 def coherent_state(l, theta: float) -> np.ndarray:
     """Maximal-projection state tilted by theta: <L> = l (sin t, 0, cos t).
 
-    Built as outer(c, c) from the closed-form amplitudes
-    c_n = sqrt(C(2l, n)) cos(theta/2)^(2l-n) sin(theta/2)^n, in O(d^2); the
-    magnitudes are taken in log space so large l cannot overflow, the signs
-    from the integer powers.  rotated_dicke_state(l, l, theta) is the
-    rotation-route oracle.
+    Built as outer(c, c), in the real part of one complex matrix, from the
+    amplitudes c_n = sqrt(C(2l, n)) cos(theta/2)^(2l-n) sin(theta/2)^n in
+    O(d^2); the magnitudes are taken in log space so large l cannot
+    overflow, the signs from the integer powers.  rotated_dicke_state(l, l,
+    theta) is the rotation-route oracle.
     """
     if not np.isfinite(theta):
         raise ValueError(f"rotation angle must be finite, got {theta!r}")
@@ -236,7 +247,9 @@ def coherent_state(l, theta: float) -> np.ndarray:
         log_c += np.where(power > 0, power * math.log(abs(x)) if x != 0.0 else -np.inf, 0.0)
         sign *= np.where(power % 2 == 1, math.copysign(1.0, x), 1.0)
     c = sign * np.exp(log_c)
-    return np.outer(c, c).astype(np.complex128)
+    rho = np.zeros((n_max + 1, n_max + 1), dtype=np.complex128)
+    np.outer(c, c, out=rho.real)
+    return rho
 
 
 def mixed_dicke_state(l, k1, k2, p: float, beta: float) -> np.ndarray:

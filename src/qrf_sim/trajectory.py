@@ -5,7 +5,7 @@ Every run converts its initial state once to the two-row band array of its
 diagonals 0 and 1 (kernels.to_bands) and steps that, O(d) per step; the
 records hold the final band array, not a d x d matrix.  All runs share one
 stepping loop, _evolve, and one step function, _apply: run_average and
-usable_lifetime feed it average-map steps, the stochastic engine
+usable_lifetimes feed it average-map steps, the stochastic engine
 measurements with drawn outcomes.  A strategy inserts its corrections after
 each step through the same hook in all of them.  Every step takes its
 kernel factors from the memo channels.step_factors.  Every state is checked
@@ -390,31 +390,41 @@ def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
                       p_succ_of(mean_L, n_hat, ops), cur)
 
 
-def usable_lifetime(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
-                    strategy=None, *, step_cap: int = 10**6) -> int:
-    """Number of measurements before p_succ (along the initial direction)
-    falls below the threshold, under average evolution with the given
-    correction strategy.
-
-    Steps forward one average channel at a time and reads each checked
-    block of _evolve at once, returning the first crossing; correction steps
-    are applied but not counted, and only outcome-independent strategies
-    have an average evolution.  The cap is reported by exception if the
-    threshold is never crossed within step_cap steps.
-    """
+def usable_lifetimes(rho0: np.ndarray, q, ops: SpinOperators, thresholds, strategy=None, *,
+                     step_cap: int = 10**6) -> list:
+    """Per threshold, the number of measurements before p_succ (along the
+    initial direction) falls below it under average evolution with the
+    strategy, or None if not within step_cap steps.  One pass steps until
+    every threshold is crossed and reads each first crossing from the checked
+    blocks of _evolve; corrections are not counted, and only
+    outcome-independent strategies have an average evolution."""
     v0, n_hat, theta0 = _initial_direction(rho0, ops)
     p0 = float(p_succ_of(v0, n_hat, ops))
-    if not 0.5 < threshold < p0:
-        raise ThresholdOutOfRange(f"threshold must lie in (0.5, p_succ(rho0)) = (0.5, {p0:.6f}), "
-                                  f"got {threshold!r}")
+    for threshold in thresholds:
+        if not 0.5 < threshold < p0:
+            raise ThresholdOutOfRange(f"threshold must lie in (0.5, p_succ(rho0)) = "
+                                      f"(0.5, {p0:.6f}), got {threshold!r}")
+    lives, levels = [None] * len(thresholds), np.array(thresholds, dtype=float)
     steps = repeat(MeasureStep(as_polarization(q)), step_cap)
     n = 0
     for v, _, _ in _evolve(to_bands(rho0), steps, strategy, ops, theta0):
-        below = p_succ_of(v, n_hat, ops) < threshold
-        if below.any():
-            return n + int(below.argmax()) + 1
+        below = p_succ_of(v, n_hat, ops)[:, None] < levels
+        for i in np.flatnonzero(below.any(axis=0)):
+            lives[i] = lives[i] or n + int(below[:, i].argmax()) + 1
+        if all(lives):
+            break
         n += len(v)
-    raise LifetimeCapExceeded(step_cap)
+    return lives
+
+
+def usable_lifetime(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
+                    strategy=None, *, step_cap: int = 10**6) -> int:
+    """usable_lifetimes for one threshold; LifetimeCapExceeded reports a
+    threshold not crossed within step_cap steps."""
+    life, = usable_lifetimes(rho0, q, ops, [threshold], strategy, step_cap=step_cap)
+    if life is None:
+        raise LifetimeCapExceeded(step_cap)
+    return life
 
 
 # ---------------------------------------------------------------------------

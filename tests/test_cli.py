@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrf_sim import cli, trajectory
+from qrf_sim import cli, spin, trajectory
 from qrf_sim.channels import (
     average_channel,
     selective_channel_tensor,
@@ -164,9 +164,51 @@ def test_scaling_internal_value_error_is_not_a_config_error(tmp_path, monkeypatc
     def failing(*args, **kwargs):
         raise ValueError("internal fault")
 
-    monkeypatch.setattr(cli, "usable_lifetime", failing)
+    monkeypatch.setattr(cli, "usable_lifetimes", failing)
     with pytest.raises(ValueError, match="internal fault"):
         run(tmp_path, "scaling", {"l_list": [8], "z_list": [1.0], "thresholds": [0.9]})
+
+
+def test_scaling_steps_each_l_and_z_once(tmp_path, monkeypatch):
+    # one pass per (l, z) steps the longer lifetime, rounded up to a whole block
+    steps, evolve = [], trajectory._evolve
+
+    def counting(*args, **kwargs):
+        steps.append(0)
+        for v, state, log in evolve(*args, **kwargs):
+            steps[-1] += len(v)
+            yield v, state, log
+
+    monkeypatch.setattr(trajectory, "_evolve", counting)
+    rc, out = run(tmp_path, "scaling",
+                  {"l_list": [8, 16], "z_list": [0.0, 1.0], "thresholds": [0.9, 0.85]})
+    assert rc == 0
+    longest = {}
+    for l, z, _, life in read_csv(out)[2]:
+        longest[l, z] = max(longest.get((l, z), 0), int(life))
+    block = trajectory.STEP_BLOCK  # one band array at l <= 16 fills a whole block
+    assert steps == [-(-life // block) * block for life in longest.values()]
+
+
+def test_scaling_threshold_out_of_range_names_its_l_and_z(tmp_path, capsys):
+    # 0.98 lies below p_succ(rho0) = 0.9961 at l = 64 and above 0.9706 at l = 8
+    rc, _ = run(tmp_path, "scaling",
+                {"l_list": [64, 8], "z_list": [0.5], "thresholds": [0.9, 0.98]})
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config-error: scaling at l = 8, z = 0.5: ")
+    assert err[0].endswith("got 0.98")
+
+
+def test_runs_build_no_dense_spin_operator(tmp_path):
+    spin._build_spin_operators.cache_clear()
+    for experiment, payload in [
+            ("fig2", {"l": 5, "n_steps": 20}), ("fig4", {"l": 5, "n_measure": 20}),
+            ("fig5", {"l": 5, "n_measure": 20, "seeds": {"base": 0, "count": 3}}),
+            ("scaling", {"l_list": [5, 6], "z_list": [1.0], "thresholds": [0.9]})]:
+        assert run(tmp_path, experiment, payload)[0] == 0
+    for l in (5, 6):
+        assert not {"Lx", "Ly", "Lz", "Lplus", "Lminus"} & set(vars(build_spin_operators(l)))
 
 
 def test_byte_reproducibility_and_thread_invariance(tmp_path):
@@ -367,7 +409,11 @@ def test_output_write_failure_is_exit_2_with_one_line(tmp_path, capsys):
     '{"state": ' + "[" * 980 + "true" + "]" * 980 + "}",
     json.dumps({"l_list": [8] * 9999 + ["x"]}),
     json.dumps({f"x{i}": 1 for i in range(1000)}),
-], ids=["state-988-deep", "bool-980-deep", "l_list-10k", "1000-unknown-keys"])
+    json.dumps({"state": {"family": "rotated_dicke", "k": int("7" * 4000)}}),
+    json.dumps({"strategy": {"kind": "unitary_every_k", "k": -int("7" * 4000)}}),
+    json.dumps({"strategy": {"kind": "unitary_every_k", "k": list(range(10**4))}}),
+], ids=["state-988-deep", "bool-980-deep", "l_list-10k", "1000-unknown-keys", "k-4000-digits",
+        "k-4000-digits-negative", "k-10k-list"])
 def test_config_error_echoes_values_abridged(tmp_path, content):
     # a fresh process, so the nesting meets the decoder's depth limit, not this stack's
     cfg = tmp_path / "config.json"

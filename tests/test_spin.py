@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qrf_sim import spin
 from qrf_sim.spin import (
     DensityMatrixError,
     QuadraticBlochSpec,
@@ -72,6 +73,34 @@ def test_commutation_relations_l100_float64_floor():
     ops = build_spin_operators(100)
     comm = ops.Lx @ ops.Ly - ops.Ly @ ops.Lx - 1j * ops.Lz
     assert np.abs(comm).max() <= 4e-12
+
+
+DENSE = ("Lx", "Ly", "Lz", "Lplus", "Lminus")
+
+
+def test_dense_operators_built_on_first_use_equal_the_eager_construction():
+    for twice_l in range(1, 65):
+        ops = build_spin_operators(twice_l / 2)
+        # the eager construction, from the O(d) tables with one Lplus entry at a time
+        Lplus = np.zeros((ops.d, ops.d), dtype=np.complex128)
+        for k in range(1, ops.d):
+            Lplus[k - 1, k] = ops.ladder[k]
+        Lminus = Lplus.conj().T
+        eager = {"Lx": (Lplus + Lminus) / 2.0, "Ly": (Lplus - Lminus) / 2.0j,
+                 "Lz": np.diag(ops.m_diag).astype(np.complex128), "Lplus": Lplus,
+                 "Lminus": Lminus}
+        for name in DENSE:
+            lazy = getattr(ops, name)
+            assert lazy.dtype == np.complex128 and lazy.tobytes() == eager[name].tobytes(), \
+                (twice_l, name)
+            assert getattr(ops, name) is lazy  # built once, then kept
+
+
+def test_spin_operators_hold_no_dense_matrix_until_read():
+    spin._build_spin_operators.cache_clear()
+    ops = build_spin_operators(1024)
+    assert max(v.size for v in vars(ops).values() if isinstance(v, np.ndarray)) == 2 * ops.d
+    assert not set(DENSE) & set(vars(ops))
 
 
 def test_invalid_spin_rejected():

@@ -43,6 +43,7 @@ from qrf_sim.trajectory import (
     run_stochastic,
     schedule_measurements,
     usable_lifetime,
+    usable_lifetimes,
     validate_schedule,
 )
 
@@ -487,6 +488,41 @@ def test_usable_lifetime_block_reads_find_the_first_crossing(n):
         with pytest.raises(LifetimeCapExceeded) as exc:
             usable_lifetime(rho, 1.0, OPS8, threshold, step_cap=20)
         assert exc.value.cap == 20
+
+
+@pytest.mark.parametrize("strategy", [None, UnitaryEveryK(2)], ids=["none", "unitary_every_2"])
+def test_one_pass_lifetimes_are_the_one_threshold_lifetimes(strategy):
+    rho, thresholds = coherent_state(8, np.pi / 2), [0.9, 0.93, 0.85]
+    lives = usable_lifetimes(rho, 1.0, OPS8, thresholds, strategy)
+    assert lives == [usable_lifetime(rho, 1.0, OPS8, t, strategy) for t in thresholds]
+    cap = sorted(lives)[1]
+    assert usable_lifetimes(rho, 1.0, OPS8, thresholds, strategy, step_cap=cap) == \
+        [life if life <= cap else None for life in lives]
+
+
+def test_one_pass_lifetimes_match_the_z0_eigendecomposition():
+    # at z = 0 the average map is (1/2 + 1/2d^2) rho + (L+ rho L- + L- rho L+)/d^2
+    # + 2 Lz rho Lz/d^2: on diagonal 1, x_i = rho[i, i+1], a real symmetric tridiagonal
+    # matrix M, so <Lx>(n) = b.M^n x0 = sum_j alpha_j lambda_j^n with b_i = ladder[i+1]
+    # (the start's <Lz> ~ 1e-14 leaves p_succ below 1e-28)
+    for l, want in ((128, [7241, 11651]), (256, [29106, 46676])):
+        ops, rho, thresholds = build_spin_operators(l), coherent_state(l, np.pi / 2), [0.9, 0.85]
+        lives = usable_lifetimes(rho, 0.0, ops, thresholds)
+        d, m, a = ops.d, ops.m_diag, ops.ladder
+        off = a[1:-1] * a[2:] / d**2
+        M = np.diag(0.5 + 0.5 / d**2 + 2.0 * m[:-1] * m[1:] / d**2) + np.diag(off, 1) \
+            + np.diag(off, -1)
+        lam, V = np.linalg.eigh(M)
+        alpha = (V.T @ a[1:]) * (V.T @ np.diagonal(rho, 1).real)
+
+        def p_succ(n):
+            return 0.5 * (1.0 + alpha @ lam**n / (l + 0.5))
+
+        for life, threshold in zip(lives, thresholds):
+            after, before = p_succ(life), p_succ(life - 1)
+            assert after < threshold or abs(after - threshold) <= 1e-12
+            assert before >= threshold or abs(before - threshold) <= 1e-12
+        assert lives == want
 
 
 def test_usable_lifetime_builds_its_step_factors_once(monkeypatch):
