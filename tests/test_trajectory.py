@@ -504,7 +504,7 @@ def test_one_pass_lifetimes_match_the_z0_eigendecomposition():
     # at z = 0 the average map is (1/2 + 1/2d^2) rho + (L+ rho L- + L- rho L+)/d^2
     # + 2 Lz rho Lz/d^2: on diagonal 1, x_i = rho[i, i+1], a real symmetric tridiagonal
     # matrix M, so <Lx>(n) = b.M^n x0 = sum_j alpha_j lambda_j^n with b_i = ladder[i+1]
-    # (the start's <Lz> ~ 1e-14 leaves p_succ below 1e-28)
+    # (the start's <Lz> = l cos(pi/2), about 6e-17 l, adds under 1e-32 to p_succ: left out)
     for l, want in ((128, [7241, 11651]), (256, [29106, 46676])):
         ops, rho, thresholds = build_spin_operators(l), coherent_state(l, np.pi / 2), [0.9, 0.85]
         lives = usable_lifetimes(rho, 0.0, ops, thresholds)
