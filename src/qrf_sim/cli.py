@@ -30,8 +30,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .channels import selective_channel
-from .metrics import summarize_frame
+from .channels import OutcomeImpossible, selective_channel
+from .metrics import UnpolarizedFrame, frame_direction, summarize_frame
 from .predictions import selective_angles_partially_coherent
 from .spin import (
     DensityMatrixError,
@@ -188,6 +188,15 @@ def _validate(experiment: str, cfg: dict):
             _valid_z(z)
         for t in cfg["thresholds"]:
             _require(0.5 < t < 1.0, f"threshold must lie in (0.5, 1), got {_echo(t)}")
+        # a repeat would duplicate rows and fits; l repeats by its spin, 2l
+        for key, distinct in (("l_list", {round(2 * l) for l in cfg["l_list"]}),
+                              ("z_list", set(cfg["z_list"])),
+                              ("thresholds", set(cfg["thresholds"]))):
+            _require(len(distinct) == len(cfg[key]),
+                     f"{key} must not repeat an entry, got {_echo(cfg[key])}")
+    if experiment == "fig3":
+        _require(len({_gamma_column(g) for g in cfg["gammas"]}) == len(cfg["gammas"]),
+                 f"gammas must name distinct columns, got {_echo(cfg['gammas'])}")
 
 
 def resolve_seeds(spec) -> list[int]:
@@ -234,11 +243,16 @@ def run_fig1(cfg: dict):
     def one(theta: float):
         rho = _construct("initial state", mixed_dicke_state,
                          l, cfg["k1"], cfg["k2"], cfg["p"], theta)
-        frame = summarize_frame(rho, ops)
-        exact = []
-        for outcome in (+1, -1):
-            post = selective_channel(rho, cfg["z"], ops, outcome).post_state
-            exact.append(summarize_frame(post, ops).theta - frame.theta)
+        frame = _construct("initial state", summarize_frame, rho, ops)
+
+        def angle(outcome):  # NaN, so exit 3, for an impossible branch or one left unpolarized
+            try:
+                post = selective_channel(rho, cfg["z"], ops, outcome).post_state
+                return frame_direction(post, ops)[2] - frame.theta
+            except (OutcomeImpossible, UnpolarizedFrame):
+                return math.nan
+
+        exact = [angle(+1), angle(-1)]
         formula = selective_angles_partially_coherent(l, frame.r, cfg["z"], theta)
         return (theta, exact[0], exact[1], formula[0], formula[1],
                 abs(exact[0] - formula[0]), abs(exact[1] - formula[1])), frame.r
@@ -248,11 +262,12 @@ def run_fig1(cfg: dict):
     r_value = results[0][1]
     over = sum(1 for row in rows for e, f in ((row[1], row[3]), (row[2], row[4]))
                if abs(f) >= abs(e))
-    gaps = [abs(f - e) / abs(e) for row in rows for e, f in ((row[1], row[3]), (row[2], row[4]))]
+    gaps = [abs(f - e) / abs(e) for row in rows for e, f in ((row[1], row[3]), (row[2], row[4]))
+            if e != 0.0]
     columns = ["theta", "omega_plus_exact", "omega_minus_exact",
                "omega_plus_analytic", "omega_minus_analytic", "abs_err_plus", "abs_err_minus"]
     sidecar = {"r": r_value, "overestimate_fraction": over / (2 * len(rows)),
-               "max_relative_gap": max(gaps)}
+               "max_relative_gap": max(gaps) if gaps else None}
     return columns, rows, sidecar
 
 
@@ -268,6 +283,10 @@ def run_fig2(cfg: dict):
     return ["step", "Lx_over_l", "Ly_over_l", "Lz_over_l"], rows, {}
 
 
+def _gamma_column(gamma: float) -> str:
+    return f"p_succ_unitary_gamma_{gamma:.6g}"
+
+
 def run_fig3(cfg: dict):
     """Success probability under sequential measurements versus unitary
     interactions at the configured kick angles."""
@@ -281,7 +300,7 @@ def run_fig3(cfg: dict):
 
     arms = [("p_succ_measurement", schedule_measurements(n, cfg["z"]))]
     for g in cfg["gammas"]:
-        arms.append((f"p_succ_unitary_gamma_{g:.6g}", schedule_unitaries(n, cfg["z"], g)))
+        arms.append((_gamma_column(g), schedule_unitaries(n, cfg["z"], g)))
     curves = [series(schedule) for _, schedule in arms]
     rows = [tuple([step] + [float(curve[step]) for curve in curves]) for step in range(n + 1)]
     return ["step"] + [name for name, _ in arms], rows, {}
@@ -391,7 +410,8 @@ def _build_custom_state(cfg: dict, ops):
 
 def _parse_strategy(spec: dict, gamma: float, theta0: float):
     """The strategy object of a spec; gamma is the kick angle a spec without
-    one gets, theta0 the conditional target a spec without theta_known gets."""
+    one gets, theta0 the conditional target a spec without theta_known (or
+    with null) gets."""
     _require(isinstance(spec, dict), f"strategy must be an object, got {_echo(spec)}")
     spec = dict(spec)
     kind = spec.pop("kind", "none")
@@ -403,8 +423,10 @@ def _parse_strategy(spec: dict, gamma: float, theta0: float):
         strategy = _construct("strategy", UnitaryEveryK, spec.pop("k", 2), spec.pop("gamma", gamma))
     elif kind == "unitary_after_each_plus":
         strategy = _construct("strategy", UnitaryAfterEachPlus, spec.pop("gamma", gamma))
-    elif kind == "conditional":
-        strategy = _construct("strategy", ConditionalTuned, spec.pop("theta_known", theta0))
+    elif kind == "conditional":  # theta_known null is absent
+        theta_known = spec.pop("theta_known", None)
+        strategy = _construct("strategy", ConditionalTuned,
+                              theta0 if theta_known is None else theta_known)
     else:
         raise ConfigError(f"unknown strategy kind {_echo(kind)}")
     _require(not spec, f"unknown keys for strategy kind {kind!r}: {_echo(sorted(spec))}")
@@ -415,7 +437,7 @@ def run_custom(cfg: dict):
     """Generic run: any state family, average or stochastic evolution."""
     ops = build_spin_operators(cfg["l"])
     rho0 = _construct("initial state", _build_custom_state, cfg, ops)
-    theta0 = _construct("initial state", summarize_frame, rho0, ops).theta
+    _, _, theta0 = _construct("initial state", frame_direction, rho0, ops)
     strat = _parse_strategy(cfg["strategy"], cfg["gamma"], theta0)
     l = cfg["l"]
     if cfg["mode"] == "average":

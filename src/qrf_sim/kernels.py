@@ -13,7 +13,9 @@ off-diagonal of the ladder operators:
 
 which is an O(d^2) banded update rather than an O(d^3) chain of dense
 products.  `apply_structured` does it on a d x d matrix: one outer product
-for the Lz terms and two shifted slices for the ladder terms.
+for the Lz terms and two shifted slices for the ladder terms.  The Lz terms
+multiply element (i, j) by w_i + u_i m_j; `_element_factor` is the one
+place that forms w and u, for both kernels.
 
 Every such map commutes with rotations about Z, so it sends each diagonal
 rho[i, i+k] to itself with a tridiagonal update along it.  Everything a run
@@ -33,13 +35,17 @@ from __future__ import annotations
 import numpy as np
 
 
+def _element_factor(m: np.ndarray, c_id, c_zz, c_anti, c_comm):
+    """(w, u) with c_id + c_zz m_i m_j + c_anti (m_i + m_j) + c_comm (m_i - m_j)
+    = w_i + u_i m_j, the factor of element (i, j) from the Lz terms."""
+    return c_id + (c_anti + c_comm) * m, c_zz * m + (c_anti - c_comm)
+
+
 def apply_structured(rho: np.ndarray, m: np.ndarray, a: np.ndarray, coeffs) -> np.ndarray:
     """Apply the six-term structured superoperator to rho."""
     c_id, c_plus, c_minus, c_zz, c_anti, c_comm = (complex(c) for c in coeffs)
     rho = np.ascontiguousarray(rho, dtype=np.complex128)
-    # c_id + c_zz m_i m_j + c_anti (m_i + m_j) + c_comm (m_i - m_j) = w_i + u_i m_j
-    w = c_id + (c_anti + c_comm) * m
-    u = c_zz * m + (c_anti - c_comm)
+    w, u = _element_factor(m, c_id, c_zz, c_anti, c_comm)
     out = (w[:, None] + np.outer(u, m)) * rho
     aa = np.outer(a[1:], a[1:])
     out[:-1, :-1] += c_plus * aa * rho[1:, 1:]
@@ -58,9 +64,7 @@ def band_factors(m_band: np.ndarray, ladder_band: np.ndarray, coeffs):
     except TypeError:  # an array coefficient
         c_id, c_plus, c_minus, c_zz, c_anti, c_comm = (
             np.asarray(c, dtype=np.complex128) for c in coeffs)
-    m = m_band[0]
-    w = c_id + (c_anti + c_comm) * m
-    u = c_zz * m + (c_anti - c_comm)
+    w, u = _element_factor(m_band[0], c_id, c_zz, c_anti, c_comm)
     return w + u * m_band, c_plus * ladder_band, c_minus * ladder_band
 
 

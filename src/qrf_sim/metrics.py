@@ -6,7 +6,9 @@ component exact Re Tr[rho L_a].  band_mean_L is its one reader, on the
 two-row band array of a state (kernels.to_bands) or an (..., 2, d) batch
 of them: <Lz> comes from the main diagonal and <L-> from the first, as
 elementwise sums, O(d) per array with no matrix product.  inclination_of and
-p_succ_of derive theta and p_succ from its output, one formula each.  A band
+p_succ_of derive theta and p_succ from its output, one formula each, and
+frame_direction is the one rule for a frame that must have a direction:
+its polarization, unit direction and inclination, or UnpolarizedFrame.  A band
 array stands for a Hermitian matrix; the optional ``lower`` band array
 supplies the lower diagonals of a non-Hermitian one.  The dense functions
 are wrappers that pass both triangles, so they stay exact for any square
@@ -119,6 +121,16 @@ def _rotation(theta: float) -> np.ndarray:
     return np.array([[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
 
 
+def frame_direction(rho: np.ndarray, ops: SpinOperators):
+    """The polarization v of rho, the unit vector along it and its inclination
+    theta; UnpolarizedFrame if |<L>| <= 1e-10, when the frame has no direction."""
+    v = mean_angular_momentum(rho, ops)
+    theta, norm = float(inclination_of(v)), np.linalg.norm(v)
+    if np.isnan(theta):
+        raise UnpolarizedFrame(f"|<L>| = {norm:.3e}; the frame has no direction")
+    return v, v / norm, theta
+
+
 def summarize_frame(rho: np.ndarray, ops: SpinOperators) -> FrameSummary:
     """Extract the polarization, inclination and rotated quadratic moments.
 
@@ -127,11 +139,8 @@ def summarize_frame(rho: np.ndarray, ops: SpinOperators) -> FrameSummary:
     carry a nonzero out_of_plane fraction.  Raises UnpolarizedFrame when the
     frame has no direction.
     """
-    v = mean_angular_momentum(rho, ops)
-    theta, norm = float(inclination_of(v)), np.linalg.norm(v)
-    if np.isnan(theta):
-        raise UnpolarizedFrame(f"|<L>| = {norm:.3e}; no direction to summarize")
-    R = _rotation(theta)
+    v, _, theta = frame_direction(rho, ops)
+    norm, R = np.linalg.norm(v), _rotation(theta)
     return FrameSummary(v, float(norm / ops.l_value), theta, float(abs(v[1]) / norm),
                         R @ quadratic_moments(rho, ops) @ R.T)
 

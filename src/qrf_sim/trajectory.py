@@ -7,12 +7,14 @@ records hold the final band array, not a d x d matrix.  All runs share one
 stepping loop, _evolve, and one step function, _apply: run_average and
 usable_lifetimes feed it average-map steps, the stochastic engine
 measurements with drawn outcomes.  A strategy inserts its corrections after
-each step through the same hook in all of them.  Every step takes its
+each step through the same hook in all of them; _evolve logs each primary
+step first and its corrections after it, and that position is the only
+record of which drawn outcomes are corrections.  Every step takes its
 kernel factors from the memo channels.step_factors.  Every state is checked
 to be finite and repaired by channels.hygiene, a block of steps at a time
 (see _evolve), and _evolve reads each block's polarization with
 metrics.band_mean_L; the runs derive the inclination and p_succ (against
-the initial direction, unless given) from it.
+the initial direction from metrics.frame_direction, unless given) from it.
 
 Trajectories are reproducible by construction: every seed owns a
 counter-based generator keyed by it (the algorithm identifier below is
@@ -36,14 +38,7 @@ import numpy as np
 from .channels import (OUTCOME_EPS, _drift, _p_plus, average_channel, hygiene, step_factors,
                        unitary_channel)
 from .kernels import apply_factors, to_bands
-from .metrics import (
-    UnpolarizedFrame,
-    band_mean_L,
-    inclination_of,
-    mean_angular_momentum,
-    p_succ_of,
-    unit_direction,
-)
+from .metrics import band_mean_L, frame_direction, inclination_of, p_succ_of, unit_direction
 from .spin import SpinOperators, as_polarization
 
 RNG_ALGORITHM = "numpy-philox4x64"
@@ -75,7 +70,6 @@ class LifetimeCapExceeded(RuntimeError):
 @dataclass(frozen=True)
 class MeasureStep:
     z: float
-    corrective: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,6 @@ class UnitaryStep:
 
     z: float
     gamma: float
-    corrective: bool = False
     residual: float | None = None  # the inclination error a tuned kick leaves
     where: np.ndarray | None = None
     bands: np.ndarray | None = None
@@ -136,7 +129,7 @@ class AlternatingAntipolarized:
     draws_per_measurement = 2
 
     def corrections(self, i: int, z: float, outcome, B=None, ops=None, theta0=None) -> tuple:
-        return (MeasureStep(-z, corrective=True),)
+        return (MeasureStep(-z),)
 
 
 @dataclass(frozen=True)
@@ -157,7 +150,7 @@ class UnitaryEveryK:
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
     def corrections(self, i: int, z: float, outcome, B=None, ops=None, theta0=None) -> tuple:
-        return (UnitaryStep(-z, self.gamma, corrective=True),) if (i + 1) % self.k == 0 else ()
+        return (UnitaryStep(-z, self.gamma),) if (i + 1) % self.k == 0 else ()
 
 
 @dataclass(frozen=True)
@@ -174,7 +167,7 @@ class UnitaryAfterEachPlus:
         if outcome is None:
             raise NoAverageEvolution(self)
         plus = outcome > 0
-        return (UnitaryStep(-z, self.gamma, corrective=True, where=plus),) if plus.any() else ()
+        return (UnitaryStep(-z, self.gamma, where=plus),) if plus.any() else ()
 
 
 @dataclass(frozen=True)
@@ -199,7 +192,7 @@ class ConditionalTuned:
         theta = theta0 if self.theta_known is None else self.theta_known
         choices = [conditional_correction_step(b, theta, o, ops, z_mag) for b, o in zip(B, outcome)]
         return (UnitaryStep(np.array([c.source_sign * z_mag for c in choices]),
-                            np.array([c.gamma for c in choices]), True,
+                            np.array([c.gamma for c in choices]),
                             np.array([c.residual for c in choices]),
                             bands=np.array([c.corrected_bands for c in choices])),)
 
@@ -339,17 +332,6 @@ def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, d
 # averaged evolution
 # ---------------------------------------------------------------------------
 
-def _initial_direction(rho0: np.ndarray, ops: SpinOperators):
-    """The polarization v of rho0, the unit vector along it and its
-    inclination; raises UnpolarizedFrame when rho0 has no direction."""
-    v = mean_angular_momentum(rho0, ops)
-    theta = float(inclination_of(v))
-    if np.isnan(theta):
-        raise UnpolarizedFrame(f"|<L>| = {np.linalg.norm(v):.3e}; the initial state has no "
-                               "direction")
-    return v, v / np.linalg.norm(v), theta
-
-
 @dataclass
 class AverageRun:
     """The reads of an averaged run at its recorded steps."""
@@ -378,7 +360,7 @@ def run_average(rho0: np.ndarray, schedule: Schedule, ops: SpinOperators,
     cur = to_bands(rho0)
     reads = [band_mean_L(cur[None], ops)]
     if n_hat is None:
-        _, n_hat, theta0 = _initial_direction(rho0, ops)
+        _, n_hat, theta0 = frame_direction(rho0, ops)
     else:  # the start may be unpolarized: its inclination is then NaN
         n_hat, theta0 = unit_direction(n_hat), float(inclination_of(reads[0][0]))
     at = np.arange(len(schedule) + 1)
@@ -398,7 +380,7 @@ def usable_lifetimes(rho0: np.ndarray, q, ops: SpinOperators, thresholds, strate
     every threshold is crossed and reads each first crossing from the checked
     blocks of _evolve; corrections are not counted, and only
     outcome-independent strategies have an average evolution."""
-    v0, n_hat, theta0 = _initial_direction(rho0, ops)
+    v0, n_hat, theta0 = frame_direction(rho0, ops)
     p0 = float(p_succ_of(v0, n_hat, ops))
     for threshold in thresholds:
         if not 0.5 < threshold < p0:
@@ -507,7 +489,7 @@ class _Chunk:
     """The seeds of one chunk, stepped together by _run_chunks."""
 
     seeds: list[int]
-    log: list                   # per primary measurement, the (step, outcomes) taken
+    log: list                   # per primary measurement, the (step, outcomes) taken, itself first
     reads: np.ndarray           # (2, S, n_measure + 1): p_succ and theta
     final: np.ndarray           # (S, 2, d)
 
@@ -527,9 +509,10 @@ class _Chunk:
         return events
 
     def records(self) -> list[TrajectoryRecord]:
-        drawn = [(step, o) for taken in self.log for step, o in taken if o is not None]
+        drawn = [(j > 0, o) for taken in self.log for j, (_, o) in enumerate(taken)
+                 if o is not None]  # j > 0: a correction
         outcomes = np.stack([o for _, o in drawn], axis=1)
-        corrective = np.array([step.corrective for step, _ in drawn])
+        corrective = np.array([fix for fix, _ in drawn])
         return [TrajectoryRecord(seed, outcomes[s], corrective.copy(), self.reads[1, s],
                                  self.reads[0, s], self.events(s), self.final[s])
                 for s, seed in enumerate(self.seeds)]
@@ -543,7 +526,7 @@ def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinO
     if n_measure < 1:
         raise ValueError("n_measure must be >= 1")
     steps = [MeasureStep(as_polarization(q))] * n_measure
-    _, n_hat, theta0 = _initial_direction(rho0, ops)
+    _, n_hat, theta0 = frame_direction(rho0, ops)
 
     def read(v):  # (2, S, n) reads of the (n, S, 3) polarizations of n primary steps
         return np.array([p_succ_of(v, n_hat, ops), inclination_of(v)]).transpose(0, 2, 1)

@@ -314,6 +314,17 @@ BAD_CONFIGS = [
     ("fig2", {"l": 20000}),
     ("fig2", {"l": 2e9}),
     ("scaling", {"l_list": [8, 2048]}),
+    ("fig1", {"l": 3, "k1": -1, "k2": 1, "p": 0.5, "theta_points": 1}),  # unpolarized start
+    ("custom", {"mode": "stochastic", "theta": 0.0,
+                "strategy": {"kind": "conditional", "theta_known": None}}),
+    ("custom", {"mode": "stochastic", "theta": np.pi,
+                "strategy": {"kind": "conditional", "theta_known": None}}),
+    ("custom", {"mode": "stochastic", "state": {"family": "thermal", "r": -0.5},
+                "strategy": {"kind": "conditional", "theta_known": None}}),  # theta0 = -pi/2
+    ("scaling", {"l_list": [4, 4], "z_list": [1.0], "thresholds": [0.9]}),
+    ("scaling", {"l_list": [8, 16], "z_list": [1.0, 1]}),
+    ("scaling", {"l_list": [8, 16], "thresholds": [0.85, 0.85]}),
+    ("fig3", {"gammas": [1.0, 1.0000001]}),  # both columns p_succ_unitary_gamma_1
 ]
 BAD_INVOCATIONS = [
     ("fig1", {}, ("--gamma", "1.0")),
@@ -334,6 +345,9 @@ BAD_INVOCATIONS = [
          "average-outcome-dependent-strategy", "average-conditional-strategy",
          "unpolarized-thermal-state", "conditional-default-target-out-of-range",
          "threshold-above-initial-p-succ", "l-1e6", "l-20000", "l-2e9", "l-list-above-1024",
+         "fig1-unpolarized-start", "conditional-null-target-theta-0",
+         "conditional-null-target-theta-pi", "conditional-null-target-negative-thermal",
+         "repeated-l", "repeated-z", "repeated-threshold", "fig3-clashing-columns",
          "gamma-flag-without-gamma", "gamma-flag-on-scaling", "seeds-flag-without-seeds",
          "negative-threads", "zero-threads"])
 def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, payload, extra):
@@ -341,6 +355,27 @@ def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, 
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config-error: ")
+
+
+@pytest.mark.parametrize("payload, code", [
+    ({"z": 0.0}, 0),                                          # exact angles of 0 and +-3e-17
+    ({"l": 4, "k1": 4, "k2": 4, "theta_points": 3}, 0),       # one exact angle is 0
+    ({"l": 1, "k1": 1, "k2": 1, "z": 0.0, "theta_start": 0.5 * np.pi, "theta_stop": 3.0,
+      "theta_points": 1}, 0),                                 # both exact angles are 0
+    ({"l": 0.5, "k1": 0.5, "k2": -0.5}, 3),                   # a branch left unpolarized
+    ({"l": 4, "k1": 4, "k2": 4, "z": 1.0, "theta_start": 1e-7, "theta_stop": 0.5,
+      "theta_points": 2}, 3),                                 # a branch of probability 2e-15
+], ids=["z-zero", "one-angle-zero", "no-nonzero-angle", "unpolarized-branch",
+        "impossible-branch"])
+def test_fig1_zero_or_undefined_angle_keeps_the_exit_codes(tmp_path, capsys, payload, code):
+    rc, out = run(tmp_path, "fig1", payload)
+    assert rc == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 0:
+        gap = json.loads(Path(out).with_suffix(".json").read_text())["summary"]["max_relative_gap"]
+        assert err == [] and (gap is None) == (payload.get("theta_points") == 1)
+    else:
+        assert len(err) == 1 and err[0].startswith("numerical-invariant: ") and "nan" in err[0]
 
 
 def test_missing_config_is_exit_2(tmp_path):

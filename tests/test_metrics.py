@@ -14,6 +14,7 @@ from qrf_sim.metrics import (
     axis_angle_fit,
     background_moments,
     band_mean_L,
+    frame_direction,
     mean_angular_momentum,
     p_succ,
     p_succ_trace,
@@ -82,6 +83,17 @@ def test_summary_rejects_unpolarized():
     ops = build_spin_operators(4)
     with pytest.raises(UnpolarizedFrame):
         summarize_frame(np.eye(ops.d) / ops.d, ops)
+
+
+def test_frame_direction_is_the_summary_direction_or_raises():
+    ops = build_spin_operators(4)
+    with pytest.raises(UnpolarizedFrame, match=r"\|<L>\|"):
+        frame_direction(np.eye(ops.d) / ops.d, ops)
+    rho = rotated_dicke_state(4, 2, 0.7)
+    v, n_hat, theta = frame_direction(rho, ops)
+    s = summarize_frame(rho, ops)
+    assert np.array_equal(v, s.mean_L) and theta == s.theta
+    assert np.array_equal(n_hat, v / np.linalg.norm(v))
 
 
 def test_summary_quad_matches_dicke_moments():

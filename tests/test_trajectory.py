@@ -64,10 +64,10 @@ OPS16 = build_spin_operators(16)
 
 def test_schedule_builders_and_validation():
     every2 = [UnitaryEveryK(2).corrections(i, 1.0, None) for i in range(4)]
-    kick = UnitaryStep(-1.0, np.pi, corrective=True)
+    kick = UnitaryStep(-1.0, np.pi)
     assert every2 == [(), (kick,), (), (kick,)]
     assert [AlternatingAntipolarized().corrections(i, 1.0, None) for i in range(3)] \
-        == [(MeasureStep(-1.0, corrective=True),)] * 3
+        == [(MeasureStep(-1.0),)] * 3
     with pytest.raises(ValueError):
         validate_schedule([])
     with pytest.raises(TypeError):
@@ -689,7 +689,7 @@ def test_drifted_drawn_block_is_replayed_on_the_same_draws(monkeypatch, caplog):
     class DriftingKicks:
         def corrections(self, i, z, outcome, B, ops, theta0):
             size = {20: 1e-11, 37: 1e-9}.get(i)
-            return (UnitaryStep(-z, 0.0, True, bands=B * (1 + size)),) if size else ()
+            return (UnitaryStep(-z, 0.0, bands=B * (1 + size)),) if size else ()
 
     def records():
         caplog.clear()
