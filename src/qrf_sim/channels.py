@@ -193,7 +193,7 @@ def selective_channel(rho: np.ndarray, q, ops: SpinOperators, outcome) -> Select
     return SelectiveOutcome(sign, p, sigma / p)
 
 
-# bands=True: the memo's factors, as above; the engine's kicks and the conditional trials
+# bands=True: the memo's factors, as above; the engine's kicks and the conditional one
 def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
                     bands: bool = False) -> np.ndarray:
     """Frame back-action of the rotationally invariant unitary coupling.

@@ -139,8 +139,9 @@ def _valid_z(z):
 
 def _check_leaves(cfg: dict):
     # no config key takes a bool (json true passes isinstance(x, int)), and
-    # json accepts NaN and Infinity, which no parameter can use; a stack, not
-    # recursion, walks nesting as deep as json decodes, leaves in file order
+    # json accepts NaN, Infinity and integers beyond the float range, which no
+    # parameter can use; a stack, not recursion, walks nesting as deep as json
+    # decodes, leaves in file order
     stack = list(reversed(cfg.items()))
     while stack:
         where, value = stack.pop()
@@ -152,6 +153,8 @@ def _check_leaves(cfg: dict):
                  f"{_echo(where)} must not be a boolean, got {value!r}")
         _require(not isinstance(value, float) or math.isfinite(value),
                  f"{_echo(where)} must be finite, got {value!r}")
+        _require(not isinstance(value, int) or abs(value) <= sys.float_info.max,
+                 f"{_echo(where)} must fit in a float, got {_echo(value)}")
 
 
 def _validate(experiment: str, cfg: dict):
@@ -197,6 +200,25 @@ def _validate(experiment: str, cfg: dict):
     if experiment == "fig3":
         _require(len({_gamma_column(g) for g in cfg["gammas"]}) == len(cfg["gammas"]),
                  f"gammas must name distinct columns, got {_echo(cfg['gammas'])}")
+
+
+def _as_real(value):
+    """A real-valued parameter as the float the physics takes: a JSON integer
+    such as 10**30 becomes one (_check_leaves has kept it in range); any other
+    value is left for its consumer to reject."""
+    return float(value) if isinstance(value, int) else value
+
+
+def _physics_config(experiment: str, cfg: dict) -> dict:
+    """cfg with each real-valued key, one whose default is a float or a list
+    of floats, as floats (_as_real); the outputs echo cfg itself."""
+    physics = dict(cfg)
+    for key, default in DEFAULTS[experiment].items():
+        if isinstance(default, float):
+            physics[key] = _as_real(cfg[key])
+        elif isinstance(default, list) and isinstance(default[0], float):
+            physics[key] = [_as_real(v) for v in cfg[key]]
+    return physics
 
 
 def resolve_seeds(spec) -> list[int]:
@@ -420,13 +442,14 @@ def _parse_strategy(spec: dict, gamma: float, theta0: float):
     elif kind == "alternating":
         strategy = AlternatingAntipolarized()
     elif kind == "unitary_every_k":
-        strategy = _construct("strategy", UnitaryEveryK, spec.pop("k", 2), spec.pop("gamma", gamma))
+        strategy = _construct("strategy", UnitaryEveryK, spec.pop("k", 2),
+                              _as_real(spec.pop("gamma", gamma)))
     elif kind == "unitary_after_each_plus":
-        strategy = _construct("strategy", UnitaryAfterEachPlus, spec.pop("gamma", gamma))
+        strategy = _construct("strategy", UnitaryAfterEachPlus, _as_real(spec.pop("gamma", gamma)))
     elif kind == "conditional":  # theta_known null is absent
         theta_known = spec.pop("theta_known", None)
         strategy = _construct("strategy", ConditionalTuned,
-                              theta0 if theta_known is None else theta_known)
+                              theta0 if theta_known is None else _as_real(theta_known))
     else:
         raise ConfigError(f"unknown strategy kind {_echo(kind)}")
     _require(not spec, f"unknown keys for strategy kind {kind!r}: {_echo(sorted(spec))}")
@@ -588,7 +611,7 @@ def main(argv=None) -> int:
         out = args.out or f"{args.experiment}.csv"
         side = sidecar_path(args.config, out)
         cfg = load_config(args.experiment, args.config, _flag_overrides(args))
-        columns, rows, sidecar = RUNNERS[args.experiment](cfg)
+        columns, rows, sidecar = RUNNERS[args.experiment](_physics_config(args.experiment, cfg))
         write_outputs(out, side, args.experiment, cfg, columns, rows, sidecar)
     except ConfigError as exc:  # a failed write included
         print(f"config-error: {exc}", file=sys.stderr)

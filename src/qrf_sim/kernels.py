@@ -28,6 +28,8 @@ expression as the dense kernel, so its output equals the dense kernel's
 diagonals bit for bit, whatever the number of rows.  The run loops take the
 factors of every step they repeat from the memo channels.step_factors, which
 calls `band_factors` once per process for each step.
+`apply_factors_transposed` pulls a linear read of the stepped array back to
+weights on the array before the step, O(d) too.
 """
 
 from __future__ import annotations
@@ -75,6 +77,19 @@ def apply_factors(B: np.ndarray, diagonal: np.ndarray, up: np.ndarray,
     out = diagonal * B
     out[..., :-1] += up * B[..., 1:]
     out[..., 1:] += down * B[..., :-1]
+    return out
+
+
+def apply_factors_transposed(W: np.ndarray, diagonal: np.ndarray, up: np.ndarray,
+                             down: np.ndarray) -> np.ndarray:
+    """The transpose of apply_factors's stencil on a (..., 2, d) weight array:
+    the weights W' with sum(W' * B) = sum(W * apply_factors(B, ...)) along
+    each row of every band array B, so a linear read of a stepped state is a
+    weighted sum over the state before the step."""
+    W = np.asarray(W, dtype=np.complex128)
+    out = diagonal * W
+    out[..., 1:] += up * W[..., :-1]
+    out[..., :-1] += down * W[..., 1:]
     return out
 
 

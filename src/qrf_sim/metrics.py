@@ -78,8 +78,12 @@ def inclination_of(v: np.ndarray) -> np.ndarray:
 
 def p_succ_of(v: np.ndarray, n_hat: np.ndarray, ops: SpinOperators) -> np.ndarray:
     """Probability of reproducing the ideal outcome along the unit vector
-    n_hat, (1 + n_hat . <L>/(l + 1/2))/2, of (..., 3) polarization vectors."""
-    return 0.5 * (1.0 + v @ n_hat / (ops.l_value + 0.5))
+    n_hat, (1 + n_hat . <L>/(l + 1/2))/2, of (..., 3) polarization vectors.
+    The dot product runs elementwise in a fixed order: a matrix product picks
+    its loop by the layout of v, so a seed's p_succ would depend on the
+    batch it was read in."""
+    terms = v * n_hat
+    return 0.5 * (1.0 + (terms[..., 0] + terms[..., 1] + terms[..., 2]) / (ops.l_value + 0.5))
 
 
 def unit_direction(n_hat) -> np.ndarray:

@@ -29,7 +29,9 @@ grow with the seed count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import islice, repeat, tee
 from typing import Sequence
 
@@ -37,9 +39,9 @@ import numpy as np
 
 from .channels import (OUTCOME_EPS, _drift, _p_plus, average_channel, hygiene, step_factors,
                        unitary_channel)
-from .kernels import apply_factors, to_bands
+from .kernels import apply_factors, apply_factors_transposed, to_bands
 from .metrics import band_mean_L, frame_direction, inclination_of, p_succ_of, unit_direction
-from .spin import SpinOperators, as_polarization
+from .spin import SpinOperators, SpinQuantum, as_polarization, build_spin_operators
 
 RNG_ALGORITHM = "numpy-philox4x64"
 CHUNK = 256  # seeds stepped together; see the module docstring
@@ -173,10 +175,13 @@ class UnitaryAfterEachPlus:
 @dataclass(frozen=True)
 class ConditionalTuned:
     """Outcome-by-outcome correction tuned to a known inclination (default:
-    the run's initial one, theta0).  Its kick, from conditional_correction_step,
-    solves a + b cos gamma + c sin gamma = 0 for a hit, or else for the
-    stationary inclination, <L> being affine in (1, cos gamma, sin gamma);
-    residual ties go to the kick keeping most polarization along the target.
+    the run's initial one, theta0).  Each seed's kick, from
+    conditional_correction_step, solves a + b cos gamma + c sin gamma = 0 for
+    a hit, or else for the stationary inclination, <L> being affine in
+    (1, cos gamma, sin gamma) with coefficients read from one weighted sum
+    over the seed's state; residual ties go to the kick keeping most
+    polarization along the target.  The step applies the chosen kicks itself,
+    one channel call per kicked seed, and hands the engine the kicked batch.
     """
 
     theta_known: float | None = None
@@ -413,12 +418,46 @@ def usable_lifetime(rho0: np.ndarray, q, ops: SpinOperators, threshold: float,
 # conditional correction
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _kick_read_weights(twice_l: int, z_mag: float) -> np.ndarray:
+    """(5, 2, d) weights whose sums along a band array B (kernels.to_bands)
+    give band_mean_L's reads, <Lz> from row 0 and <Lx> - i<Ly> from row 1, of
+    B and of B kicked at gamma = pi and pi/2 by a source sign * z_mag, sign +1
+    and then -1: the read vectors pulled back through the memo's factors of
+    each kick (kernels.apply_factors_transposed), built once per (l, |z|)."""
+    ops = build_spin_operators(SpinQuantum(twice_l))
+    read = np.zeros((2, ops.d), dtype=np.complex128)
+    read[0], read[1, :-1] = ops.m_diag, ops.ladder[1:]  # band_mean_L's read vectors
+    weights = np.array([read] + [
+        apply_factors_transposed(read, *step_factors(twice_l, "unitary",
+                                                     as_polarization(sign * z_mag), gamma))
+        for sign in (+1, -1) for gamma in (np.pi, 0.5 * np.pi)])
+    weights.flags.writeable = False
+    return weights
+
+
+def _kick_reads(B: np.ndarray, ops: SpinOperators, z_mag: float):
+    """The polarization v0 = (x, y, z) of a band array B, as floats, and per
+    source sign +1 and -1 the (P, Q, R) with P + Q cos gamma + R sin gamma the
+    polarization after a kick by gamma: P = (v0 + v_pi)/2, Q = (v0 - v_pi)/2
+    and R = v_pi/2 - P from the reads of the kicks at pi and pi/2, all from one
+    weighted sum over B (_kick_read_weights)."""
+    sums = np.add.reduce(_kick_read_weights(ops.l.twice_l, z_mag) * B, axis=-1).tolist()
+    v0, *kicked = [(row1.real, -row1.imag, row0.real) for row0, row1 in sums]
+    terms = []
+    for v_pi, v_half in (kicked[:2], kicked[2:]):
+        P = tuple(0.5 * (a + b) for a, b in zip(v0, v_pi))
+        Q = tuple(0.5 * (a - b) for a, b in zip(v0, v_pi))
+        terms.append((P, Q, tuple(h - p for h, p in zip(v_half, P))))
+    return v0, terms
+
+
 def _trig_roots(a: float, b: float, c: float) -> tuple:
     """The roots in gamma of a + b cos(gamma) + c sin(gamma) = 0, if any."""
-    h = np.hypot(b, c)
+    h = math.hypot(b, c)
     if h == 0.0 or abs(a) > h:
         return ()
-    phi, half_width = np.arctan2(c, b), np.arccos(-a / h)
+    phi, half_width = math.atan2(c, b), math.acos(-a / h)
     return (phi + half_width, phi - half_width)
 
 
@@ -427,13 +466,15 @@ def conditional_correction_step(B: np.ndarray, theta_known: float, outcome,
     """Best single unitary kick returning a post-measurement state to a known
     inclination t, in closed form.
 
-    The channel is affine in (1, cos gamma, sin gamma), so either source sign
-    kicks <L> = (x, y, z) to exactly P + Q cos gamma + R sin gamma, where
-    P = (v0 + v_pi)/2, Q = (v0 - v_pi)/2, R = v_pi/2 - P from the current v0
-    and trial kicks at pi and pi/2.  Candidates: no kick and, per sign, the
-    roots of the hit condition x cos t - z sin t = 0 and of the stationary
-    condition x z' - z x' = Q^R + (P^R) cos gamma - (P^Q) sin gamma = 0
-    (^ the X-Z cross product), met by the best reachable inclination.  The
+    The channel is linear in B and affine in (1, cos gamma, sin gamma), so
+    either source sign kicks <L> = (x, y, z) to exactly P + Q cos gamma +
+    R sin gamma, where P = (v0 + v_pi)/2, Q = (v0 - v_pi)/2, R = v_pi/2 - P
+    from the current v0 and the kicks at pi and pi/2.  No kick is tried: v0,
+    P, Q and R come from one weighted sum over B (_kick_reads), and the
+    candidates are chosen in Python floats.  Candidates: no kick and, per
+    sign, the roots of the hit condition x cos t - z sin t = 0 and of the
+    stationary condition x z' - z x' = Q^R + (P^R) cos gamma - (P^Q) sin gamma
+    = 0 (^ the X-Z cross product), met by the best reachable inclination.  The
     least residual |atan2(x, z) - t| wins; residuals within 1e-12 of it tie
     and go to the largest forward component x sin t + z cos t.  That rule is
     load-bearing: both signs usually hit, and which one is taken sets the
@@ -441,38 +482,38 @@ def conditional_correction_step(B: np.ndarray, theta_known: float, outcome,
     such ties go to the first of no kick, sign +1, hit roots, phi + arccos,
     so rounding never picks between the mirror kicks gamma, 2 pi - gamma of
     an in-plane state.  B and the corrected state are band arrays
-    (kernels.to_bands); corrected_bands is returned as the channel gives it,
-    without the hygiene repair the stepping loop applies.  On target,
-    gamma = 0 and B itself are returned.
+    (kernels.to_bands); the chosen kick is the one unitary_channel call, and
+    corrected_bands is returned as the channel gives it, without the hygiene
+    repair the stepping loop applies.  The residual is that of
+    band_mean_L(corrected_bands).  On target, gamma = 0 and B itself are
+    returned.
     """
     if not 0.0 < theta_known < np.pi:
         raise ValueError(f"theta_known must lie in (0, pi), got {theta_known!r}")
-    cos_t, sin_t = np.cos(theta_known), np.sin(theta_known)
+    cos_t, sin_t = math.cos(theta_known), math.sin(theta_known)
 
-    def error(v):
-        return abs(np.arctan2(v[0], v[2]) - theta_known)
+    def scored(gamma, sign, x, z):  # (residual, gamma, sign, forward component)
+        return abs(math.atan2(x, z) - theta_known), gamma, sign, x * sin_t + z * cos_t
 
-    v0 = band_mean_L(B, ops)
-    candidates = [(0.0, +1, v0)]
-    for sign in (+1, -1) if error(v0) > 1e-12 else ():
-        v_pi, v_half = band_mean_L(np.array([unitary_channel(B, sign * z_mag, ops, g, bands=True)
-                                             for g in (np.pi, 0.5 * np.pi)]), ops)
-        P, Q = 0.5 * (v0 + v_pi), 0.5 * (v0 - v_pi)
-        R = v_half - P
+    v0, terms = _kick_reads(B, ops, z_mag)
+    candidates = [scored(0.0, +1, v0[0], v0[2])]
+    for sign, (P, Q, R) in zip((+1, -1), terms) if candidates[0][0] > 1e-12 else ():
         hit = _trig_roots(*(u[0] * cos_t - u[2] * sin_t for u in (P, Q, R)))
         stationary = _trig_roots(Q[0] * R[2] - Q[2] * R[0], P[0] * R[2] - P[2] * R[0],
                                  P[2] * Q[0] - P[0] * Q[2])
-        candidates += [(g, sign, P + Q * np.cos(g) + R * np.sin(g))
-                       for g in np.mod(hit + stationary, 2.0 * np.pi)]
-    least = min(error(v) for _, _, v in candidates)
-    tied = [(g, sign, v[0] * sin_t + v[2] * cos_t) for g, sign, v in candidates
-            if error(v) <= least + 1e-12]
-    most = max(forward for _, _, forward in tied)
-    gamma, sign = next((g, sign) for g, sign, forward in tied if forward >= most - 1e-12)
-    if gamma == 0.0:
-        return CorrectionChoice(0.0, +1, B, error(v0))
-    kicked = unitary_channel(B, sign * z_mag, ops, gamma, bands=True)
-    return CorrectionChoice(float(gamma), sign, kicked, error(band_mean_L(kicked, ops)))
+        for g in hit + stationary:
+            g %= 2.0 * math.pi
+            c, s = math.cos(g), math.sin(g)
+            candidates.append(scored(g, sign, P[0] + Q[0] * c + R[0] * s,
+                                     P[2] + Q[2] * c + R[2] * s))
+    least = min(residual for residual, *_ in candidates)
+    tied = [choice for choice in candidates if choice[0] <= least + 1e-12]
+    most = max(forward for *_, forward in tied)
+    _, gamma, sign, _ = next(choice for choice in tied if choice[3] >= most - 1e-12)
+    kicked = B if gamma == 0.0 else unitary_channel(B, sign * z_mag, ops, gamma, bands=True)
+    v = band_mean_L(kicked, ops)
+    residual = float(abs(np.arctan2(v[0], v[2]) - theta_known))
+    return CorrectionChoice(gamma, sign if gamma else +1, kicked, residual)
 
 
 # ---------------------------------------------------------------------------

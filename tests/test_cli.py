@@ -227,22 +227,24 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     cases = [("fig5", {"n_measure": 20, "seeds": {"base": 0, "count": 300}}),
              ("fig3", {"n_steps": 100}),
              ("custom", {"n_steps": 100, "strategy": {"kind": "unitary_every_k", "k": 2}}),
-             ("scaling", {"l_list": [8, 64], "z_list": [0.0, 1.0], "thresholds": [0.9]})]
+             ("scaling", {"l_list": [8, 64], "z_list": [0.0, 1.0], "thresholds": [0.9]}),
+             ("custom", {"mode": "stochastic", "n_measure": 50, "seeds": {"base": 0, "count": 20},
+                         "strategy": {"kind": "conditional"}})]
     blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in blas_vars}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     outputs = {}
     for threads in (None, "1"):
         run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
-        for experiment, payload in cases:
-            cfg = write_config(tmp_path, payload, f"{experiment}.json")
-            out = tmp_path / f"{experiment}-{threads}.csv"
+        for i, (experiment, payload) in enumerate(cases):
+            cfg = write_config(tmp_path, payload, f"{experiment}-{i}.json")
+            out = tmp_path / f"{experiment}-{i}-{threads}.csv"
             subprocess.run([sys.executable, "-m", "qrf_sim.cli", experiment, "--config", cfg,
                             "--out", str(out)], env=run_env, check=True, capture_output=True,
                            timeout=120)
-            outputs[experiment, threads] = (out.read_bytes(), out.with_suffix(".json").read_bytes())
-    for experiment, _ in cases:
-        assert outputs[experiment, None] == outputs[experiment, "1"], experiment
+            outputs[i, threads] = (out.read_bytes(), out.with_suffix(".json").read_bytes())
+    for i, (experiment, payload) in enumerate(cases):
+        assert outputs[i, None] == outputs[i, "1"], (experiment, payload)
 
 
 @pytest.mark.parametrize("kind", ["conditional", "unitary_after_each_plus"])
@@ -325,6 +327,11 @@ BAD_CONFIGS = [
     ("scaling", {"l_list": [8, 16], "z_list": [1.0, 1]}),
     ("scaling", {"l_list": [8, 16], "thresholds": [0.85, 0.85]}),
     ("fig3", {"gammas": [1.0, 1.0000001]}),  # both columns p_succ_unitary_gamma_1
+    ("fig2", {"gamma": 10**400}),            # beyond the float range
+    ("fig3", {"gammas": [1.0, -10**400]}),
+    ("fig4", {"gamma": 10**400}),
+    ("fig5", {"gamma": 10**400}),
+    ("custom", {"strategy": {"kind": "unitary_every_k", "gamma": 10**400}}),
 ]
 BAD_INVOCATIONS = [
     ("fig1", {}, ("--gamma", "1.0")),
@@ -348,6 +355,8 @@ BAD_INVOCATIONS = [
          "fig1-unpolarized-start", "conditional-null-target-theta-0",
          "conditional-null-target-theta-pi", "conditional-null-target-negative-thermal",
          "repeated-l", "repeated-z", "repeated-threshold", "fig3-clashing-columns",
+         "fig2-gamma-1e400", "fig3-gamma-1e400", "fig4-gamma-1e400", "fig5-gamma-1e400",
+         "strategy-gamma-1e400",
          "gamma-flag-without-gamma", "gamma-flag-on-scaling", "seeds-flag-without-seeds",
          "negative-threads", "zero-threads"])
 def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, payload, extra):
@@ -355,6 +364,38 @@ def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, 
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config-error: ")
+
+
+@pytest.mark.parametrize("experiment, payload", [
+    ("fig2", {"n_steps": 5, "gamma": 10**30}),
+    ("fig3", {"n_steps": 5, "gammas": [10**30, 2]}),
+    ("fig4", {"n_measure": 5, "gamma": 10**30}),
+    ("fig5", {"n_measure": 5, "gamma": 10**30, "seeds": [1, 2]}),
+    ("custom", {"mode": "stochastic", "n_measure": 5, "seeds": [1, 2],
+                "strategy": {"kind": "unitary_after_each_plus", "gamma": 10**30}}),
+    ("custom", {"mode": "stochastic", "n_measure": 5, "seeds": [1, 2],
+                "strategy": {"kind": "conditional", "theta_known": 1}}),
+], ids=["fig2", "fig3", "fig4", "fig5", "custom-strategy-gamma", "custom-theta-known"])
+def test_integer_real_parameters_run_as_floats(tmp_path, experiment, payload):
+    # a JSON integer, even one beyond int64, reaches the physics as its float:
+    # the data rows are those of the float config, and the sidecar echoes the integer
+    def as_float(value):
+        if isinstance(value, dict):
+            return {k: as_float(v) if k in ("gamma", "gammas", "theta_known") else v
+                    for k, v in value.items()}
+        return [float(v) for v in value] if isinstance(value, list) else float(value)
+
+    floats = {k: as_float(v) if k in ("gamma", "gammas", "strategy") else v
+              for k, v in payload.items()}
+    data = []
+    for name, cfg in (("int", payload), ("float", floats)):
+        (tmp_path / name).mkdir()
+        rc, out = run(tmp_path / name, experiment, cfg)
+        assert rc == 0
+        data.append(read_csv(out)[1:])
+        echo = json.loads(Path(out).with_suffix(".json").read_text())["config"]
+        assert {k: echo[k] for k in cfg} == cfg
+    assert data[0] == data[1]
 
 
 @pytest.mark.parametrize("payload, code", [

@@ -289,7 +289,8 @@ def test_conditional_correction_matches_dense_scan(l):
     assert n_reached > 0
 
 
-def test_conditional_correction_makes_at_most_five_channel_calls(monkeypatch):
+def test_conditional_correction_makes_one_channel_call_per_kick(monkeypatch):
+    # no trial kick: the chosen kick is the one channel call, and on target there is none
     calls = []
 
     def counting(*args, **kwargs):
@@ -301,14 +302,40 @@ def test_conditional_correction_makes_at_most_five_channel_calls(monkeypatch):
     post = to_bands(selective_channel(coherent_state(16, theta0), 1.0, OPS16, +1).post_state)
     choice = conditional_correction_step(post, theta0, +1, OPS16)
     assert choice.gamma != 0.0
-    assert 0 < len(calls) <= 5
+    assert calls == [choice.gamma]
+    calls.clear()
+    on_target = conditional_correction_step(to_bands(coherent_state(16, 1.0)), 1.0, +1, OPS16)
+    assert on_target.gamma == 0.0
+    assert calls == []
+
+
+def test_kick_reads_are_the_kicked_polarization():
+    # P + Q cos(gamma) + R sin(gamma), read from one weighted sum over B, is
+    # what band_mean_L reads after the kick, for either source sign
+    rng = np.random.default_rng(21)
+    for twice_l in [*range(1, 65), 1024]:
+        ops = build_spin_operators(twice_l / 2)
+        psi = rng.normal(size=ops.d) + 1j * rng.normal(size=ops.d)
+        psi /= np.linalg.norm(psi)
+        B = np.zeros((2, ops.d), dtype=np.complex128)
+        B[0], B[1, :-1] = abs(psi) ** 2, psi[:-1] * psi[1:].conj()  # a pure state, out of plane
+        tol = 1e-13 * max(1.0, ops.l_value)
+        for z in (1.0, 0.3, -0.7):
+            v0, terms = trajectory._kick_reads(B, ops, abs(z))
+            assert np.abs(np.array(v0) - band_mean_L(B, ops)).max() <= tol
+            for sign, (P, Q, R) in zip((+1, -1), terms):
+                for gamma in rng.uniform(0.0, 2.0 * np.pi, 3):
+                    kicked = unitary_channel(B, sign * abs(z), ops, gamma, bands=True)
+                    model = (np.array(P) + np.array(Q) * np.cos(gamma)
+                             + np.array(R) * np.sin(gamma))
+                    assert np.abs(model - band_mean_L(kicked, ops)).max() <= tol, (twice_l, z)
 
 
 def test_conditional_run_applies_each_chosen_kick_once(monkeypatch):
-    # the trial kicks and the chosen one of conditional_correction_step, and
-    # no second application of the chosen kick by the run; a clean run checks
-    # each block once and repairs nothing, a drifted kick replays its block
-    # with one repair per state, the kicked ones included
+    # the chosen kick of each conditional_correction_step call, and no second
+    # application of it by the run; a clean run checks each block once and
+    # repairs nothing, a drifted kick replays its block with one repair per
+    # state, the kicked ones included
     calls, repairs, checks = [], [], []
 
     def counting(*args, **kwargs):
@@ -370,6 +397,21 @@ def test_conditional_strategy_runs_and_records():
     assert len(rec.correction_events) == 10
     assert all(e.kind == "conditional" for e in rec.correction_events)
     assert all(e.residual is not None for e in rec.correction_events)
+
+
+@pytest.mark.parametrize("l", [3.5, 16])
+def test_a_record_does_not_depend_on_the_chunk_it_shares(l):
+    # a record depends on its seed alone: every seed's record has the same bits
+    # run alone and inside chunks of 2, 3 and 7 seeds, whose batches have other layouts
+    ops = build_spin_operators(l)
+    rho = coherent_state(l, 1.1)
+    seeds = [1, 9, 2, 7, 4, 5, 3]
+    alone = {seed: run_stochastic(rho, 40, 0.6, None, seed, ops) for seed in seeds}
+    for size in (2, 3, 7):
+        for rec in run_ensemble(rho, 40, 0.6, None, seeds[:size], ops):
+            for field in ("outcomes", "theta_series", "p_succ_series", "final_bands"):
+                assert getattr(rec, field).tobytes() == getattr(alone[rec.seed], field).tobytes(), \
+                    (size, rec.seed, field)
 
 
 def test_ensemble_statistics_single_and_identical_records():
