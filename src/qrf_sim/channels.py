@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import apply_factors, apply_structured, band_factors
+from .kernels import apply_factors, apply_structured, band_factors, complex_sum
 from .spin import SpinOperators, SpinQuantum, as_polarization, build_spin_operators, source_state
 
 OUTCOME_EPS = 1e-12
@@ -126,6 +126,7 @@ def _coeffs_selective(z: float, d: int, sign: int):
 
 
 def _coeffs_unitary(z: float, d: int, gamma: float):
+    # complex at gamma = pi too: custom's Ly_over_l records float sin(pi) = 1.2e-16
     d2 = d * d
     s2 = np.sin(gamma / 2.0) ** 2
     return (
@@ -210,8 +211,9 @@ def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
 
 
 def _p_plus(diagonal: np.ndarray, z: float, ops: SpinOperators):
-    """1/2 + (2 z <Lz> + 1)/(2d) from a main diagonal, or (S, d) of them."""
-    return 0.5 + (2.0 * z * (diagonal.real @ ops.m_diag) + 1.0) / (2.0 * ops.d)
+    """1/2 + (2 z <Lz> + 1)/(2d) from a main diagonal, or (S, d) of them, with
+    <Lz> summed as band_mean_L sums it: the same bits in any batch."""
+    return 0.5 + (2.0 * z * np.add.reduce(diagonal.real * ops.m_diag, axis=-1) + 1.0) / (2 * ops.d)
 
 
 def outcome_probabilities(rho: np.ndarray, q, ops: SpinOperators) -> tuple[float, float]:
@@ -278,7 +280,7 @@ def _drift(B: np.ndarray) -> tuple:
     diag = B[..., 0, :]
     # the ufunc reductions themselves, not their method wrappers: every block runs this
     herm_drift = 2.0 * np.maximum.reduce(abs(diag.imag), axis=-1)
-    tr_drift = abs(np.add.reduce(diag, axis=-1) - 1.0)
+    tr_drift = abs(complex_sum(diag) - 1.0)
     return np.maximum(herm_drift, tr_drift) <= HYGIENE_TRIGGER, herm_drift, tr_drift
 
 
@@ -298,7 +300,7 @@ def hygiene(B: np.ndarray) -> np.ndarray:
     out = B.copy()
     fix = out[drifted]
     fix[..., 0, :] = fix[..., 0, :].real
-    out[drifted] = fix / fix[..., 0, :].sum(axis=-1).real[..., None, None]
+    out[drifted] = fix * (1.0 / complex_sum(fix[..., 0, :]).real)[..., None, None]
     return out
 
 

@@ -222,15 +222,17 @@ def _physics_config(experiment: str, cfg: dict) -> dict:
 
 
 def resolve_seeds(spec) -> list[int]:
-    """A nonempty seed list from a list or {base, count}; Philox keys are
-    non-negative.  Bools are rejected before this by _check_leaves."""
+    """A nonempty seed list from a list or {base, count}; Philox keys lie in
+    [0, 2**128).  Bools are rejected before this by _check_leaves."""
     if isinstance(spec, dict) and set(spec) <= {"base", "count"}:
         base, count = spec.get("base", 0), spec.get("count")
         _require(isinstance(base, int) and isinstance(count, int) and base >= 0 and count >= 1,
                  f"seeds needs integers base >= 0 and count >= 1, got {_echo(spec)}")
+        _require(base + count - 1 < 2**128, f"seeds must be below 2**128, got {_echo(spec)}")
         return list(range(base, base + count))
     _require(isinstance(spec, list) and spec and all(isinstance(s, int) and s >= 0 for s in spec),
              "seeds must be a nonempty list of non-negative integers or {base, count}")
+    _require(max(spec) < 2**128, f"seeds must be below 2**128, got {_echo(max(spec))}")
     return spec
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PAULI, build_projectors
-from .kernels import to_bands
+from .kernels import complex_sum, to_bands
 from .predictions import RotationPrediction
 from .spin import SpinOperators
 
@@ -58,12 +58,12 @@ def band_mean_L(B: np.ndarray, ops: SpinOperators, lower: np.ndarray | None = No
     """Polarization vectors (<Lx>, <Ly>, <Lz>), each Re Tr[rho L_a], of a
     (2, d) band array or an (..., 2, d) batch, shape (..., 3)."""
     # <L-> = <Lx> - i<Ly> on the first upper diagonal, <L+> on the first lower one
-    # (its conjugate for Hermitian rho); ufunc reductions skip .sum's wrapper
-    minus = np.add.reduce(B[..., 1, :-1] * ops.ladder[1:], axis=-1)
+    # (its conjugate for Hermitian rho), summed in complex order for either dtype
+    minus = complex_sum(B[..., 1, :-1] * ops.ladder[1:])
     if lower is None:
         x, y = minus.real, -minus.imag
     else:
-        plus = np.add.reduce(lower[..., 1, :-1] * ops.ladder[1:], axis=-1)
+        plus = complex_sum(lower[..., 1, :-1] * ops.ladder[1:])
         x, y = 0.5 * (plus + minus).real, 0.5 * (plus - minus).imag
     v = np.array([x, y, np.add.reduce(B[..., 0, :].real * ops.m_diag, axis=-1)])
     return v.transpose(*range(1, v.ndim), 0)  # a view, no copy per step

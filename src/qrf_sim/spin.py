@@ -126,7 +126,8 @@ def _build_spin_operators(twice_l: int) -> SpinOperators:
     )
     m_band = np.array([m, np.append(m[1:], 0.0)])
     # the dense kernel's ladder products ladder[i+1] ladder[i+k+1] along diagonal k
-    ladder_band = np.array([ladder[1:] * ladder[1:], np.append(ladder[1:-1] * ladder[2:], 0.0)])
+    ladder_band = np.array([np.append(ladder[1:] * ladder[1:], 0.0),
+                            np.append(ladder[1:-1] * ladder[2:], [0.0, 0.0])])
     return SpinOperators(l, m, ladder, m_band, ladder_band)
 
 

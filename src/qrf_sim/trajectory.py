@@ -39,7 +39,7 @@ import numpy as np
 
 from .channels import (OUTCOME_EPS, _drift, _p_plus, average_channel, hygiene, step_factors,
                        unitary_channel)
-from .kernels import apply_factors, apply_factors_transposed, to_bands
+from .kernels import apply_factors, apply_factors_transposed, complex_sum, to_bands
 from .metrics import band_mean_L, frame_direction, inclination_of, p_succ_of, unit_direction
 from .spin import SpinOperators, SpinQuantum, as_polarization, build_spin_operators
 
@@ -272,10 +272,11 @@ def _apply(B: np.ndarray, step, ops: SpinOperators, draws=NO_DRAWS):
         plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
         diagonal, up, down = step_factors(ops.l.twice_l, "selective", step.z)
         out = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
-        p = out[:, 0].sum(axis=-1).real
+        p = complex_sum(out[:, 0]).real
         if (p <= 0.0).any():
             raise NumericalInvariantError(f"selected branch has nonpositive weight {p.min()!r}")
-        out, outcome = out / p[:, None, None], np.where(plus, np.int8(1), np.int8(-1))
+        out *= (1.0 / p)[:, None, None]  # the bits of out / p for complex out, as for real
+        outcome = np.where(plus, np.int8(1), np.int8(-1))
     return out, outcome
 
 
@@ -293,15 +294,15 @@ def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, d
     (v, state, log): the polarization after each one's corrections, the last
     state, and per step [(step, outcomes), (correction, outcomes), ...].
 
-    A block is min(STEP_BLOCK, BLOCK_BYTES // B.nbytes) primary steps, at
-    least one, taken by the kernel alone; then its states, stacked, get one
-    finite and one silent drift check (_drift) and one read (band_mean_L),
-    of which the states that end primary steps are kept.  A block that fails
-    or raises is replayed from its start, on the same draws, with _checked
-    after every step, so states, outcomes, repairs, warnings and errors are
-    those of checking each state.
+    A block is min(STEP_BLOCK, BLOCK_BYTES // B.nbytes) primary steps from
+    the state B it starts at, at least one, taken by the kernel alone; then
+    its states, stacked, get one finite and one silent drift check (_drift)
+    and one read (band_mean_L), of which the states that end primary steps
+    are kept.  A block that fails or raises is replayed from its start, on
+    the same draws, with _checked after every step, so states, outcomes,
+    repairs, warnings and errors are those of checking each state.
     """
-    steps, size = enumerate(steps), min(STEP_BLOCK, max(1, BLOCK_BYTES // B.nbytes))
+    steps = enumerate(steps)
 
     def run(B, block, check):
         states, ends, log = [], [], []
@@ -316,7 +317,7 @@ def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, d
             ends.append(len(states) - 1)
         return states, ends, log
 
-    while block := list(islice(steps, size)):
+    while block := list(islice(steps, min(STEP_BLOCK, max(1, BLOCK_BYTES // B.nbytes)))):
         draws, replay = tee(draws)
         try:  # a replay raises, and warns, as checking each state does
             with np.errstate(all="ignore"):

@@ -12,7 +12,7 @@ from qrf_sim.channels import (
     selective_channel,
     unitary_channel,
 )
-from qrf_sim.kernels import apply_factors, band_factors, to_bands
+from qrf_sim.kernels import apply_factors, band_factors, complex_sum, to_bands
 from qrf_sim.metrics import UNPOLARIZED_EPS, mean_angular_momentum, summarize_frame
 import qrf_sim.trajectory as trajectory
 from qrf_sim.trajectory import (
@@ -118,7 +118,7 @@ def reference_record(rho0: np.ndarray, n_measure: int, z: float, strategy, seed:
             outcome = +1 if u < p_plus else -1
         coeffs = _coeffs_selective(z, ops.d, outcome)
         sigma = apply_factors(B, *band_factors(ops.m_band, ops.ladder_band, coeffs))
-        return outcome, checked(sigma / sigma[0].sum().real)
+        return outcome, checked(sigma * (1.0 / complex_sum(sigma[0]).real))
 
     def kick(B, z, gamma):
         return checked(unitary_channel(B, z, ops, gamma, bands=True))

@@ -365,11 +365,31 @@ def test_band_hygiene_and_probabilities_of_a_batch_go_seed_by_seed(caplog):
         assert abs(fixed[s, 0].sum() - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("l", [2, 3.5, 16, 64])
+def test_p_plus_of_a_seed_is_the_same_bits_in_any_batch_and_dtype(l):
+    # a record depends on its seed alone: one seed's outcome probability must not
+    # depend on the batch it is read in, nor on its band array's dtype
+    rng = np.random.default_rng(int(4 * l))
+    ops = build_spin_operators(l)
+    B = np.zeros((256, 2, ops.d), dtype=np.complex128)
+    B[:, 0] = rng.dirichlet(np.ones(ops.d), size=256)
+    B[:, 1, :-1] = rng.normal(size=(256, ops.d - 1)) + 1j * rng.normal(size=(256, ops.d - 1))
+    real = B.real.copy()
+    alone = [_p_plus(B[s, 0], 0.7, ops) for s in range(256)]
+    assert np.array_equal(_p_plus(B[:, 0], 0.7, ops), alone)
+    assert np.array_equal(_p_plus(real[:, 0], 0.7, ops), alone)
+    assert [_p_plus(real[s, 0], 0.7, ops) for s in range(256)] == alone
+    for start in range(0, 255, 5):
+        assert np.array_equal(_p_plus(B[start:start + 5, 0], 0.7, ops), alone[start:start + 5])
+        assert np.array_equal(_p_plus(real[start:start + 5, 0], 0.7, ops),
+                              alone[start:start + 5])
+
+
 def test_drift_is_the_rule_hygiene_repairs_by_and_logs_nothing(caplog):
     # one measure for the stepping loop's silent block check and for hygiene:
     # clean exactly where hygiene returns its input, NaN never clean
     ops = build_spin_operators(2)
-    B = np.repeat(to_bands(coherent_state(2, 1.0))[None], 5, axis=0)
+    B = np.repeat(to_bands(coherent_state(2, 1.0))[None], 5, axis=0).astype(np.complex128)
     B[1, 0, 2] += 2e-9j                 # hermiticity drift 4e-9, above the warning level
     B[2, 0] *= 1.0 + 1e-12              # trace drift above the trigger only
     B[3, 0, 0] += 4e-14j                # hermiticity drift 8e-14, within the trigger

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrf_sim import cli, spin, trajectory
+from qrf_sim import channels, cli, kernels, metrics, spin, trajectory
 from qrf_sim.channels import (
     average_channel,
     selective_channel_tensor,
@@ -263,6 +263,51 @@ def test_bytes_do_not_depend_on_the_block_length(tmp_path, monkeypatch, kind):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+DTYPE_CASES = [
+    ("fig1", {"l": 6, "k1": 1, "k2": 4, "theta_points": 3}),
+    ("fig2", {"l": 6, "n_steps": 30}),
+    ("fig3", {"l": 6, "n_steps": 30}),
+    ("fig4", {"l": 6, "n_measure": 30}),
+    ("fig5", {"l": 6, "n_measure": 30, "seeds": {"base": 0, "count": 6}}),
+    ("scaling", {"l_list": [3, 4], "thresholds": [0.9]}),
+] + [("custom", {"l": 4, "n_steps": 30, "strategy": {"kind": kind}})
+     for kind in ("none", "alternating", "unitary_every_k")] + [
+    ("custom", {"mode": "stochastic", "l": 4, "n_measure": 30, "seeds": {"base": 0, "count": 6},
+                "strategy": {"kind": kind}})
+    for kind in ("none", "alternating", "unitary_every_k", "unitary_after_each_plus",
+                 "conditional")]
+
+
+def test_bytes_do_not_depend_on_the_dtype(tmp_path, monkeypatch):
+    # real band arrays and factors, and every band array and factor held
+    # complex, write the same CSV and sidecar
+    def complex_bands(rho):
+        return kernels.to_bands(rho).astype(np.complex128)
+
+    def complex_factors(*args):
+        return tuple(f.astype(np.complex128) for f in kernels.band_factors(*args))
+
+    outputs = []
+    for forced in (False, True):
+        with monkeypatch.context() as patch:
+            if forced:
+                for module in (trajectory, metrics):
+                    patch.setattr(module, "to_bands", complex_bands)
+                patch.setattr(channels, "band_factors", complex_factors)
+            channels.step_factors.cache_clear()
+            trajectory._kick_read_weights.cache_clear()
+            runs = []
+            for i, (experiment, payload) in enumerate(DTYPE_CASES):
+                rc, out = run(tmp_path, experiment, payload, ())
+                assert rc == 0, (experiment, payload)
+                runs.append((Path(out).read_bytes(), Path(out).with_suffix(".json").read_bytes()))
+            outputs.append(runs)
+    channels.step_factors.cache_clear()
+    trajectory._kick_read_weights.cache_clear()
+    for case, real, held in zip(DTYPE_CASES, *outputs):
+        assert real == held, case
+
+
 def test_conditional_theta_known_null_is_the_initial_inclination(tmp_path):
     # null is the strategy's default target: the run's initial inclination
     base = {"mode": "stochastic", "l": 4, "n_measure": 10, "seeds": {"base": 0, "count": 3}}
@@ -332,6 +377,9 @@ BAD_CONFIGS = [
     ("fig4", {"gamma": 10**400}),
     ("fig5", {"gamma": 10**400}),
     ("custom", {"strategy": {"kind": "unitary_every_k", "gamma": 10**400}}),
+    ("fig5", {"n_measure": 3, "seeds": [10**50]}),  # Philox keys lie below 2**128
+    ("custom", {"mode": "stochastic", "n_measure": 3,
+                "seeds": {"base": 2**128 - 1, "count": 2}}),
 ]
 BAD_INVOCATIONS = [
     ("fig1", {}, ("--gamma", "1.0")),
@@ -356,7 +404,7 @@ BAD_INVOCATIONS = [
          "conditional-null-target-theta-pi", "conditional-null-target-negative-thermal",
          "repeated-l", "repeated-z", "repeated-threshold", "fig3-clashing-columns",
          "fig2-gamma-1e400", "fig3-gamma-1e400", "fig4-gamma-1e400", "fig5-gamma-1e400",
-         "strategy-gamma-1e400",
+         "strategy-gamma-1e400", "seed-1e50", "seed-base-count-past-2**128",
          "gamma-flag-without-gamma", "gamma-flag-on-scaling", "seeds-flag-without-seeds",
          "negative-threads", "zero-threads"])
 def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, payload, extra):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from qrf_sim.channels import _coeffs_average, _coeffs_selective, _coeffs_unitary
-from qrf_sim.kernels import apply_factors, apply_structured, band_factors, to_bands
-from qrf_sim.spin import build_spin_operators
+from qrf_sim.channels import (_coeffs_average, _coeffs_selective, _coeffs_unitary, hygiene,
+                              step_factors)
+from qrf_sim.kernels import apply_factors, apply_structured, band_factors, complex_sum, to_bands
+from qrf_sim.metrics import band_mean_L
+from qrf_sim.spin import build_spin_operators, coherent_state
 
 from helpers import random_density
 
@@ -46,7 +48,7 @@ def three_row_tables(ops):
     from m_diag and ladder as SpinOperators builds its two rows: the kernel
     does not depend on the row count, so a third row checks diagonal 2 too."""
     d, m, a = ops.d, ops.m_diag, ops.ladder
-    m_band, ladder_band = np.zeros((3, d)), np.zeros((3, d - 1))
+    m_band, ladder_band = np.zeros((3, d)), np.zeros((3, d))
     for k in range(3):
         m_band[k, :d - k] = m[k:]
         ladder_band[k, :max(d - 1 - k, 0)] = a[1:d - k] * a[k + 1:]
@@ -98,3 +100,42 @@ def test_band_step_with_per_seed_coefficients_equals_one_step_per_seed():
         for s, coeffs in enumerate(one_by_one):
             one = apply_factors(B[s], *band_factors(ops.m_band, ops.ladder_band, coeffs))
             assert np.array_equal(out[s], one)
+
+
+def test_bands_and_factors_are_real_where_the_physics_is_real():
+    ops = build_spin_operators(16)
+    assert to_bands(coherent_state(16, 1.1)).dtype == np.float64  # an X-Z plane start
+    phase = np.exp(0.3j * ops.m_diag)  # the same start turned out of the plane about Z
+    assert to_bands(coherent_state(16, 1.1) * np.outer(phase, phase.conj())).dtype == np.complex128
+    # a kick's [Lz, .] coefficient i z sin(gamma)/d is the only complex one; float
+    # sin(pi) is 1.2e-16, so the gamma = pi kick is complex too
+    for kind, z, gamma, dtype in [("average", 1.0, None, np.float64),
+                                  ("selective", -0.4, None, np.float64),
+                                  ("unitary", 0.0, np.pi / 2, np.float64),
+                                  ("unitary", -1.0, np.pi, np.complex128),
+                                  ("unitary", 1.0, np.pi / 2, np.complex128)]:
+        assert {f.dtype for f in step_factors(32, kind, z, gamma)} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("twice_l", [1, 7, 32, 256])
+def test_a_real_state_steps_and_reads_as_its_complex_copy(twice_l):
+    # real factors on a real band array give the real part of the complex
+    # step bit for bit, and the reads, sums and repair give the same bits
+    rng = np.random.default_rng(200 + twice_l)
+    ops = build_spin_operators(twice_l / 2)
+    A = rng.normal(size=(3, ops.d, ops.d))
+    B = np.array([to_bands(a @ a.T / np.trace(a @ a.T)) for a in A])
+    assert B.dtype == np.float64
+    z = rng.uniform(-1, 1)
+    for coeffs in (_coeffs_average(z, ops.d), _coeffs_selective(z, ops.d, -1),
+                   _coeffs_unitary(0.0, ops.d, 1.3)):
+        factors = band_factors(ops.m_band, ops.ladder_band, coeffs)
+        real = apply_factors(B, *factors)
+        held = apply_factors(B.astype(np.complex128),
+                             *(f.astype(np.complex128) for f in factors))
+        assert real.dtype == np.float64 and not held.imag.any()
+        assert np.array_equal(real, held.real)
+        assert np.array_equal(band_mean_L(real, ops), band_mean_L(held, ops))
+        assert np.array_equal(complex_sum(real[:, 0]), complex_sum(held[:, 0]))
+        drifted = real * (1.0 + 1e-12)
+        assert np.array_equal(hygiene(drifted), hygiene(drifted.astype(np.complex128)).real)

@@ -375,6 +375,7 @@ def test_conditional_mirror_choice_survives_one_ulp(l):
     # one-ulp change of any entry moves gamma by rounding only, never to the mirror
     ops = build_spin_operators(l)
     B = to_bands(selective_channel(coherent_state(l, np.pi / 2), 1.0, ops, +1).post_state)
+    B = B.astype(np.complex128)  # a complex copy, so the imaginary parts are perturbed too
     gamma = conditional_correction_step(B, np.pi / 2, +1, ops).gamma
     assert gamma != 0.0
     for k in range(len(B)):
