@@ -59,6 +59,7 @@ from .trajectory import (  # noqa: F401
     run_stochastic,
     run_ensemble,
     run_ensemble_statistics,
+    run_arm_statistics,
     conditional_correction_step,
     usable_lifetime,
 )

@@ -126,16 +126,18 @@ def _coeffs_selective(z: float, d: int, sign: int):
 
 
 def _coeffs_unitary(z: float, d: int, gamma: float):
-    # complex at gamma = pi too: custom's Ly_over_l records float sin(pi) = 1.2e-16
+    # sin(gamma) is exactly 0 at |gamma| = pi, not float sin(pi) = 1.2e-16, so the
+    # maximal kick of a real state stays real and custom's Ly_over_l reads an exact 0
     d2 = d * d
     s2 = np.sin(gamma / 2.0) ** 2
+    sin = np.where(np.abs(gamma) == np.pi, 0.0, np.sin(gamma))[()]
     return (
         np.cos(gamma / 2.0) ** 2 + s2 / d2,
         2.0 * (1.0 + z) * s2 / d2,
         2.0 * (1.0 - z) * s2 / d2,
         4.0 * s2 / d2,
         2.0 * z * s2 / d2,
-        1j * z * np.sin(gamma) / d,
+        1j * z * sin / d,
     )
 
 

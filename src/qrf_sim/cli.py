@@ -44,6 +44,7 @@ from .spin import (
     thermal_partial_coherent,
 )
 from .trajectory import (
+    CHUNK,
     RNG_ALGORITHM,
     AlternatingAntipolarized,
     ConditionalTuned,
@@ -52,6 +53,7 @@ from .trajectory import (
     ThresholdOutOfRange,
     UnitaryAfterEachPlus,
     UnitaryEveryK,
+    run_arm_statistics,
     run_average,
     run_ensemble_statistics,
     schedule_measurements,
@@ -61,6 +63,10 @@ from .trajectory import (
 
 PI = float(np.pi)
 L_MAX = 1024  # the largest frame the runs are sized for: each builds one d x d start, no operators
+# the most reads a run may hold until it writes (_held_reads), checked before any work: a read
+# with its share of the CSV rows of Python floats, the schedule and the step log took at most
+# 525 bytes (custom average at l = 3), so a run within the bound holds about 0.5 GB at most
+READS_MAX = 2**20
 
 
 class ConfigError(ValueError):
@@ -169,7 +175,7 @@ def _validate(experiment: str, cfg: dict):
                      and all(isinstance(v, (int, float)) for v in value),
                      f"{key} must be a nonempty list of numbers, got {_echo(value)}")
     if "seeds" in cfg:
-        resolve_seeds(cfg["seeds"])
+        _seed_count(cfg["seeds"])
     if "l" in cfg:
         _valid_l(cfg["l"])
     if "z" in cfg:
@@ -200,6 +206,25 @@ def _validate(experiment: str, cfg: dict):
     if experiment == "fig3":
         _require(len({_gamma_column(g) for g in cfg["gammas"]}) == len(cfg["gammas"]),
                  f"gammas must name distinct columns, got {_echo(cfg['gammas'])}")
+    reads = _held_reads(experiment, cfg)
+    _require(reads <= READS_MAX, f"the config asks a run to hold {reads} reads, more than "
+             f"{READS_MAX}: one per step, arm and seed of a chunk, and one per seed")
+
+
+def _held_reads(experiment: str, cfg: dict) -> int:
+    """The reads a run of a checked cfg holds until write_outputs: one per
+    primary step (fig1: per grid angle), arm and seed of a chunk, and one per
+    seed of the list the CSV header names.  scaling holds none per step: its
+    step_cap only bounds a search."""
+    if experiment == "fig1":
+        return cfg["theta_points"]
+    if experiment == "scaling":
+        return 0
+    stochastic = experiment == "fig5" or cfg.get("mode") == "stochastic"
+    seeds = _seed_count(cfg["seeds"]) if "seeds" in cfg else 0
+    n = cfg["n_measure"] if stochastic or experiment == "fig4" else cfg["n_steps"]
+    arms = {"fig3": 1 + len(cfg.get("gammas", ())), "fig4": 2, "fig5": 3}.get(experiment, 1)
+    return (n + 1) * arms * (min(seeds, CHUNK) if stochastic else 1) + seeds
 
 
 def _as_real(value):
@@ -221,18 +246,28 @@ def _physics_config(experiment: str, cfg: dict) -> dict:
     return physics
 
 
-def resolve_seeds(spec) -> list[int]:
-    """A nonempty seed list from a list or {base, count}; Philox keys lie in
-    [0, 2**128).  Bools are rejected before this by _check_leaves."""
+def _seed_count(spec) -> int:
+    """The number of seeds of a list or {base, count}, checked as resolve_seeds
+    needs without listing them."""
     if isinstance(spec, dict) and set(spec) <= {"base", "count"}:
         base, count = spec.get("base", 0), spec.get("count")
         _require(isinstance(base, int) and isinstance(count, int) and base >= 0 and count >= 1,
                  f"seeds needs integers base >= 0 and count >= 1, got {_echo(spec)}")
         _require(base + count - 1 < 2**128, f"seeds must be below 2**128, got {_echo(spec)}")
-        return list(range(base, base + count))
+        return count
     _require(isinstance(spec, list) and spec and all(isinstance(s, int) and s >= 0 for s in spec),
              "seeds must be a nonempty list of non-negative integers or {base, count}")
     _require(max(spec) < 2**128, f"seeds must be below 2**128, got {_echo(max(spec))}")
+    return len(spec)
+
+
+def resolve_seeds(spec) -> list[int]:
+    """A nonempty seed list from a list or {base, count}; Philox keys lie in
+    [0, 2**128).  Bools are rejected before this by _check_leaves."""
+    _seed_count(spec)
+    if isinstance(spec, dict):
+        base = spec.get("base", 0)
+        return list(range(base, base + spec["count"]))
     return spec
 
 
@@ -363,8 +398,7 @@ def run_fig5(cfg: dict):
     strategies = [("uncorrected", None),
                   (f"unitary_every{cfg['k']}", UnitaryEveryK(cfg["k"], cfg["gamma"])),
                   ("after_each_plus", UnitaryAfterEachPlus(cfg["gamma"]))]
-    stats = [run_ensemble_statistics(rho0, n, cfg["z"], strat, seeds, ops)
-             for _, strat in strategies]
+    stats = run_arm_statistics(rho0, n, cfg["z"], [strat for _, strat in strategies], seeds, ops)
     columns = ["n_measurements"] + [f"p_succ_{name}" for name, _ in strategies] \
         + [f"p_succ_{name}_stderr" for name, _ in strategies]
     rows = []

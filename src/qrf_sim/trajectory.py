@@ -20,11 +20,14 @@ Trajectories are reproducible by construction: every seed owns a
 counter-based generator keyed by it (the algorithm identifier below is
 recorded in every output file), so a record depends on its seed alone.
 The stochastic engine steps the seeds of an ensemble together, in chunks of
-CHUNK seeds held as one (S, 2, d) batch of band arrays: one kernel call per
-channel step advances every seed of a chunk, each along its own outcomes.
-The chunk size is a constant, so ensemble statistics accumulate in a fixed
-order, give the same bytes on any machine and take memory that does not
-grow with the seed count.
+CHUNK seeds.  A chunk is arms x seeds: the A arms of run_arm_statistics, one
+per strategy, each of the chunk's S seeds, held as one (A S, 2, d) batch of
+band arrays, arm a on rows [a S, (a + 1) S).  The arms share the seeds'
+draws, so one kernel call per channel step advances every seed of every
+arm, each along its own outcomes, and each arm's statistics are those of
+its strategy run alone.  The chunk size is a constant, so ensemble
+statistics accumulate in a fixed order, give the same bytes on any machine
+and take memory that does not grow with the seed count.
 """
 
 from __future__ import annotations
@@ -203,6 +206,39 @@ class ConditionalTuned:
 
 
 @dataclass(frozen=True)
+class _Arms:
+    """The strategies of arms stepped as one batch, arm a on the rows
+    [a S, (a + 1) S) of an (A S, 2, d) batch: each arm's corrections come from
+    its own rows, and kicks with the same scalar (z, gamma) at the same
+    position merge into one step masked to every row they kick.  The arms
+    share the draws and each step, so they must take the same uniforms per
+    measurement and correct by kicks alone; ValueError otherwise."""
+
+    strategies: tuple
+
+    def __post_init__(self):
+        if len({getattr(s, "draws_per_measurement", 1) for s in self.strategies}) > 1:
+            raise ValueError(f"arms {self.strategies!r} draw unequal uniforms per measurement")
+
+    def corrections(self, i: int, z: float, outcome, B=None, ops=None, theta0=None) -> tuple:
+        size = len(B) // len(self.strategies)
+        merged: dict = {}  # (position, z, gamma) -> the rows kicked
+        for a, strategy in enumerate(self.strategies):
+            rows = slice(a * size, (a + 1) * size)
+            fixes = strategy.corrections(i, z, outcome[rows], B[rows], ops, theta0) if strategy \
+                else ()
+            for j, fix in enumerate(fixes):
+                if isinstance(fix, MeasureStep) or fix.bands is not None:
+                    raise ValueError(f"arm {strategy!r} corrects by a measurement or by per-seed "
+                                     "bands, which arms cannot share")
+                mask = merged.setdefault((j, fix.z, fix.gamma), np.zeros(len(B), dtype=bool))
+                mask[rows] = True if fix.where is None else fix.where
+        # by position, so each arm's kicks keep their order
+        return tuple(UnitaryStep(z, gamma, where=mask)
+                     for (_, z, gamma), mask in sorted(merged.items(), key=lambda kv: kv[0][0]))
+
+
+@dataclass(frozen=True)
 class CorrectionEvent:
     measurement_index: int
     kind: str
@@ -248,7 +284,8 @@ def _apply(B: np.ndarray, step, ops: SpinOperators, draws=NO_DRAWS):
     """One step on a band array or an (S, 2, d) batch: (state, outcomes).
 
     A kick applies the unitary channel, or the kicked bands a strategy
-    already formed, to the seeds its mask selects.  A measurement whose next
+    already formed, to the seeds its mask selects; a masked kick of the
+    channel steps only those rows.  A measurement whose next
     draw is None is the average map; otherwise each seed's outcome is drawn
     from its uniform in the draw and that branch applied, normalized;
     near-certain branches are forced so that conditioning stays well
@@ -257,10 +294,15 @@ def _apply(B: np.ndarray, step, ops: SpinOperators, draws=NO_DRAWS):
     """
     outcome = None
     if isinstance(step, UnitaryStep):
-        out = step.bands if step.bands is not None \
-            else unitary_channel(B, step.z, ops, step.gamma, bands=True)
-        if step.where is not None:
-            out = np.where(step.where[:, None, None], out, B)
+        if step.bands is not None:
+            out = step.bands if step.where is None \
+                else np.where(step.where[:, None, None], step.bands, B)
+        elif step.where is None:
+            out = unitary_channel(B, step.z, ops, step.gamma, bands=True)
+        else:
+            kicked = unitary_channel(B[step.where], step.z, ops, step.gamma, bands=True)
+            out = B.astype(np.result_type(B, kicked))  # a copy, complex if the kick is
+            out[step.where] = kicked
     elif (u := next(draws)) is None:
         out = average_channel(B, step.z, ops, bands=True)
     else:
@@ -528,12 +570,13 @@ def _of_seed(value, s: int):
 
 @dataclass
 class _Chunk:
-    """The seeds of one chunk, stepped together by _run_chunks."""
+    """The seeds of one chunk, stepped together by _run_chunks; records and
+    events read a chunk of one arm."""
 
     seeds: list[int]
     log: list                   # per primary measurement, the (step, outcomes) taken, itself first
-    reads: np.ndarray           # (2, S, n_measure + 1): p_succ and theta
-    final: np.ndarray           # (S, 2, d)
+    reads: np.ndarray           # (2, A S, n_measure + 1): p_succ and theta
+    final: np.ndarray           # (A S, 2, d)
 
     def events(self, s: int) -> list[CorrectionEvent]:
         events = []
@@ -560,27 +603,33 @@ class _Chunk:
                 for s, seed in enumerate(self.seeds)]
 
 
-def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategy, seeds, ops: SpinOperators):
+def _run_chunks(rho0: np.ndarray, n_measure: int, q, strategies: tuple, seeds,
+                ops: SpinOperators):
     """The stochastic engine: yield the seeds in chunks of CHUNK, each stepped
-    as one (S, 2, d) batch by _evolve, with p_succ (against the initial
-    direction) and the inclination derived a block at a time from the
-    polarization _evolve reads after each primary measurement's corrections."""
+    by _evolve as one (A S, 2, d) batch of A arms, one per strategy, each of
+    the S seeds of the chunk, with p_succ (against the initial direction) and
+    the inclination derived a block at a time from the polarization _evolve
+    reads after each primary measurement's corrections.  Every arm steps
+    along the seeds' own draws; one arm's strategy runs itself, several run
+    as _Arms."""
     if n_measure < 1:
         raise ValueError("n_measure must be >= 1")
     steps = [MeasureStep(as_polarization(q))] * n_measure
     _, n_hat, theta0 = frame_direction(rho0, ops)
+    strategy = strategies[0] if len(strategies) == 1 else _Arms(tuple(strategies))
 
-    def read(v):  # (2, S, n) reads of the (n, S, 3) polarizations of n primary steps
+    def read(v):  # (2, A S, n) reads of the (n, A S, 3) polarizations of n primary steps
         return np.array([p_succ_of(v, n_hat, ops), inclination_of(v)]).transpose(0, 2, 1)
 
-    n_draws = n_measure * getattr(strategy, "draws_per_measurement", 1)
+    n_draws = n_measure * getattr(strategies[0], "draws_per_measurement", 1)  # all alike: _Arms
     B0 = to_bands(rho0)
     seeds = iter(seeds)
     while chunk := [int(s) for s in islice(seeds, CHUNK)]:
         # each seed's uniforms in one call, in the order the measurements use them
-        draws = iter(np.array([np.random.default_rng(np.random.Philox(key=s)).random(n_draws)
-                               for s in chunk]).T)
-        B = np.repeat(B0[None], len(chunk), axis=0)
+        draws = np.array([np.random.default_rng(np.random.Philox(key=s)).random(n_draws)
+                          for s in chunk]).T
+        draws = iter(np.tile(draws, (1, len(strategies))))
+        B = np.repeat(B0[None], len(strategies) * len(chunk), axis=0)
         log, reads = [], [read(band_mean_L(B, ops)[None])]
         for v, B, taken in _evolve(B, steps, strategy, ops, theta0, draws):
             reads.append(read(v))
@@ -604,7 +653,7 @@ def run_ensemble(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
     its inclination is then NaN while p_succ stays defined.  The seeds are
     stepped together (see the module docstring).
     """
-    return [record for chunk in _run_chunks(rho0, n_measure, q, strategy, seeds, ops)
+    return [record for chunk in _run_chunks(rho0, n_measure, q, (strategy,), seeds, ops)
             for record in chunk.records()]
 
 
@@ -624,30 +673,43 @@ class EnsembleStatistics:
     plus_fraction: np.ndarray   # per primary measurement
 
 
-def run_ensemble_statistics(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
-                            ops: SpinOperators) -> EnsembleStatistics:
-    """Per-step means and standard errors of p_succ and the inclination, and
-    the + fraction per primary measurement, over the records of run_ensemble
-    for these seeds, without keeping the records.
+def run_arm_statistics(rho0: np.ndarray, n_measure: int, q, strategies, seeds,
+                       ops: SpinOperators) -> list[EnsembleStatistics]:
+    """Per arm, one per strategy, the per-step means and standard errors of
+    p_succ and the inclination, and the + fraction per primary measurement,
+    over the records of run_ensemble for these seeds, without keeping the
+    records.  The arms step together on the same draws (_run_chunks), and
+    each arm's statistics are those of its strategy run alone.
 
     The per-step sums run over chunks of seeds, of p_succ and theta as
-    deviations from the first seed's values: the shift keeps the one-pass
-    variance free of cancellation and makes the spread of identical records
-    exactly zero, and merging chunks is addition.
+    deviations from each arm's first seed's values: the shift keeps the
+    one-pass variance free of cancellation and makes the spread of identical
+    records exactly zero, and merging chunks is addition.
     """
+    arms = len(strategies)
     n, s1, s2, plus = 0, 0.0, 0.0, 0
-    for chunk in _run_chunks(rho0, n_measure, q, strategy, seeds, ops):
+    for chunk in _run_chunks(rho0, n_measure, q, tuple(strategies), seeds, ops):
+        size = len(chunk.seeds)
+        reads = chunk.reads.reshape(2, arms, size, -1)  # (2, A, S, n_measure + 1)
         if not n:
-            shift = chunk.reads[:, 0].copy()
-        dev = chunk.reads - shift[:, None]
-        s1 = s1 + dev.sum(axis=1)
-        s2 = s2 + np.square(dev, out=dev).sum(axis=1)
-        plus = plus + (np.stack([taken[0][1] for taken in chunk.log], axis=1) > 0).sum(axis=0)
-        n += len(chunk.seeds)
-        del chunk, dev  # freed before the next chunk is stepped
+            shift = reads[:, :, 0].copy()
+        dev = reads - shift[:, :, None]
+        s1 = s1 + dev.sum(axis=2)
+        s2 = s2 + np.square(dev, out=dev).sum(axis=2)
+        primary = np.stack([taken[0][1] for taken in chunk.log], axis=1)
+        plus = plus + (primary.reshape(arms, size, -1) > 0).sum(axis=1)
+        n += size
+        del chunk, reads, dev  # freed before the next chunk is stepped
     if not n:
         raise ValueError("no seeds supplied")
     mean = shift + s1 / n
     var = (s2 - s1 * s1 / n) / max(n - 1, 1)
     stderr = np.sqrt(np.maximum(var, 0.0) / n)
-    return EnsembleStatistics(n, mean[1], stderr[1], mean[0], stderr[0], plus / n)
+    return [EnsembleStatistics(n, mean[1, a], stderr[1, a], mean[0, a], stderr[0, a], plus[a] / n)
+            for a in range(arms)]
+
+
+def run_ensemble_statistics(rho0: np.ndarray, n_measure: int, q, strategy, seeds,
+                            ops: SpinOperators) -> EnsembleStatistics:
+    """run_arm_statistics of one arm."""
+    return run_arm_statistics(rho0, n_measure, q, (strategy,), seeds, ops)[0]

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -247,17 +248,23 @@ def test_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert outputs[i, None] == outputs[i, "1"], (experiment, payload)
 
 
-@pytest.mark.parametrize("kind", ["conditional", "unitary_after_each_plus"])
-def test_bytes_do_not_depend_on_the_block_length(tmp_path, monkeypatch, kind):
+BLOCK_CASES = {
+    kind: ("custom", {"mode": "stochastic", "l": 4, "n_measure": 40, "strategy": {"kind": kind},
+                      "seeds": {"base": 0, "count": 6}})
+    for kind in ("conditional", "unitary_after_each_plus")}
+BLOCK_CASES["fig5"] = ("fig5", {"n_measure": 20, "seeds": {"base": 0, "count": 300}})
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_bytes_do_not_depend_on_the_block_length(tmp_path, monkeypatch, case):
     # blocks of one step and the default blocks write the same CSV and sidecar
-    payload = {"mode": "stochastic", "l": 4, "n_measure": 40, "strategy": {"kind": kind},
-               "seeds": {"base": 0, "count": 6}}
+    experiment, payload = BLOCK_CASES[case]
     outputs = []
     for setting in ({}, {"STEP_BLOCK": 1}, {"BLOCK_BYTES": 1}):
         with monkeypatch.context() as patch:
             for name, value in setting.items():
                 patch.setattr(trajectory, name, value)
-            rc, out = run(tmp_path, "custom", payload)
+            rc, out = run(tmp_path, experiment, payload)
         assert rc == 0
         outputs.append((Path(out).read_bytes(), Path(out).with_suffix(".json").read_bytes()))
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
@@ -412,6 +419,37 @@ def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, 
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config-error: ")
+
+
+COUNTS_BEYOND_THE_BOUND = [
+    ("fig2", {"l": 3, "n_steps": 100000000000}),
+    ("fig5", {"l": 3, "n_measure": 2147483648}),
+    ("fig1", {"l": 4, "k1": 2, "k2": 1, "theta_points": 2147483648}),
+    ("fig5", {"l": 3, "n_measure": 2, "seeds": {"base": 0, "count": 2**40}}),
+]
+
+
+def _one_gib_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("experiment, payload", COUNTS_BEYOND_THE_BOUND,
+                         ids=["fig2-1e11-steps", "fig5-2**31-measurements",
+                              "fig1-2**31-angles", "fig5-2**40-seeds"])
+def test_counts_beyond_the_reads_bound_exit_2_before_any_work(tmp_path, experiment, payload):
+    # in a child held to 1 GiB and 10 s: without the bound these configs take
+    # tens of GB or run until killed
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / f"{experiment}.csv"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "qrf_sim.cli", experiment, "--config", cfg,
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=10, preexec_fn=_one_gib_of_address_space)
+    assert done.returncode == 2, done.stderr
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("config-error: ") and "reads" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment, payload", [
@@ -617,6 +655,17 @@ def test_custom_average_applies_strategy_like_a_step_replay(tmp_path):
     rc, plain = run(tmp_path, "custom", {"l": l, "theta": theta, "z": z, "n_steps": n})
     uncorrected = np.array(read_csv(plain)[2], dtype=float)[:, header.index("p_succ")]
     assert np.abs(got - uncorrected).max() > 1e-3
+
+
+@pytest.mark.parametrize("gamma", [np.pi, -np.pi])
+def test_custom_average_gamma_pi_kicks_leave_ly_exactly_zero(tmp_path, gamma):
+    # an X-Z start kicked at |gamma| = pi stays in the plane: sin(gamma) is taken
+    # as 0 there, so no float sin(pi) residue reaches the Ly column
+    rc, out = run(tmp_path, "custom", {
+        "n_steps": 30, "strategy": {"kind": "unitary_every_k", "k": 2, "gamma": gamma}})
+    assert rc == 0
+    _, header, rows = read_csv(out)
+    assert [float(row[header.index("Ly_over_l")]) for row in rows] == [0.0] * 31
 
 
 def test_custom_gamma_is_the_default_kick_angle(tmp_path):

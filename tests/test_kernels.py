@@ -107,12 +107,14 @@ def test_bands_and_factors_are_real_where_the_physics_is_real():
     assert to_bands(coherent_state(16, 1.1)).dtype == np.float64  # an X-Z plane start
     phase = np.exp(0.3j * ops.m_diag)  # the same start turned out of the plane about Z
     assert to_bands(coherent_state(16, 1.1) * np.outer(phase, phase.conj())).dtype == np.complex128
-    # a kick's [Lz, .] coefficient i z sin(gamma)/d is the only complex one; float
-    # sin(pi) is 1.2e-16, so the gamma = pi kick is complex too
+    # a kick's [Lz, .] coefficient i z sin(gamma)/d is the only complex one; it is
+    # exactly 0 at |gamma| = pi, where float sin(pi) would leave 1.2e-16, so the
+    # maximal kick is real at any z
     for kind, z, gamma, dtype in [("average", 1.0, None, np.float64),
                                   ("selective", -0.4, None, np.float64),
                                   ("unitary", 0.0, np.pi / 2, np.float64),
-                                  ("unitary", -1.0, np.pi, np.complex128),
+                                  ("unitary", -1.0, np.pi, np.float64),
+                                  ("unitary", 1.0, -np.pi, np.float64),
                                   ("unitary", 1.0, np.pi / 2, np.complex128)]:
         assert {f.dtype for f in step_factors(32, kind, z, gamma)} == {np.dtype(dtype)}
 

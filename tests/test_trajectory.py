@@ -37,6 +37,7 @@ from qrf_sim.trajectory import (
     UnitaryEveryK,
     UnitaryStep,
     conditional_correction_step,
+    run_arm_statistics,
     run_average,
     run_ensemble,
     run_ensemble_statistics,
@@ -435,6 +436,71 @@ def test_ensemble_statistics_rejects_empty_seed_list():
         run_ensemble_statistics(rho, 4, 0.9, None, [], OPS8)
     with pytest.raises(ValueError):
         run_ensemble_statistics(rho, 0, 0.9, None, [1], OPS8)
+
+
+ARMS = (None, UnitaryEveryK(2), UnitaryAfterEachPlus(), UnitaryEveryK(3, 1.0))
+
+
+@pytest.mark.parametrize("n_seeds", [5, 300])
+def test_each_arm_is_its_strategy_run_alone(n_seeds):
+    # arms stepped as one batch, on shared draws, give each arm the bytes of its
+    # strategy run alone; the gamma = 1 arm makes the shared batch complex, and
+    # 300 seeds cross a chunk boundary
+    ops = build_spin_operators(6)
+    rho = coherent_state(6, 1.2)
+    seeds = range(7, 7 + n_seeds)
+    arms = run_arm_statistics(rho, 20, 0.8, ARMS, seeds, ops)
+    assert len(arms) == len(ARMS)
+    for strategy, arm in zip(ARMS, arms):
+        alone = run_ensemble_statistics(rho, 20, 0.8, strategy, seeds, ops)
+        assert arm.n_records == alone.n_records == n_seeds
+        for field in ("theta", "theta_stderr", "p_succ", "p_succ_stderr", "plus_fraction"):
+            assert getattr(arm, field).tobytes() == getattr(alone, field).tobytes(), \
+                (strategy, field)
+
+
+def test_arm_kicks_merge_by_position_and_angle():
+    # equal (z, gamma) kicks of two arms at the same position are one step
+    # masked to both arms' rows; another angle is a step of its own
+    B = np.repeat(to_bands(coherent_state(3, 1.0))[None], 9, axis=0)
+    outcome = np.array([1, -1, 1] * 3, dtype=np.int8)
+    fixes = trajectory._Arms(ARMS[:3]).corrections(1, 0.5, outcome, B)
+    assert len(fixes) == 1 and (fixes[0].z, fixes[0].gamma) == (-0.5, np.pi)
+    assert fixes[0].where.tolist() == [False] * 3 + [True] * 3 + [True, False, True]
+    fixes = trajectory._Arms((UnitaryEveryK(2, 1.0),) + ARMS[1:3]).corrections(1, 0.5, outcome, B)
+    assert [(f.gamma, f.where.tolist()) for f in fixes] == [
+        (1.0, [True] * 3 + [False] * 6),
+        (np.pi, [False] * 3 + [True] * 3 + [True, False, True])]
+    # an all-minus step kicks no + arm: the strategies return no step at all
+    assert trajectory._Arms(ARMS[:3]).corrections(0, 0.5, -np.abs(outcome), B) == ()
+
+
+@pytest.mark.parametrize("strategy", [AlternatingAntipolarized(), ConditionalTuned()],
+                         ids=["alternating", "conditional"])
+def test_arms_that_cannot_share_draws_or_steps_raise(strategy):
+    # an antipolarized measurement draws a second uniform and measures the whole
+    # batch; a conditional kick hands over its own per-seed bands
+    rho = coherent_state(4, 1.0)
+    with pytest.raises(ValueError):
+        run_arm_statistics(rho, 4, 1.0, (None, strategy), [1, 2], build_spin_operators(4))
+
+
+@pytest.mark.parametrize("gamma, dtype", [(np.pi, np.float64), (1.3, np.complex128)])
+def test_a_masked_kick_steps_only_its_rows(gamma, dtype):
+    rng = np.random.default_rng(31)
+    ops = build_spin_operators(3.5)
+    A = rng.normal(size=(5, ops.d, ops.d))
+    B = np.array([to_bands(a @ a.T / np.trace(a @ a.T)) for a in A])
+    assert B.dtype == np.float64
+    where = np.array([True, False, True, False, False])
+    held = B.copy()
+    out, outcome = trajectory._apply(B, UnitaryStep(-0.6, gamma, where=where), ops)
+    full, _ = trajectory._apply(B, UnitaryStep(-0.6, gamma), ops)
+    assert outcome is None and out.dtype == dtype and np.array_equal(B, held)
+    assert out[~where].tobytes() == B[~where].astype(dtype).tobytes()
+    assert out[where].tobytes() == full[where].tobytes()
+    # a + kick after an all-minus step is no step, so no all-False mask reaches _apply
+    assert UnitaryAfterEachPlus(gamma).corrections(0, 0.6, np.full(5, -1, np.int8), B) == ()
 
 
 def test_mean_cumulative_angle_matches_drift_in_short_time_regime():
