@@ -165,8 +165,10 @@ def step_factors(twice_l: int, kind: str, z: float, gamma: float | None = None) 
 # channels, structured route (default)
 # ---------------------------------------------------------------------------
 
-# bands=True steps a band array with the memo's factors.  It stays on this function and
-# on unitary_channel only because perfbench/test_perfbench.py pins the tracer's spans.
+# bands=True steps a band array with the memo's factors.  No run calls it: the stepping
+# loop resolves an average step's factors once per run (trajectory._stepper).  It stays,
+# with trajectory's import of this function, only because perfbench/test_perfbench.py
+# pins the tracer's span on that binding; ROADMAP item 2 deletes it.
 def average_channel(rho: np.ndarray, q, ops: SpinOperators, *, bands: bool = False) -> np.ndarray:
     """Frame back-action of one measurement with the outcome discarded."""
     z = as_polarization(q)
@@ -196,7 +198,8 @@ def selective_channel(rho: np.ndarray, q, ops: SpinOperators, outcome) -> Select
     return SelectiveOutcome(sign, p, sigma / p)
 
 
-# bands=True: the memo's factors, as above; the engine's kicks and the conditional one
+# bands=True: the memo's factors, as above; the engine's masked kicks and the conditional
+# one (an unmasked kick's factors are resolved once per run, as an average step's are)
 def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
                     bands: bool = False) -> np.ndarray:
     """Frame back-action of the rotationally invariant unitary coupling.
@@ -280,8 +283,10 @@ def _drift(B: np.ndarray) -> tuple:
     band array loses hermiticity only on its main diagonal, where the drift
     is the |rho - rho^dag| a dense check finds."""
     diag = B[..., 0, :]
-    # the ufunc reductions themselves, not their method wrappers: every block runs this
-    herm_drift = 2.0 * np.maximum.reduce(abs(diag.imag), axis=-1)
+    # the ufunc reductions themselves, not their method wrappers: every block runs this;
+    # a real array's .imag is a fresh array of zeros, so its drift is zero unscanned
+    herm_drift = 2.0 * np.maximum.reduce(abs(diag.imag), axis=-1) if diag.dtype.kind == "c" \
+        else np.zeros(diag.shape[:-1])[()]
     tr_drift = abs(complex_sum(diag) - 1.0)
     return np.maximum(herm_drift, tr_drift) <= HYGIENE_TRIGGER, herm_drift, tr_drift
 

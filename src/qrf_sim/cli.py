@@ -416,9 +416,7 @@ def run_scaling(cfg: dict):
     function of l, with a log-log exponent fit per (z, threshold); one pass
     per (l, z) finds every threshold's lifetime."""
 
-    def one(l, z):
-        ops = build_spin_operators(l)
-        rho0 = coherent_state(l, cfg["theta"])
+    def one(l, z, rho0, ops):
         try:
             lives = usable_lifetimes(rho0, z, ops, cfg["thresholds"], None,
                                      step_cap=cfg["step_cap"])
@@ -426,7 +424,13 @@ def run_scaling(cfg: dict):
             raise ConfigError(f"scaling at l = {l}, z = {z}: {exc}") from exc
         return [cfg["step_cap"] if life is None else life for life in lives]
 
-    lives = {(l, z): one(l, z) for z in cfg["z_list"] for l in cfg["l_list"]}
+    # each l's start is built once; a threshold's range depends on l alone, so this loop
+    # order meets the same first ThresholdOutOfRange as one over z first
+    lives = {}
+    for l in cfg["l_list"]:
+        rho0, ops = coherent_state(l, cfg["theta"]), build_spin_operators(l)
+        lives.update({(l, z): one(l, z, rho0, ops) for z in cfg["z_list"]})
+        del rho0  # freed before the next l's start is built
     rows = [(l, z, thr, lives[l, z][i]) for z in cfg["z_list"]
             for i, thr in enumerate(cfg["thresholds"]) for l in cfg["l_list"]]
     fits = []

@@ -86,11 +86,11 @@ def apply_factors(B: np.ndarray, diagonal: np.ndarray, up: np.ndarray,
     """Apply the factors of band_factors to a (..., 2, d) band array, float64
     if both are: one array with its rows end to end (the zero ending each row
     of up and down parts them), a batch row by row, faster at many seeds."""
-    out = np.multiply(diagonal, B, order="C")  # so out.reshape is a view
-    if out.ndim == 2:
-        flat, B = out.reshape(-1), B.reshape(-1)
-        flat[:-1] += up.reshape(-1)[:-1] * B[1:]
-        flat[1:] += down.reshape(-1)[:-1] * B[:-1]
+    out = np.multiply(diagonal, B, order="C")  # so out.ravel() is a view
+    if out.ndim == 2:  # ravel: the views reshape(-1) gives, at less call overhead
+        flat, B = out.ravel(), B.ravel()
+        flat[:-1] += up.ravel()[:-1] * B[1:]
+        flat[1:] += down.ravel()[:-1] * B[:-1]
     else:
         out[..., :-1] += up[..., :-1] * B[..., 1:]
         out[..., 1:] += down[..., :-1] * B[..., :-1]

@@ -4,13 +4,16 @@ seeded measurement records and the drift-correction strategies.
 Every run converts its initial state once to the two-row band array of its
 diagonals 0 and 1 (kernels.to_bands) and steps that, O(d) per step; the
 records hold the final band array, not a d x d matrix.  All runs share one
-stepping loop, _evolve, and one step function, _apply: run_average and
-usable_lifetimes feed it average-map steps, the stochastic engine
-measurements with drawn outcomes.  A strategy inserts its corrections after
-each step through the same hook in all of them; _evolve logs each primary
-step first and its corrections after it, and that position is the only
-record of which drawn outcomes are corrections.  Every step takes its
-kernel factors from the memo channels.step_factors.  Every state is checked
+stepping loop, _evolve, and one step function per run, _stepper:
+run_average and usable_lifetimes feed it average-map steps, the stochastic
+engine measurements with drawn outcomes.  A strategy inserts its corrections
+after each step through the same hook in all of them; _evolve logs each
+primary step first and its corrections after it, and that position is the
+only record of which drawn outcomes are corrections.  Every step takes its
+kernel factors from the memo channels.step_factors: a step that takes no
+draw, an average map or an unmasked kick, looks them up once per run and is
+then applied by kernels.apply_factors alone; a drawn measurement, a masked
+kick and per-seed kicked bands go through _apply.  Every state is checked
 to be finite and repaired by channels.hygiene, a block of steps at a time
 (see _evolve), and _evolve reads each block's polarization with
 metrics.band_mean_L; the runs derive the inclination and p_succ (against
@@ -40,6 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
+# average_channel is unused here but stays bound: see the comment above it in channels
 from .channels import (OUTCOME_EPS, _drift, _p_plus, average_channel, hygiene, step_factors,
                        unitary_channel)
 from .kernels import apply_factors, apply_factors_transposed, complex_sum, to_bands
@@ -91,7 +95,8 @@ class UnitaryStep:
     bands: np.ndarray | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma).all():
+        if not (math.isfinite(self.gamma) if isinstance(self.gamma, float)
+                else np.isfinite(self.gamma).all()):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
 
 
@@ -281,45 +286,73 @@ class TrajectoryRecord:
 # ---------------------------------------------------------------------------
 
 def _apply(B: np.ndarray, step, ops: SpinOperators, draws=NO_DRAWS):
-    """One step on a band array or an (S, 2, d) batch: (state, outcomes).
+    """A step that needs a draw, a mask or per-seed arrays, on a band array or
+    an (S, 2, d) batch: (state, outcomes).  Every other step is resolved by
+    _stepper.
 
-    A kick applies the unitary channel, or the kicked bands a strategy
-    already formed, to the seeds its mask selects; a masked kick of the
-    channel steps only those rows.  A measurement whose next
-    draw is None is the average map; otherwise each seed's outcome is drawn
-    from its uniform in the draw and that branch applied, normalized;
-    near-certain branches are forced so that conditioning stays well
-    defined, their uniform consumed all the same.  Only a drawn measurement
-    has outcomes, (S,) int8.  The state is returned unchecked (see _evolve).
+    A kick with bands sets the seeds its mask selects (all of them without a
+    mask) to the kicked bands its strategy formed; a masked kick without
+    applies the unitary channel to the selected rows alone.  A
+    measurement draws each seed's outcome from its uniform in the next draw
+    and applies that branch, normalized; near-certain branches are forced so
+    that conditioning stays well defined, their uniform consumed all the
+    same.  Only a measurement has outcomes, (S,) int8.  The state is returned
+    unchecked (see _evolve).
     """
-    outcome = None
     if isinstance(step, UnitaryStep):
         if step.bands is not None:
             out = step.bands if step.where is None \
                 else np.where(step.where[:, None, None], step.bands, B)
-        elif step.where is None:
-            out = unitary_channel(B, step.z, ops, step.gamma, bands=True)
         else:
             kicked = unitary_channel(B[step.where], step.z, ops, step.gamma, bands=True)
             out = B.astype(np.result_type(B, kicked))  # a copy, complex if the kick is
             out[step.where] = kicked
-    elif (u := next(draws)) is None:
-        out = average_channel(B, step.z, ops, bands=True)
-    else:
-        p_plus = _p_plus(B[:, 0], step.z, ops)
-        valid = (p_plus >= -1e-9) & (p_plus <= 1.0 + 1e-9)  # False for NaN too
-        if not valid.all():
-            raise NumericalInvariantError(
-                f"outcome probability left [0, 1]: {p_plus[~valid][0]!r}")
-        plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
-        diagonal, up, down = step_factors(ops.l.twice_l, "selective", step.z)
-        out = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
-        p = complex_sum(out[:, 0]).real
-        if (p <= 0.0).any():
-            raise NumericalInvariantError(f"selected branch has nonpositive weight {p.min()!r}")
-        out *= (1.0 / p)[:, None, None]  # the bits of out / p for complex out, as for real
-        outcome = np.where(plus, np.int8(1), np.int8(-1))
-    return out, outcome
+        return out, None
+    u = next(draws)
+    p_plus = _p_plus(B[:, 0], step.z, ops)
+    valid = (p_plus >= -1e-9) & (p_plus <= 1.0 + 1e-9)  # False for NaN too
+    if not valid.all():
+        raise NumericalInvariantError(f"outcome probability left [0, 1]: {p_plus[~valid][0]!r}")
+    plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
+    diagonal, up, down = step_factors(ops.l.twice_l, "selective", step.z)
+    out = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
+    p = complex_sum(out[:, 0]).real
+    if (p <= 0.0).any():
+        raise NumericalInvariantError(f"selected branch has nonpositive weight {p.min()!r}")
+    out *= (1.0 / p)[:, None, None]  # the bits of out / p for complex out, as for real
+    return out, np.where(plus, np.int8(1), np.int8(-1))
+
+
+def _stepper(ops: SpinOperators, draw_free: bool = True):
+    """The step function of one run, take(B, step, draws) -> (state,
+    outcomes).  A step that takes no draw, the average map of a draw-free
+    run or an unmasked kick (whose z and gamma are scalars), is resolved once
+    per run: validated by as_polarization, looked up in channels.step_factors
+    and from then on applied with kernels.apply_factors alone, the bits of
+    average_channel and unitary_channel with bands=True.  The last step
+    resolved matches by identity, so a repeated step object costs no lookup,
+    and any other by value; every other step goes to _apply."""
+    resolved = {}  # (kind, z[, gamma]) -> factors
+    last = [None, None]  # the last step resolved and its factors
+
+    def take(B: np.ndarray, step, draws=NO_DRAWS):
+        if step is last[0]:
+            return apply_factors(B, *last[1]), None
+        if isinstance(step, MeasureStep):
+            key = ("average", step.z) if draw_free else None
+        else:
+            key = ("unitary", step.z, step.gamma) \
+                if step.where is None and step.bands is None else None
+        if key is None:
+            return _apply(B, step, ops, draws)
+        factors = resolved.get(key)
+        if factors is None:
+            kind, z, *gamma = key
+            factors = resolved[key] = step_factors(ops.l.twice_l, kind, as_polarization(z), *gamma)
+        last[:] = step, factors
+        return apply_factors(B, *factors), None
+
+    return take
 
 
 def _checked(B: np.ndarray) -> np.ndarray:
@@ -335,45 +368,48 @@ def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, d
     None under average evolution), and yield blocks of primary steps as
     (v, state, log): the polarization after each one's corrections, the last
     state, and per step [(step, outcomes), (correction, outcomes), ...].
+    Every step goes through one step function per run (_stepper), which
+    resolves each distinct step that takes no draw to its memo factors once.
 
     A block is min(STEP_BLOCK, BLOCK_BYTES // B.nbytes) primary steps from
     the state B it starts at, at least one, taken by the kernel alone; then
-    its states, stacked, get one finite and one silent drift check (_drift)
-    and one read (band_mean_L), of which the states that end primary steps
-    are kept.  A block that fails or raises is replayed from its start, on
-    the same draws, with _checked after every step, so states, outcomes,
-    repairs, warnings and errors are those of checking each state.
+    its states, stacked, get one finite and one silent drift check (_drift),
+    and the states that end primary steps one read (band_mean_L).  A block
+    that fails or raises is replayed from its start, on the same draws, with
+    _checked after every step, so states, outcomes, repairs, warnings and
+    errors are those of checking each state.
     """
     steps = enumerate(steps)
+    take = _stepper(ops, draws is NO_DRAWS)
 
-    def run(B, block, check):
+    def run(B, block, checked):
         states, ends, log = [], [], []
         for i, step in block:
-            B, outcome = _apply(B, step, ops, draws)
-            states.append(B := check(B))
+            B, outcome = take(B, step, draws)
+            states.append(B := _checked(B) if checked else B)
             log.append([(step, outcome)])
             for fix in strategy.corrections(i, step.z, outcome, B, ops, theta0) if strategy else ():
-                B, fix_outcome = _apply(B, fix, ops, draws)
-                states.append(B := check(B))
+                B, fix_outcome = take(B, fix, draws)
+                states.append(B := _checked(B) if checked else B)
                 log[-1].append((fix, fix_outcome))
             ends.append(len(states) - 1)
         return states, ends, log
 
     while block := list(islice(steps, min(STEP_BLOCK, max(1, BLOCK_BYTES // B.nbytes)))):
-        draws, replay = tee(draws)
+        draws, replay = (draws, draws) if draws is NO_DRAWS else tee(draws)
         try:  # a replay raises, and warns, as checking each state does
             with np.errstate(all="ignore"):
-                states, ends, log = run(B, block, lambda state: state)
+                states, ends, log = run(B, block, False)
             stack = np.array(states)
             clean = _drift(stack)[0].all() and np.isfinite(stack).all()
         except Exception:
             clean = False
         if not clean:
             draws = replay
-            states, ends, log = run(B, block, _checked)
+            states, ends, log = run(B, block, True)
             stack = np.array(states)
         B = states[-1]
-        yield band_mean_L(stack, ops)[ends], B, log
+        yield band_mean_L(stack if len(ends) == len(states) else stack[ends], ops), B, log
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +473,13 @@ def usable_lifetimes(rho0: np.ndarray, q, ops: SpinOperators, thresholds, strate
     lives, levels = [None] * len(thresholds), np.array(thresholds, dtype=float)
     steps = repeat(MeasureStep(as_polarization(q)), step_cap)
     n = 0
+    top = levels.max(initial=-np.inf)
     for v, _, _ in _evolve(to_bands(rho0), steps, strategy, ops, theta0):
-        below = p_succ_of(v, n_hat, ops)[:, None] < levels
-        for i in np.flatnonzero(below.any(axis=0)):
-            lives[i] = lives[i] or n + int(below[:, i].argmax()) + 1
+        p = p_succ_of(v, n_hat, ops)
+        if p.min() < top:  # else the block lies above every threshold
+            below = p[:, None] < levels
+            for i in np.flatnonzero(below.any(axis=0)):
+                lives[i] = lives[i] or n + int(below[:, i].argmax()) + 1
         if all(lives):
             break
         n += len(v)

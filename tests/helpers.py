@@ -152,11 +152,11 @@ def reference_record(rho0: np.ndarray, n_measure: int, z: float, strategy, seed:
 
 def checked_average_steps(B: np.ndarray, n: int, z: float, ops) -> list:
     """The band states of n average steps, each checked before the next: the
-    step function, a finite check and hygiene, the stepping loop's rule
-    written out state by state."""
-    states = []
+    step function of a draw-free run, a finite check and hygiene, the
+    stepping loop's rule written out state by state."""
+    take, states = trajectory._stepper(ops), []
     for _ in range(n):
-        B, _ = trajectory._apply(B, MeasureStep(z), ops)
+        B, _ = take(B, MeasureStep(z))
         if not np.isfinite(B).all():
             raise NumericalInvariantError("state left the finite domain during the run")
         B = hygiene(B)
@@ -165,11 +165,11 @@ def checked_average_steps(B: np.ndarray, n: int, z: float, ops) -> list:
 
 
 def inject_after(monkeypatch, target: np.ndarray, delta: np.ndarray):
-    """Add delta to the result of every average step the stepping loop takes
-    from the state target: a fault tied to a state, so a replayed block
-    meets it again."""
-    def injecting(B, *args, **kwargs):
-        out = average_channel(B, *args, **kwargs)
+    """Add delta to the result of every step the stepping loop's kernel
+    (kernels.apply_factors, as trajectory binds it) takes from the state
+    target: a fault tied to a state, so a replayed block meets it again."""
+    def injecting(B, *factors):
+        out = apply_factors(B, *factors)
         return out + delta if np.array_equal(B, target) else out
 
-    monkeypatch.setattr(trajectory, "average_channel", injecting)
+    monkeypatch.setattr(trajectory, "apply_factors", injecting)

@@ -188,7 +188,8 @@ def test_scaling_steps_each_l_and_z_once(tmp_path, monkeypatch):
     for l, z, _, life in read_csv(out)[2]:
         longest[l, z] = max(longest.get((l, z), 0), int(life))
     block = trajectory.STEP_BLOCK  # one band array at l <= 16 fills a whole block
-    assert steps == [-(-life // block) * block for life in longest.values()]
+    order = sorted(longest, key=lambda lz: float(lz[0]))  # l by l, z in config order
+    assert steps == [-(-longest[lz] // block) * block for lz in order]
 
 
 def test_scaling_threshold_out_of_range_names_its_l_and_z(tmp_path, capsys):

@@ -495,7 +495,7 @@ def test_a_masked_kick_steps_only_its_rows(gamma, dtype):
     where = np.array([True, False, True, False, False])
     held = B.copy()
     out, outcome = trajectory._apply(B, UnitaryStep(-0.6, gamma, where=where), ops)
-    full, _ = trajectory._apply(B, UnitaryStep(-0.6, gamma), ops)
+    full, _ = trajectory._stepper(ops)(B, UnitaryStep(-0.6, gamma))
     assert outcome is None and out.dtype == dtype and np.array_equal(B, held)
     assert out[~where].tobytes() == B[~where].astype(dtype).tobytes()
     assert out[where].tobytes() == full[where].tobytes()
@@ -565,7 +565,7 @@ def test_band_run_steps_match_dense_loop(l):
             dense = (average_channel(rho, z, ops) if kind == 0
                      else unitary_channel(rho, z, ops, step.gamma))
             rho = dense_hygiene(dense)
-            B, drawn = trajectory._apply(B, step, ops)
+            B, drawn = trajectory._stepper(ops)(B, step)
             B = trajectory._checked(B)
             assert drawn is None
         worst = max(worst, np.abs(B - to_bands(rho)).max())
@@ -646,6 +646,47 @@ def test_usable_lifetime_builds_its_step_factors_once(monkeypatch):
     ops = build_spin_operators(64)
     assert usable_lifetime(coherent_state(64, np.pi / 2), 0.0, ops, 0.9) == 1792
     assert 1 <= len(calls) <= 2
+
+
+def test_draw_free_runs_resolve_each_step_once(monkeypatch):
+    # a draw-free step's memo factors are looked up once per run, not once per step
+    lookups = []
+
+    def counting(*args):
+        lookups.append(args)
+        return step_factors(*args)
+
+    for module in (channels, trajectory):
+        monkeypatch.setattr(module, "step_factors", counting)
+    ops = build_spin_operators(64)
+    assert usable_lifetime(coherent_state(64, np.pi / 2), 0.0, ops, 0.9) == 1792
+    assert lookups == [(128, "average", 0.0)]
+    lookups.clear()
+    run_average(coherent_state(16, 1.1), schedule_measurements(60, 1.0), OPS16,
+                strategy=UnitaryEveryK(2, np.pi))  # fig4's corrected run
+    assert lookups == [(32, "average", 1.0), (32, "unitary", -1.0, np.pi)]
+
+
+@pytest.mark.parametrize("strategy", [UnitaryEveryK(3, 1.3), AlternatingAntipolarized()],
+                         ids=["unitary_every_3_gamma_1.3", "alternating"])
+def test_draw_free_run_is_a_per_step_loop_bit_for_bit(strategy):
+    # the channels with bands=True and a check after every state, step by step;
+    # the complex 1.3 kick turns the real start complex mid-block
+    rho, n = coherent_state(16, np.pi / 2), 40
+    B = to_bands(rho)
+    reads = [band_mean_L(B, OPS16)]
+    for i in range(n):
+        B = trajectory._checked(average_channel(B, 1.0, OPS16, bands=True))
+        for fix in strategy.corrections(i, 1.0, None):
+            B = trajectory._checked(
+                average_channel(B, fix.z, OPS16, bands=True) if isinstance(fix, MeasureStep)
+                else unitary_channel(B, fix.z, OPS16, fix.gamma, bands=True))
+        reads.append(band_mean_L(B, OPS16))
+    run = run_average(rho, schedule_measurements(n, 1.0), OPS16, strategy=strategy)
+    assert run.final_bands.dtype == B.dtype == (
+        np.complex128 if isinstance(strategy, UnitaryEveryK) else np.float64)
+    assert run.mean_L.tobytes() == np.array(reads).tobytes()
+    assert run.final_bands.tobytes() == B.tobytes()
 
 
 def test_clean_lifetime_checks_each_block_once(monkeypatch):
