@@ -14,8 +14,8 @@ The two routes agree to 1e-12 and disagreeing beyond that is treated as a
 bug in the structured coefficients, never in the tensor form.  The band
 kernel's factors of every step a run repeats come from one bounded memo,
 step_factors, built from the same coefficient builders once per process;
-``hygiene`` repairs band arrays only.  Two functions still take
-``bands=True`` for the band kernel; see the comment above average_channel.
+``hygiene`` repairs band arrays only.  unitary_channel still takes
+``bands=True`` for the band kernel; see the comment above it.
 """
 
 from __future__ import annotations
@@ -165,15 +165,12 @@ def step_factors(twice_l: int, kind: str, z: float, gamma: float | None = None) 
 # channels, structured route (default)
 # ---------------------------------------------------------------------------
 
-# bands=True steps a band array with the memo's factors.  No run calls it: the stepping
-# loop resolves an average step's factors once per run (trajectory._stepper).  It stays,
-# with trajectory's import of this function, only because perfbench/test_perfbench.py
-# pins the tracer's span on that binding; ROADMAP item 2 deletes it.
-def average_channel(rho: np.ndarray, q, ops: SpinOperators, *, bands: bool = False) -> np.ndarray:
+# Dense only: the stepping loop applies an average step's memo factors itself
+# (trajectory._stepper).  trajectory still imports this function, unused, because
+# perfbench/test_perfbench.py pins the tracer's span on that binding.
+def average_channel(rho: np.ndarray, q, ops: SpinOperators) -> np.ndarray:
     """Frame back-action of one measurement with the outcome discarded."""
     z = as_polarization(q)
-    if bands:
-        return apply_factors(rho, *step_factors(ops.l.twice_l, "average", z))
     return apply_structured(rho, ops.m_diag, ops.ladder, _coeffs_average(z, ops.d))
 
 
@@ -198,8 +195,9 @@ def selective_channel(rho: np.ndarray, q, ops: SpinOperators, outcome) -> Select
     return SelectiveOutcome(sign, p, sigma / p)
 
 
-# bands=True: the memo's factors, as above; the engine's masked kicks and the conditional
-# one (an unmasked kick's factors are resolved once per run, as an average step's are)
+# bands=True steps a band array with the memo's factors: the engine's masked kicks and the
+# conditional one (an unmasked kick's factors are resolved once per run, as an average
+# step's are)
 def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
                     bands: bool = False) -> np.ndarray:
     """Frame back-action of the rotationally invariant unitary coupling.

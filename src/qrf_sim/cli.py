@@ -7,12 +7,15 @@ Usage:
 
 Experiments: fig1 fig2 fig3 fig4 fig5 scaling custom.  Configs are single
 JSON documents; unknown keys are rejected (they are usually typos in physics
-parameters).  All angles are radians.  Every output CSV embeds the config
-hash, RNG identifier and seed list as '#' header comments and is
-byte-reproducible for a fixed config; a JSON summary sidecar is written next
-to it.  Exit codes: 0 success, 2 config error (an output path that would
-overwrite the config or the other output, or cannot be written, too), 3
-numerical-invariant violation (including an output value that is not finite).
+parameters), and each known key has one check in KEYS, which states its type
+and range: reals reach the physics as floats and counts lie in [1, 2**63).
+All angles are radians.  Every output CSV embeds the config hash, RNG
+identifier and seed list as '#' header comments and is byte-reproducible for
+a fixed config; a JSON summary sidecar, which echoes the config as given, is
+written next to it.  Exit codes: 0 success, 2 config error (an output path
+that would overwrite the config or the other output, or cannot be written,
+too), 3 numerical-invariant violation (including an output value that is not
+finite).
 --threads is accepted and must be a positive integer, but changes nothing:
 every run is single-threaded and its bytes never depended on it.
 """
@@ -97,10 +100,11 @@ DEFAULTS = {
 }
 
 
-def load_config(experiment: str, path: str, overrides: dict) -> dict:
-    if experiment not in DEFAULTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; "
-                          f"choose from {sorted(DEFAULTS)}")
+def load_config(experiment: str, path: str, overrides: dict) -> tuple[dict, dict]:
+    """The config as given, which the outputs and the config hash echo, and the config
+    the physics takes: each key as KEYS checks it, once the checks across keys hold."""
+    _require(experiment in DEFAULTS,
+             f"unknown experiment {experiment!r}; choose from {sorted(DEFAULTS)}")
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -108,20 +112,24 @@ def load_config(experiment: str, path: str, overrides: dict) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+    _require(isinstance(raw, dict), "config must be a JSON object")
     declared = raw.pop("experiment", experiment)
-    if declared != experiment:
-        raise ConfigError(f"config declares experiment {_echo(declared)} but {experiment!r} "
-                          "was requested")
+    _require(declared == experiment,
+             f"config declares experiment {_echo(declared)} but {experiment!r} was requested")
     allowed = set(DEFAULTS[experiment])
     unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys for {experiment}: {_echo(sorted(unknown))} "
-                          f"(allowed: {sorted(allowed)})")
+    _require(not unknown, f"unknown config keys for {experiment}: {_echo(sorted(unknown))} "
+             f"(allowed: {sorted(allowed)})")
     config = {**DEFAULTS[experiment], **raw, **{k: v for k, v in overrides.items() if k in allowed}}
-    _validate(experiment, config)
-    return config
+    _check_leaves(config)
+    physics = {key: KEYS[key](key, value) for key, value in config.items()}
+    if experiment == "fig1":
+        _require(0.0 < physics["theta_start"] < physics["theta_stop"] < PI,
+                 "theta grid must satisfy 0 < start < stop < pi")
+    reads = _held_reads(experiment, physics)
+    _require(reads <= READS_MAX, f"the config asks a run to hold {reads} reads, more than "
+             f"{READS_MAX}: one per step, arm and seed of a chunk, and one per seed")
+    return config, physics
 
 
 def _require(cond: bool, msg: str):
@@ -130,17 +138,6 @@ def _require(cond: bool, msg: str):
 
 
 _echo = reprlib.repr  # a config value quoted in an error message, abridged to stay short
-
-
-def _valid_l(l):
-    _require(isinstance(l, (int, float)) and l >= 0.5 and abs(2 * l - round(2 * l)) < 1e-12,
-             f"l must be a positive integer or half-integer, got {_echo(l)}")
-    _require(l <= L_MAX, f"l must be at most {L_MAX}, got {_echo(l)}")
-
-
-def _valid_z(z):
-    _require(isinstance(z, (int, float)) and -1.0 <= z <= 1.0,
-             f"z must lie in [-1, 1], got {_echo(z)}")
 
 
 def _check_leaves(cfg: dict):
@@ -163,52 +160,91 @@ def _check_leaves(cfg: dict):
                  f"{_echo(where)} must fit in a float, got {_echo(value)}")
 
 
-def _validate(experiment: str, cfg: dict):
-    _check_leaves(cfg)
-    # a key whose default is a number, or a list of numbers, takes the same
-    for key, default in DEFAULTS[experiment].items():
-        value = cfg[key]
-        if isinstance(default, (int, float)):
-            _require(isinstance(value, (int, float)), f"{key} must be a number, got {_echo(value)}")
-        elif isinstance(default, list):
-            _require(isinstance(value, list) and value
-                     and all(isinstance(v, (int, float)) for v in value),
-                     f"{key} must be a nonempty list of numbers, got {_echo(value)}")
-    if "seeds" in cfg:
-        _seed_count(cfg["seeds"])
-    if "l" in cfg:
-        _valid_l(cfg["l"])
-    if "z" in cfg:
-        _valid_z(cfg["z"])
-    if "theta" in cfg:
-        _require(0.0 <= cfg["theta"] <= PI, f"theta must lie in [0, pi], got {_echo(cfg['theta'])}")
-    for key in ("n_steps", "n_measure", "theta_points", "k", "record_every", "step_cap"):
-        if key in cfg:
-            _require(isinstance(cfg[key], int) and cfg[key] >= 1,
-                     f"{key} must be a positive integer, got {_echo(cfg[key])}")
-    if experiment == "fig1":
-        _require(0.0 <= cfg["p"] <= 1.0, f"p must lie in [0, 1], got {_echo(cfg['p'])}")
-        _require(0.0 < cfg["theta_start"] < cfg["theta_stop"] < PI,
-                 "theta grid must satisfy 0 < start < stop < pi")
-    if experiment == "scaling":
-        for l in cfg["l_list"]:
-            _valid_l(l)
-        for z in cfg["z_list"]:
-            _valid_z(z)
-        for t in cfg["thresholds"]:
-            _require(0.5 < t < 1.0, f"threshold must lie in (0.5, 1), got {_echo(t)}")
-        # a repeat would duplicate rows and fits; l repeats by its spin, 2l
-        for key, distinct in (("l_list", {round(2 * l) for l in cfg["l_list"]}),
-                              ("z_list", set(cfg["z_list"])),
-                              ("thresholds", set(cfg["thresholds"]))):
-            _require(len(distinct) == len(cfg[key]),
-                     f"{key} must not repeat an entry, got {_echo(cfg[key])}")
-    if experiment == "fig3":
-        _require(len({_gamma_column(g) for g in cfg["gammas"]}) == len(cfg["gammas"]),
-                 f"gammas must name distinct columns, got {_echo(cfg['gammas'])}")
-    reads = _held_reads(experiment, cfg)
-    _require(reads <= READS_MAX, f"the config asks a run to hold {reads} reads, more than "
-             f"{READS_MAX}: one per step, arm and seed of a chunk, and one per seed")
+def _real(key: str, value, low=-math.inf, high=math.inf, span="") -> float:
+    """A real in [low, high] (span names it) as a float: 10**30 in JSON becomes one."""
+    _require(isinstance(value, (int, float)), f"{key} must be a number, got {_echo(value)}")
+    _require(low <= value <= high, f"{key} must lie in {span}, got {_echo(value)}")
+    return float(value)
+
+
+def _real_in(low: float, high: float, span: str):
+    return lambda key, value: _real(key, value, low, high, span)
+
+
+def _spin(key: str, l):
+    _require(isinstance(l, (int, float)) and l >= 0.5 and abs(2 * l - round(2 * l)) < 1e-12,
+             f"{key} must be a positive integer or half-integer, got {_echo(l)}")
+    _require(l <= L_MAX, f"{key} must be at most {L_MAX}, got {_echo(l)}")
+    return l
+
+
+def _count(key: str, value) -> int:
+    """A count; below 2**63, so every index and step count fits in an int64."""
+    _require(isinstance(value, int) and 1 <= value < 2**63,
+             f"{key} must be an integer in [1, 2**63), got {_echo(value)}")
+    return value
+
+
+def _list_of(item, same=lambda v: v, what="an entry"):
+    """The check of a nonempty list of entries that pass item and differ by same."""
+    def check(key: str, value) -> list:
+        _require(isinstance(value, list) and value,
+                 f"{key} must be a nonempty list, got {_echo(value)}")
+        items = [item(f"{key}[{i}]", v) for i, v in enumerate(value)]
+        _require(len({same(v) for v in items}) == len(items),
+                 f"{key} must not repeat {what}, got {_echo(value)}")
+        return items
+    return check
+
+
+def _object(key: str, value) -> dict:
+    _require(isinstance(value, dict), f"{key} must be an object, got {_echo(value)}")
+    return value
+
+
+def _seeds(key: str, spec):
+    """A seed list or {base, count}: Philox keys lie in [0, 2**128)."""
+    if isinstance(spec, dict) and set(spec) <= {"base", "count"}:
+        base, count = spec.get("base", 0), spec.get("count")
+        _require(isinstance(base, int) and isinstance(count, int) and base >= 0 and count >= 1,
+                 f"{key} needs integers base >= 0 and count >= 1, got {_echo(spec)}")
+        _require(base + count - 1 < 2**128, f"{key} must be below 2**128, got {_echo(spec)}")
+    else:
+        _require(isinstance(spec, list) and spec
+                 and all(isinstance(s, int) and s >= 0 for s in spec),
+                 f"{key} must be a nonempty list of non-negative integers or {{base, count}}")
+        _require(max(spec) < 2**128, f"{key} must be below 2**128, got {_echo(max(spec))}")
+    return spec
+
+
+def _mode(key: str, value) -> str:
+    _require(value in ("average", "stochastic"),
+             f"{key} must be 'average' or 'stochastic', got {_echo(value)}")
+    return value
+
+
+def _gamma_column(gamma: float) -> str:
+    return f"p_succ_unitary_gamma_{gamma:.6g}"
+
+
+# Every key of DEFAULTS and the one check that states its type, range and coercion:
+# check(key, value) returns the value the physics takes or raises ConfigError.  Each runs
+# after _check_leaves, so no value is a bool, a non-finite float or an integer beyond the
+# float range.  k1 and k2, magnetic numbers, are plain reals that the state's constructor
+# checks against l; a repeated list entry would repeat rows, fits or columns.
+KEYS = {
+    "l": _spin, "k1": _real, "k2": _real, "p": _real_in(0.0, 1.0, "[0, 1]"),
+    "z": _real_in(-1.0, 1.0, "[-1, 1]"), "theta": _real_in(0.0, PI, "[0, pi]"),
+    "theta_start": _real, "theta_stop": _real, "gamma": _real,
+    **dict.fromkeys(("theta_points", "n_steps", "n_measure", "k", "record_every", "step_cap"),
+                    _count),
+    "gammas": _list_of(_real, _gamma_column, "a column name"),
+    "l_list": _list_of(_spin, lambda l: round(2 * l), "a spin"),
+    "z_list": _list_of(_real_in(-1.0, 1.0, "[-1, 1]")),
+    "thresholds": _list_of(_real_in(math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0),
+                                    "(0.5, 1)")),
+    "seeds": _seeds, "state": _object, "strategy": _object, "mode": _mode,
+}
 
 
 def _held_reads(experiment: str, cfg: dict) -> int:
@@ -221,50 +257,15 @@ def _held_reads(experiment: str, cfg: dict) -> int:
     if experiment == "scaling":
         return 0
     stochastic = experiment == "fig5" or cfg.get("mode") == "stochastic"
-    seeds = _seed_count(cfg["seeds"]) if "seeds" in cfg else 0
+    spec = cfg.get("seeds", [])
+    seeds = spec["count"] if isinstance(spec, dict) else len(spec)
     n = cfg["n_measure"] if stochastic or experiment == "fig4" else cfg["n_steps"]
     arms = {"fig3": 1 + len(cfg.get("gammas", ())), "fig4": 2, "fig5": 3}.get(experiment, 1)
     return (n + 1) * arms * (min(seeds, CHUNK) if stochastic else 1) + seeds
 
 
-def _as_real(value):
-    """A real-valued parameter as the float the physics takes: a JSON integer
-    such as 10**30 becomes one (_check_leaves has kept it in range); any other
-    value is left for its consumer to reject."""
-    return float(value) if isinstance(value, int) else value
-
-
-def _physics_config(experiment: str, cfg: dict) -> dict:
-    """cfg with each real-valued key, one whose default is a float or a list
-    of floats, as floats (_as_real); the outputs echo cfg itself."""
-    physics = dict(cfg)
-    for key, default in DEFAULTS[experiment].items():
-        if isinstance(default, float):
-            physics[key] = _as_real(cfg[key])
-        elif isinstance(default, list) and isinstance(default[0], float):
-            physics[key] = [_as_real(v) for v in cfg[key]]
-    return physics
-
-
-def _seed_count(spec) -> int:
-    """The number of seeds of a list or {base, count}, checked as resolve_seeds
-    needs without listing them."""
-    if isinstance(spec, dict) and set(spec) <= {"base", "count"}:
-        base, count = spec.get("base", 0), spec.get("count")
-        _require(isinstance(base, int) and isinstance(count, int) and base >= 0 and count >= 1,
-                 f"seeds needs integers base >= 0 and count >= 1, got {_echo(spec)}")
-        _require(base + count - 1 < 2**128, f"seeds must be below 2**128, got {_echo(spec)}")
-        return count
-    _require(isinstance(spec, list) and spec and all(isinstance(s, int) and s >= 0 for s in spec),
-             "seeds must be a nonempty list of non-negative integers or {base, count}")
-    _require(max(spec) < 2**128, f"seeds must be below 2**128, got {_echo(max(spec))}")
-    return len(spec)
-
-
 def resolve_seeds(spec) -> list[int]:
-    """A nonempty seed list from a list or {base, count}; Philox keys lie in
-    [0, 2**128).  Bools are rejected before this by _check_leaves."""
-    _seed_count(spec)
+    """The seed list of a list or {base, count} that KEYS has checked."""
     if isinstance(spec, dict):
         base = spec.get("base", 0)
         return list(range(base, base + spec["count"]))
@@ -342,16 +343,10 @@ def run_fig2(cfg: dict):
     return ["step", "Lx_over_l", "Ly_over_l", "Lz_over_l"], rows, {}
 
 
-def _gamma_column(gamma: float) -> str:
-    return f"p_succ_unitary_gamma_{gamma:.6g}"
-
-
 def run_fig3(cfg: dict):
     """Success probability under sequential measurements versus unitary
     interactions at the configured kick angles."""
-    l = cfg["l"]
-    ops = build_spin_operators(l)
-    rho0 = coherent_state(l, cfg["theta"])
+    ops, rho0 = build_spin_operators(cfg["l"]), coherent_state(cfg["l"], cfg["theta"])
     n = cfg["n_steps"]
 
     def series(schedule):
@@ -390,9 +385,7 @@ def run_fig5(cfg: dict):
     """Seed-averaged success probability for the uncorrected run and the two
     unitary correction policies; corrective steps are not counted on the
     measurement axis."""
-    l = cfg["l"]
-    ops = build_spin_operators(l)
-    rho0 = coherent_state(l, cfg["theta"])
+    ops, rho0 = build_spin_operators(cfg["l"]), coherent_state(cfg["l"], cfg["theta"])
     seeds = resolve_seeds(cfg["seeds"])
     n = cfg["n_measure"]
     strategies = [("uncorrected", None),
@@ -401,10 +394,8 @@ def run_fig5(cfg: dict):
     stats = run_arm_statistics(rho0, n, cfg["z"], [strat for _, strat in strategies], seeds, ops)
     columns = ["n_measurements"] + [f"p_succ_{name}" for name, _ in strategies] \
         + [f"p_succ_{name}_stderr" for name, _ in strategies]
-    rows = []
-    for step in range(n + 1):
-        rows.append(tuple([step] + [float(st.p_succ[step]) for st in stats]
-                          + [float(st.p_succ_stderr[step]) for st in stats]))
+    rows = [tuple([step] + [float(st.p_succ[step]) for st in stats]
+                  + [float(st.p_succ_stderr[step]) for st in stats]) for step in range(n + 1)]
     sidecar = {"n_seeds": len(seeds),
                "final_p_succ": {name: float(st.p_succ[-1])
                                 for (name, _), st in zip(strategies, stats)}}
@@ -448,7 +439,6 @@ def run_scaling(cfg: dict):
 
 
 def _build_custom_state(cfg: dict, ops):
-    _require(isinstance(cfg["state"], dict), f"state must be an object, got {_echo(cfg['state'])}")
     state = dict(cfg["state"])
     family = state.pop("family", "coherent")
     l, theta = cfg["l"], cfg["theta"]
@@ -457,9 +447,10 @@ def _build_custom_state(cfg: dict, ops):
     elif family == "rotated_dicke":
         rho = rotated_dicke_state(l, state.pop("k"), theta)
     elif family == "mixed_dicke":
-        rho = mixed_dicke_state(l, state.pop("k1"), state.pop("k2"), state.pop("p"), theta)
+        rho = mixed_dicke_state(l, state.pop("k1"), state.pop("k2"),
+                                _real("p", state.pop("p")), theta)
     elif family == "thermal":
-        rho = thermal_partial_coherent(l, state.pop("r"), theta)
+        rho = thermal_partial_coherent(l, _real("r", state.pop("r")), theta)
     elif family == "quadratic_bloch":
         spec = QuadraticBlochSpec(np.asarray(state.pop("R"), dtype=float),
                                   np.asarray(state.pop("T"), dtype=float))
@@ -474,7 +465,6 @@ def _parse_strategy(spec: dict, gamma: float, theta0: float):
     """The strategy object of a spec; gamma is the kick angle a spec without
     one gets, theta0 the conditional target a spec without theta_known (or
     with null) gets."""
-    _require(isinstance(spec, dict), f"strategy must be an object, got {_echo(spec)}")
     spec = dict(spec)
     kind = spec.pop("kind", "none")
     if kind == "none":
@@ -483,13 +473,14 @@ def _parse_strategy(spec: dict, gamma: float, theta0: float):
         strategy = AlternatingAntipolarized()
     elif kind == "unitary_every_k":
         strategy = _construct("strategy", UnitaryEveryK, spec.pop("k", 2),
-                              _as_real(spec.pop("gamma", gamma)))
+                              _real("gamma", spec.pop("gamma", gamma)))
     elif kind == "unitary_after_each_plus":
-        strategy = _construct("strategy", UnitaryAfterEachPlus, _as_real(spec.pop("gamma", gamma)))
+        strategy = _construct("strategy", UnitaryAfterEachPlus,
+                              _real("gamma", spec.pop("gamma", gamma)))
     elif kind == "conditional":  # theta_known null is absent
         theta_known = spec.pop("theta_known", None)
         strategy = _construct("strategy", ConditionalTuned,
-                              theta0 if theta_known is None else _as_real(theta_known))
+                              theta0 if theta_known is None else _real("theta_known", theta_known))
     else:
         raise ConfigError(f"unknown strategy kind {_echo(kind)}")
     _require(not spec, f"unknown keys for strategy kind {kind!r}: {_echo(sorted(spec))}")
@@ -502,7 +493,6 @@ def run_custom(cfg: dict):
     rho0 = _construct("initial state", _build_custom_state, cfg, ops)
     _, _, theta0 = _construct("initial state", frame_direction, rho0, ops)
     strat = _parse_strategy(cfg["strategy"], cfg["gamma"], theta0)
-    l = cfg["l"]
     if cfg["mode"] == "average":
         schedule = schedule_measurements(cfg["n_steps"], cfg["z"])
         try:
@@ -511,20 +501,17 @@ def run_custom(cfg: dict):
         except NoAverageEvolution as exc:
             raise ConfigError(f"mode 'average': {exc}") from exc
         r = np.linalg.norm(run.mean_L, axis=1) / ops.l_value
-        rows = [(int(step), *(v / l), *read)
+        rows = [(int(step), *(v / cfg["l"]), *read)
                 for step, v, *read in zip(run.step_indices, run.mean_L, r, run.theta_series,
                                           run.p_succ_series)]
         return ["step", "Lx_over_l", "Ly_over_l", "Lz_over_l", "r", "theta", "p_succ"], rows, {}
-    if cfg["mode"] == "stochastic":
-        seeds = resolve_seeds(cfg["seeds"])
-        st = run_ensemble_statistics(rho0, cfg["n_measure"], cfg["z"], strat, seeds, ops)
-        rows = [(step, float(st.theta[step]), float(st.theta_stderr[step]),
-                 float(st.p_succ[step]), float(st.p_succ_stderr[step]))
-                for step in range(len(st.p_succ))]
-        sidecar = {"n_seeds": len(seeds),
-                   "plus_fraction_mean": float(st.plus_fraction.mean())}
-        return ["step", "theta_mean", "theta_stderr", "p_succ_mean", "p_succ_stderr"], rows, sidecar
-    raise ConfigError(f"mode must be 'average' or 'stochastic', got {_echo(cfg['mode'])}")
+    seeds = resolve_seeds(cfg["seeds"])
+    st = run_ensemble_statistics(rho0, cfg["n_measure"], cfg["z"], strat, seeds, ops)
+    rows = [(step, float(st.theta[step]), float(st.theta_stderr[step]),
+             float(st.p_succ[step]), float(st.p_succ_stderr[step]))
+            for step in range(len(st.p_succ))]
+    sidecar = {"n_seeds": len(seeds), "plus_fraction_mean": float(st.plus_fraction.mean())}
+    return ["step", "theta_mean", "theta_stderr", "p_succ_mean", "p_succ_stderr"], rows, sidecar
 
 
 RUNNERS = {
@@ -538,9 +525,7 @@ RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):  # a bool is an int
         return str(int(value))
     return format(float(value), ".17g")
 
@@ -650,8 +635,8 @@ def main(argv=None) -> int:
         _require(args.threads >= 1, f"--threads must be a positive integer, got {args.threads}")
         out = args.out or f"{args.experiment}.csv"
         side = sidecar_path(args.config, out)
-        cfg = load_config(args.experiment, args.config, _flag_overrides(args))
-        columns, rows, sidecar = RUNNERS[args.experiment](_physics_config(args.experiment, cfg))
+        cfg, physics = load_config(args.experiment, args.config, _flag_overrides(args))
+        columns, rows, sidecar = RUNNERS[args.experiment](physics)
         write_outputs(out, side, args.experiment, cfg, columns, rows, sidecar)
     except ConfigError as exc:  # a failed write included
         print(f"config-error: {exc}", file=sys.stderr)

@@ -85,8 +85,8 @@ class MeasureStep:
 class UnitaryStep:
     """An invariant unitary kick.  In the stochastic engine z, gamma and
     residual may be (S,) arrays, one value per seed of a chunk; where masks
-    the seeds kicked (None: all of them), and bands holds the kicked batch
-    when the strategy has applied the kick itself."""
+    the seeds kicked (None: all of them), and bands holds the whole kicked
+    batch, with no mask, when the strategy has applied the kick itself."""
 
     z: float
     gamma: float
@@ -290,9 +290,9 @@ def _apply(B: np.ndarray, step, ops: SpinOperators, draws=NO_DRAWS):
     an (S, 2, d) batch: (state, outcomes).  Every other step is resolved by
     _stepper.
 
-    A kick with bands sets the seeds its mask selects (all of them without a
-    mask) to the kicked bands its strategy formed; a masked kick without
-    applies the unitary channel to the selected rows alone.  A
+    A kick with bands replaces the batch with the kicked bands its strategy
+    formed (no strategy masks such a kick); a masked kick without applies the
+    unitary channel to the selected rows alone.  A
     measurement draws each seed's outcome from its uniform in the next draw
     and applies that branch, normalized; near-certain branches are forced so
     that conditioning stays well defined, their uniform consumed all the
@@ -301,8 +301,7 @@ def _apply(B: np.ndarray, step, ops: SpinOperators, draws=NO_DRAWS):
     """
     if isinstance(step, UnitaryStep):
         if step.bands is not None:
-            out = step.bands if step.where is None \
-                else np.where(step.where[:, None, None], step.bands, B)
+            out = step.bands
         else:
             kicked = unitary_channel(B[step.where], step.z, ops, step.gamma, bands=True)
             out = B.astype(np.result_type(B, kicked))  # a copy, complex if the kick is
@@ -328,8 +327,8 @@ def _stepper(ops: SpinOperators, draw_free: bool = True):
     outcomes).  A step that takes no draw, the average map of a draw-free
     run or an unmasked kick (whose z and gamma are scalars), is resolved once
     per run: validated by as_polarization, looked up in channels.step_factors
-    and from then on applied with kernels.apply_factors alone, the bits of
-    average_channel and unitary_channel with bands=True.  The last step
+    and from then on applied with kernels.apply_factors alone, for a kick
+    the bits of unitary_channel with bands=True.  The last step
     resolved matches by identity, so a repeated step object costs no lookup,
     and any other by value; every other step goes to _apply."""
     resolved = {}  # (kind, z[, gamma]) -> factors

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -388,6 +389,8 @@ BAD_CONFIGS = [
     ("fig5", {"n_measure": 3, "seeds": [10**50]}),  # Philox keys lie below 2**128
     ("custom", {"mode": "stochastic", "n_measure": 3,
                 "seeds": {"base": 2**128 - 1, "count": 2}}),
+    ("custom", {"record_every": 2**63}),  # counts lie below 2**63, within a C long
+    ("scaling", {"l_list": [8, 9], "z_list": [1.0], "thresholds": [0.9], "step_cap": 2**63}),
 ]
 BAD_INVOCATIONS = [
     ("fig1", {}, ("--gamma", "1.0")),
@@ -413,6 +416,7 @@ BAD_INVOCATIONS = [
          "repeated-l", "repeated-z", "repeated-threshold", "fig3-clashing-columns",
          "fig2-gamma-1e400", "fig3-gamma-1e400", "fig4-gamma-1e400", "fig5-gamma-1e400",
          "strategy-gamma-1e400", "seed-1e50", "seed-base-count-past-2**128",
+         "record-every-2**63", "step-cap-2**63",
          "gamma-flag-without-gamma", "gamma-flag-on-scaling", "seeds-flag-without-seeds",
          "negative-threads", "zero-threads"])
 def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, payload, extra):
@@ -420,6 +424,68 @@ def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, 
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config-error: ")
+
+
+@pytest.mark.parametrize("state, line", [
+    ({"family": "thermal", "r": 10**30},
+     "initial state: target polarization must satisfy |r| < 1, got 1e+30"),
+    ({"family": "mixed_dicke", "k1": 2, "k2": 1, "p": 10**30},
+     "initial state: mixing probability must lie in [0, 1], got 1e+30"),
+], ids=["thermal-r", "mixed-dicke-p"])
+def test_state_numbers_reach_their_constructor_as_floats(tmp_path, capsys, state, line):
+    # a JSON integer beyond int64 becomes a float before the constructor checks its range
+    rc, _ = run(tmp_path, "custom", {"l": 3, "n_steps": 3, "state": state})
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [f"config-error: {line}"]
+
+
+# The fuzzer: FUZZ_COUNT configs, each a base config with one or two of its
+# experiment's keys set to values drawn from FUZZ_POOL, by random.Random(FUZZ_SEED).
+# The bases keep every run small (l <= 4, a few steps and seeds).  The scaling base
+# measures with an unpolarized source (z 0), whose lifetimes end within a few
+# steps at any theta: at theta 0 and z 1 p_succ never falls, so a drawn step_cap
+# of 2**31 would step that many times.
+FUZZ_SEED, FUZZ_COUNT = 2025, 3000
+FUZZ_POOL = [
+    0, -1, 0.5, 2**31, 2**63, 10**30, 1e300, float("nan"), "x", "", "average", "stochastic", None,
+    True, False, [], {}, [0.9], {"base": 0, "count": 2},
+    {"kind": "none"}, {"kind": "alternating"}, {"kind": "unitary_every_k", "k": 3, "gamma": 1.3},
+    {"kind": "unitary_after_each_plus"}, {"kind": "conditional"},
+    {"kind": "conditional", "theta_known": 1.0},
+    {"family": "coherent"}, {"family": "thermal", "r": 0.5}, {"family": "rotated_dicke", "k": 1},
+    {"family": "mixed_dicke", "k1": 2, "k2": 1, "p": 0.5},
+    {"family": "quadratic_bloch", "R": [0, 0, 0.5], "T": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]},
+]
+FUZZ_BASES = [
+    ("fig1", {"l": 3, "k1": 1, "k2": 2, "theta_points": 3}),
+    ("fig2", {"l": 3, "n_steps": 5}),
+    ("fig3", {"l": 3, "n_steps": 5, "gammas": [1.0, 2.0]}),
+    ("fig4", {"l": 3, "n_measure": 5}),
+    ("fig5", {"l": 3, "n_measure": 5, "seeds": {"base": 0, "count": 3}}),
+    ("scaling", {"l_list": [3, 4], "z_list": [0.0], "thresholds": [0.9], "step_cap": 50}),
+    ("custom", {"l": 3, "n_steps": 5}),
+    ("custom", {"l": 4, "mode": "stochastic", "n_measure": 5, "seeds": [0, 1],
+                "strategy": {"kind": "conditional"}}),
+]
+
+
+def test_fuzzed_configs_exit_0_2_or_3_with_one_line(tmp_path, capsys):
+    rng = random.Random(FUZZ_SEED)
+    cfg, out = tmp_path / "config.json", str(tmp_path / "out.csv")
+    failures = []
+    for _ in range(FUZZ_COUNT):
+        experiment, payload = rng.choice(FUZZ_BASES)
+        keys = rng.sample(sorted(cli.DEFAULTS[experiment]), rng.choice((1, 2)))
+        payload = {**payload, **{key: rng.choice(FUZZ_POOL) for key in keys}}
+        cfg.write_text(json.dumps(payload))
+        try:
+            rc = main([experiment, "--config", str(cfg), "--out", out])
+        except Exception as exc:  # exit 1 with a traceback
+            rc = repr(exc)
+        err = capsys.readouterr().err.splitlines()
+        if rc not in (0, 2, 3) or (rc != 0 and len(err) != 1):
+            failures.append((experiment, payload, rc, err))
+    assert not failures, failures[:5]
 
 
 COUNTS_BEYOND_THE_BOUND = [

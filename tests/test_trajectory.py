@@ -18,7 +18,7 @@ from qrf_sim.channels import (
     unitary_channel,
     unitary_channel_tensor,
 )
-from qrf_sim.kernels import band_factors, to_bands
+from qrf_sim.kernels import apply_factors, band_factors, to_bands
 from qrf_sim.metrics import UnpolarizedFrame, band_mean_L, mean_angular_momentum, p_succ_of
 from qrf_sim.spin import (
     build_spin_operators,
@@ -670,16 +670,17 @@ def test_draw_free_runs_resolve_each_step_once(monkeypatch):
 @pytest.mark.parametrize("strategy", [UnitaryEveryK(3, 1.3), AlternatingAntipolarized()],
                          ids=["unitary_every_3_gamma_1.3", "alternating"])
 def test_draw_free_run_is_a_per_step_loop_bit_for_bit(strategy):
-    # the channels with bands=True and a check after every state, step by step;
+    # the memo's factors and a check after every state, step by step;
     # the complex 1.3 kick turns the real start complex mid-block
     rho, n = coherent_state(16, np.pi / 2), 40
     B = to_bands(rho)
     reads = [band_mean_L(B, OPS16)]
     for i in range(n):
-        B = trajectory._checked(average_channel(B, 1.0, OPS16, bands=True))
+        B = trajectory._checked(apply_factors(B, *step_factors(32, "average", 1.0)))
         for fix in strategy.corrections(i, 1.0, None):
             B = trajectory._checked(
-                average_channel(B, fix.z, OPS16, bands=True) if isinstance(fix, MeasureStep)
+                apply_factors(B, *step_factors(32, "average", fix.z))
+                if isinstance(fix, MeasureStep)
                 else unitary_channel(B, fix.z, OPS16, fix.gamma, bands=True))
         reads.append(band_mean_L(B, OPS16))
     run = run_average(rho, schedule_measurements(n, 1.0), OPS16, strategy=strategy)
