@@ -11,11 +11,11 @@ Each channel is implemented twice, on independent code paths:
   diagonals 0 and 1, the only state a run steps.
 
 The two routes agree to 1e-12 and disagreeing beyond that is treated as a
-bug in the structured coefficients, never in the tensor form.  The band
-kernel's factors of every step a run repeats come from one bounded memo,
-step_factors, built from the same coefficient builders once per process;
-``hygiene`` repairs band arrays only.  unitary_channel still takes
-``bands=True`` for the band kernel; see the comment above it.
+bug in the structured coefficients, never in the tensor form.  step_factors
+builds a step's band-kernel factors from the same coefficient builders and
+keeps none: a run holds its own table (trajectory._stepper).  ``hygiene``
+repairs band arrays only.  unitary_channel still takes ``bands=True`` for
+the band kernel; see the comment above it.
 """
 
 from __future__ import annotations
@@ -141,13 +141,12 @@ def _coeffs_unitary(z: float, d: int, gamma: float):
     )
 
 
-@lru_cache(maxsize=32)
 def step_factors(twice_l: int, kind: str, z: float, gamma: float | None = None) -> tuple:
     """The band-kernel factors (kernels.band_factors) of a z source's
     "average" step, "unitary" kick by gamma or "selective" measurement (the -
-    and + branches' diagonals stacked in that order), built once per process
-    and read-only.  -0.0 shares 0.0's entry: their factors are the same bits.
-    Least recently used entries go first, so one-off kicks evict each other."""
+    and + branches' diagonals stacked in that order), built afresh on each
+    call and read-only, so a run's table (trajectory._stepper) may share
+    them.  -0.0 gives 0.0's factors, the same bits."""
     ops = build_spin_operators(SpinQuantum(twice_l))
     if kind == "average":
         coeffs = _coeffs_average(z, ops.d)
@@ -165,7 +164,7 @@ def step_factors(twice_l: int, kind: str, z: float, gamma: float | None = None) 
 # channels, structured route (default)
 # ---------------------------------------------------------------------------
 
-# Dense only: the stepping loop applies an average step's memo factors itself
+# Dense only: the stepping loop applies an average step's factors itself
 # (trajectory._stepper).  trajectory still imports this function, unused, because
 # perfbench/test_perfbench.py pins the tracer's span on that binding.
 def average_channel(rho: np.ndarray, q, ops: SpinOperators) -> np.ndarray:
@@ -195,9 +194,8 @@ def selective_channel(rho: np.ndarray, q, ops: SpinOperators, outcome) -> Select
     return SelectiveOutcome(sign, p, sigma / p)
 
 
-# bands=True steps a band array with the memo's factors: the engine's masked kicks and the
-# conditional one (an unmasked kick's factors are resolved once per run, as an average
-# step's are)
+# bands=True steps a band array with step_factors' factors, for the conditional kick alone:
+# every other kick takes its factors from its run's table (trajectory._stepper)
 def unitary_channel(rho: np.ndarray, q, ops: SpinOperators, gamma: float, *,
                     bands: bool = False) -> np.ndarray:
     """Frame back-action of the rotationally invariant unitary coupling.

@@ -25,9 +25,9 @@ rho[i, i+k], k = 0, 1, zero-padded to length d (the lower diagonals are the
 conjugates).  `band_factors` forms a step's factors from its coefficients
 and `apply_factors` steps that array in O(d) with the same per-element
 expression as the dense kernel, so its output equals the dense kernel's
-diagonals bit for bit, whatever the number of rows.  The run loops take the
-factors of every step they repeat from the memo channels.step_factors, which
-calls `band_factors` once per process for each step.
+diagonals bit for bit, whatever the number of rows.  A run builds each
+distinct step's factors once, through channels.step_factors, and keeps
+them in its own table (trajectory._stepper).
 `apply_factors_transposed` pulls a linear read of the stepped array back to
 weights on the array before the step, O(d) too.
 

@@ -10,10 +10,10 @@ engine measurements with drawn outcomes.  A strategy inserts its corrections
 after each step through the same hook in all of them; _evolve logs each
 primary step first and its corrections after it, and that position is the
 only record of which drawn outcomes are corrections.  Every step takes its
-kernel factors from the memo channels.step_factors: a step that takes no
-draw, an average map or an unmasked kick, looks them up once per run and is
-then applied by kernels.apply_factors alone; a drawn measurement, a masked
-kick and per-seed kicked bands go through _apply.  Every state is checked
+kernel factors from one table per run, which channels.step_factors fills
+once per distinct step: the average map, a drawn measurement's - and +
+branches and a kick, masked or not, are applied by kernels.apply_factors,
+and per-seed kicked bands replace the batch.  Every state is checked
 to be finite and repaired by channels.hygiene, a block of steps at a time
 (see _evolve), and _evolve reads each block's polarization with
 metrics.band_mean_L; the runs derive the inclination and p_succ (against
@@ -285,71 +285,62 @@ class TrajectoryRecord:
 # the stepping loop
 # ---------------------------------------------------------------------------
 
-def _apply(B: np.ndarray, step, ops: SpinOperators, draws=NO_DRAWS):
-    """A step that needs a draw, a mask or per-seed arrays, on a band array or
-    an (S, 2, d) batch: (state, outcomes).  Every other step is resolved by
-    _stepper.
-
-    A kick with bands replaces the batch with the kicked bands its strategy
-    formed (no strategy masks such a kick); a masked kick without applies the
-    unitary channel to the selected rows alone.  A
-    measurement draws each seed's outcome from its uniform in the next draw
-    and applies that branch, normalized; near-certain branches are forced so
-    that conditioning stays well defined, their uniform consumed all the
-    same.  Only a measurement has outcomes, (S,) int8.  The state is returned
-    unchecked (see _evolve).
-    """
-    if isinstance(step, UnitaryStep):
-        if step.bands is not None:
-            out = step.bands
-        else:
-            kicked = unitary_channel(B[step.where], step.z, ops, step.gamma, bands=True)
-            out = B.astype(np.result_type(B, kicked))  # a copy, complex if the kick is
-            out[step.where] = kicked
-        return out, None
-    u = next(draws)
-    p_plus = _p_plus(B[:, 0], step.z, ops)
-    valid = (p_plus >= -1e-9) & (p_plus <= 1.0 + 1e-9)  # False for NaN too
-    if not valid.all():
-        raise NumericalInvariantError(f"outcome probability left [0, 1]: {p_plus[~valid][0]!r}")
-    plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
-    diagonal, up, down = step_factors(ops.l.twice_l, "selective", step.z)
-    out = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
-    p = complex_sum(out[:, 0]).real
-    if (p <= 0.0).any():
-        raise NumericalInvariantError(f"selected branch has nonpositive weight {p.min()!r}")
-    out *= (1.0 / p)[:, None, None]  # the bits of out / p for complex out, as for real
-    return out, np.where(plus, np.int8(1), np.int8(-1))
-
-
 def _stepper(ops: SpinOperators, draw_free: bool = True):
-    """The step function of one run, take(B, step, draws) -> (state,
-    outcomes).  A step that takes no draw, the average map of a draw-free
-    run or an unmasked kick (whose z and gamma are scalars), is resolved once
-    per run: validated by as_polarization, looked up in channels.step_factors
-    and from then on applied with kernels.apply_factors alone, for a kick
-    the bits of unitary_channel with bands=True.  The last step
-    resolved matches by identity, so a repeated step object costs no lookup,
-    and any other by value; every other step goes to _apply."""
-    resolved = {}  # (kind, z[, gamma]) -> factors
-    last = [None, None]  # the last step resolved and its factors
+    """The one step function of a run, take(B, step, draws) -> (state,
+    outcomes), on a band array or an (S, 2, d) batch.  Every step takes its
+    kernel factors from one table per run, filled by channels.step_factors
+    the first time the run meets its (kind, z[, gamma]), z validated by
+    as_polarization: a measurement's average map in a draw-free run and its
+    stacked - and + branches otherwise, a kick's whether masked or not.  A
+    step with no draw and no mask is then kernels.apply_factors alone, and
+    the last such step matches by identity, so a repeated step object costs
+    no lookup.  A masked kick steps its selected rows alone; a kick that
+    carries bands replaces the batch with the kicked bands its strategy
+    formed (no strategy masks such a kick).  A measurement draws each seed's
+    outcome from its uniform in the next draw and applies that branch,
+    normalized; near-certain branches are forced so that conditioning stays
+    well defined, their uniform consumed all the same.  Only a measurement
+    has outcomes, (S,) int8.  The state is returned unchecked (see _evolve).
+    """
+    table = {}  # (kind, z[, gamma]) -> factors
+    last = [None, None]  # the last step without draw or mask and its factors
+
+    def factors(kind, z, *gamma):
+        if (kind, z, *gamma) not in table:
+            table[kind, z, *gamma] = step_factors(ops.l.twice_l, kind, as_polarization(z), *gamma)
+        return table[kind, z, *gamma]
 
     def take(B: np.ndarray, step, draws=NO_DRAWS):
         if step is last[0]:
             return apply_factors(B, *last[1]), None
-        if isinstance(step, MeasureStep):
-            key = ("average", step.z) if draw_free else None
+        if isinstance(step, UnitaryStep):
+            if step.bands is not None:
+                return step.bands, None
+            found = factors("unitary", step.z, step.gamma)
+            if step.where is not None:
+                kicked = apply_factors(B[step.where], *found)
+                out = B.astype(np.result_type(B, kicked))  # a copy, complex if the kick is
+                out[step.where] = kicked
+                return out, None
+        elif draw_free:
+            found = factors("average", step.z)
         else:
-            key = ("unitary", step.z, step.gamma) \
-                if step.where is None and step.bands is None else None
-        if key is None:
-            return _apply(B, step, ops, draws)
-        factors = resolved.get(key)
-        if factors is None:
-            kind, z, *gamma = key
-            factors = resolved[key] = step_factors(ops.l.twice_l, kind, as_polarization(z), *gamma)
-        last[:] = step, factors
-        return apply_factors(B, *factors), None
+            u = next(draws)
+            p_plus = _p_plus(B[:, 0], step.z, ops)
+            valid = (p_plus >= -1e-9) & (p_plus <= 1.0 + 1e-9)  # False for NaN too
+            if not valid.all():
+                raise NumericalInvariantError(
+                    f"outcome probability left [0, 1]: {p_plus[~valid][0]!r}")
+            plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
+            diagonal, up, down = factors("selective", step.z)
+            out = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
+            p = complex_sum(out[:, 0]).real
+            if (p <= 0.0).any():
+                raise NumericalInvariantError(f"selected branch has nonpositive weight {p.min()!r}")
+            out *= (1.0 / p)[:, None, None]  # the bits of out / p for complex out, as for real
+            return out, np.where(plus, np.int8(1), np.int8(-1))
+        last[:] = step, found
+        return apply_factors(B, *found), None
 
     return take
 
@@ -368,7 +359,7 @@ def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, d
     (v, state, log): the polarization after each one's corrections, the last
     state, and per step [(step, outcomes), (correction, outcomes), ...].
     Every step goes through one step function per run (_stepper), which
-    resolves each distinct step that takes no draw to its memo factors once.
+    looks each distinct step's factors up once.
 
     A block is min(STEP_BLOCK, BLOCK_BYTES // B.nbytes) primary steps from
     the state B it starts at, at least one, taken by the kernel alone; then
@@ -504,7 +495,7 @@ def _kick_read_weights(twice_l: int, z_mag: float) -> np.ndarray:
     """(5, 2, d) weights whose sums along a band array B (kernels.to_bands)
     give band_mean_L's reads, <Lz> from row 0 and <Lx> - i<Ly> from row 1, of
     B and of B kicked at gamma = pi and pi/2 by a source sign * z_mag, sign +1
-    and then -1: the read vectors pulled back through the memo's factors of
+    and then -1: the read vectors pulled back through the step_factors of
     each kick (kernels.apply_factors_transposed), built once per (l, |z|)."""
     ops = build_spin_operators(SpinQuantum(twice_l))
     read = np.zeros((2, ops.d), dtype=np.complex128)

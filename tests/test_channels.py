@@ -307,8 +307,7 @@ def test_verify_cptp_dimension_cap():
 @pytest.mark.parametrize("l", [0.5, 16])
 def test_step_factors_memo_equals_fresh_factors_bit_for_bit(l):
     ops = build_spin_operators(l)
-    step_factors.cache_clear()
-    for z in (0.0, -0.0, 0.4):  # -0.0 after 0.0 shares its entry
+    for z in (0.0, -0.0, 0.4):  # -0.0's factors are 0.0's bits, so a run's table shares them
         signs = np.array([-1, 1]).reshape(2, 1, 1)
         fresh = {("average", None): _coeffs_average(z, ops.d),
                  ("selective", None): _coeffs_selective(z, ops.d, signs),

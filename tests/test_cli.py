@@ -303,7 +303,6 @@ def test_bytes_do_not_depend_on_the_dtype(tmp_path, monkeypatch):
                 for module in (trajectory, metrics):
                     patch.setattr(module, "to_bands", complex_bands)
                 patch.setattr(channels, "band_factors", complex_factors)
-            channels.step_factors.cache_clear()
             trajectory._kick_read_weights.cache_clear()
             runs = []
             for i, (experiment, payload) in enumerate(DTYPE_CASES):
@@ -311,7 +310,6 @@ def test_bytes_do_not_depend_on_the_dtype(tmp_path, monkeypatch):
                 assert rc == 0, (experiment, payload)
                 runs.append((Path(out).read_bytes(), Path(out).with_suffix(".json").read_bytes()))
             outputs.append(runs)
-    channels.step_factors.cache_clear()
     trajectory._kick_read_weights.cache_clear()
     for case, real, held in zip(DTYPE_CASES, *outputs):
         assert real == held, case

@@ -386,12 +386,22 @@ def test_conditional_mirror_choice_survives_one_ulp(l):
             assert abs(conditional_correction_step(P, np.pi / 2, +1, ops).gamma - gamma) <= 1e-12
 
 
-def test_factor_memo_stays_bounded_over_a_conditional_run():
-    step_factors.cache_clear()
-    run_stochastic(coherent_state(16, 2 * np.pi / 3), 100, 1.0, ConditionalTuned(), 4, OPS16)
-    info = step_factors.cache_info()
-    assert info.misses > info.maxsize  # each chosen kick is a new entry
-    assert info.currsize <= info.maxsize == 32
+def test_step_factors_keeps_no_state_between_calls(monkeypatch):
+    # every call builds its factors afresh, so a conditional run's one-off kicks
+    # leave nothing behind: a run's own table (_stepper) is the one factor cache
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return band_factors(*args)
+
+    monkeypatch.setattr(channels, "band_factors", counting)
+    run_stochastic(coherent_state(16, 2 * np.pi / 3), 20, 1.0, ConditionalTuned(), 4, OPS16)
+    calls.clear()
+    first, second = (step_factors(32, "unitary", -1.0, 1.3) for _ in range(2))
+    assert len(calls) == 2 and not hasattr(step_factors, "cache_info")
+    assert [f.tobytes() for f in first] == [f.tobytes() for f in second]
+    assert not any(a is b for a, b in zip(first, second))
 
 
 def test_conditional_strategy_runs_and_records():
@@ -494,12 +504,12 @@ def test_a_masked_kick_steps_only_its_rows(gamma, dtype):
     assert B.dtype == np.float64
     where = np.array([True, False, True, False, False])
     held = B.copy()
-    out, outcome = trajectory._apply(B, UnitaryStep(-0.6, gamma, where=where), ops)
+    out, outcome = trajectory._stepper(ops)(B, UnitaryStep(-0.6, gamma, where=where))
     full, _ = trajectory._stepper(ops)(B, UnitaryStep(-0.6, gamma))
     assert outcome is None and out.dtype == dtype and np.array_equal(B, held)
     assert out[~where].tobytes() == B[~where].astype(dtype).tobytes()
     assert out[where].tobytes() == full[where].tobytes()
-    # a + kick after an all-minus step is no step, so no all-False mask reaches _apply
+    # a + kick after an all-minus step is no step, so no all-False mask reaches _stepper
     assert UnitaryAfterEachPlus(gamma).corrections(0, 0.6, np.full(5, -1, np.int8), B) == ()
 
 
@@ -556,8 +566,8 @@ def test_band_run_steps_match_dense_loop(l):
             sigma = selective_unnormalized(rho, z, ops, outcome)
             rho = dense_hygiene(sigma / sigma.trace().real)
             u = 0.5 * p_plus if outcome > 0 else 0.5 * (1.0 + p_plus)
-            batch, drawn = trajectory._apply(B[None], MeasureStep(z), ops,
-                                             iter([np.array([u])]))
+            batch, drawn = trajectory._stepper(ops, False)(B[None], MeasureStep(z),
+                                                           iter([np.array([u])]))
             assert drawn.tolist() == [outcome]
             B = trajectory._checked(batch)[0]
         else:
@@ -642,14 +652,14 @@ def test_usable_lifetime_builds_its_step_factors_once(monkeypatch):
         return band_factors(*args)
 
     monkeypatch.setattr(channels, "band_factors", counting)
-    step_factors.cache_clear()
     ops = build_spin_operators(64)
     assert usable_lifetime(coherent_state(64, np.pi / 2), 0.0, ops, 0.9) == 1792
     assert 1 <= len(calls) <= 2
 
 
 def test_draw_free_runs_resolve_each_step_once(monkeypatch):
-    # a draw-free step's memo factors are looked up once per run, not once per step
+    # a step's factors are looked up once per run, not once per step: the
+    # draw-free average map, a kick, and a drawn measurement and masked kick per chunk
     lookups = []
 
     def counting(*args):
@@ -665,6 +675,11 @@ def test_draw_free_runs_resolve_each_step_once(monkeypatch):
     run_average(coherent_state(16, 1.1), schedule_measurements(60, 1.0), OPS16,
                 strategy=UnitaryEveryK(2, np.pi))  # fig4's corrected run
     assert lookups == [(32, "average", 1.0), (32, "unitary", -1.0, np.pi)]
+    lookups.clear()
+    monkeypatch.setattr(trajectory, "CHUNK", 3)  # fig5's three arms over two chunks
+    run_arm_statistics(coherent_state(16, np.pi / 2), 20, 1.0,
+                       (None, UnitaryEveryK(2), UnitaryAfterEachPlus()), range(6), OPS16)
+    assert lookups == 2 * [(32, "selective", 1.0), (32, "unitary", -1.0, np.pi)]
 
 
 @pytest.mark.parametrize("strategy", [UnitaryEveryK(3, 1.3), AlternatingAntipolarized()],
