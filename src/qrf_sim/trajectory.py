@@ -453,7 +453,9 @@ def usable_lifetimes(rho0: np.ndarray, q, ops: SpinOperators, thresholds, strate
     strategy, or None if not within step_cap steps.  One pass steps until
     every threshold is crossed and reads each first crossing from the checked
     blocks of _evolve; corrections are not counted, and only
-    outcome-independent strategies have an average evolution."""
+    outcome-independent strategies have an average evolution.  With no
+    strategy every block is the same map, so a block that ends on its start
+    state, bit for bit, ends the search: no later block crosses a threshold."""
     v0, n_hat, theta0 = frame_direction(rho0, ops)
     p0 = float(p_succ_of(v0, n_hat, ops))
     for threshold in thresholds:
@@ -464,15 +466,16 @@ def usable_lifetimes(rho0: np.ndarray, q, ops: SpinOperators, thresholds, strate
     steps = repeat(MeasureStep(as_polarization(q)), step_cap)
     n = 0
     top = levels.max(initial=-np.inf)
-    for v, _, _ in _evolve(to_bands(rho0), steps, strategy, ops, theta0):
+    start = to_bands(rho0)
+    for v, end, _ in _evolve(start, steps, strategy, ops, theta0):
         p = p_succ_of(v, n_hat, ops)
         if p.min() < top:  # else the block lies above every threshold
             below = p[:, None] < levels
             for i in np.flatnonzero(below.any(axis=0)):
                 lives[i] = lives[i] or n + int(below[:, i].argmax()) + 1
-        if all(lives):
+        if all(lives) or strategy is None and end.tobytes() == start.tobytes():
             break
-        n += len(v)
+        n, start = n + len(v), end
     return lives
 
 

@@ -193,6 +193,26 @@ def test_scaling_steps_each_l_and_z_once(tmp_path, monkeypatch):
     assert steps == [-(-longest[lz] // block) * block for lz in order]
 
 
+def test_scaling_at_a_fixed_point_stops_at_once(tmp_path):
+    # at theta = 0 a z = 1 source leaves the coherent frame fixed bit for bit, so
+    # the search stops after one block and writes step_cap; without the stop this
+    # config steps 2**31 times, so it runs in a child held to 10 s
+    cfg = write_config(tmp_path, {"l_list": [3, 4], "z_list": [1.0, 0.0], "thresholds": [0.9],
+                                  "theta": 0, "step_cap": 2**31})
+    out = tmp_path / "scaling.csv"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = subprocess.run([sys.executable, "-m", "qrf_sim.cli", "scaling", "--config", cfg,
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=10)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert done.returncode == 0, done.stderr
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1.0
+    _, _, rows = read_csv(out)
+    assert [row[3] for row in rows if row[1] == "1"] == ["2147483648"] * 2
+
+
 def test_scaling_threshold_out_of_range_names_its_l_and_z(tmp_path, capsys):
     # 0.98 lies below p_succ(rho0) = 0.9961 at l = 64 and above 0.9706 at l = 8
     rc, _ = run(tmp_path, "scaling",
