@@ -175,7 +175,7 @@ def _spin(key: str, l):
     _require(isinstance(l, (int, float)) and l >= 0.5 and abs(2 * l - round(2 * l)) < 1e-12,
              f"{key} must be a positive integer or half-integer, got {_echo(l)}")
     _require(l <= L_MAX, f"{key} must be at most {L_MAX}, got {_echo(l)}")
-    return l
+    return round(2 * l) / 2 if isinstance(l, float) else l  # the spin the operators are built for
 
 
 def _count(key: str, value) -> int:

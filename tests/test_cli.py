@@ -149,6 +149,21 @@ def test_fig5_row_zero_equal_and_correction_dominates(tmp_path):
     assert np.all(stderr[1:] > 0)
 
 
+@pytest.mark.parametrize("experiment, payload", [
+    ("fig2", {"n_steps": 2}),
+    ("scaling", {"z_list": [1.0], "thresholds": [0.9]})])
+def test_a_float_spin_near_an_integer_runs_as_that_integer(tmp_path, experiment, payload):
+    # the operators are built for the rounded spin: the rows are divided by it
+    # and write it, as an integer l does
+    data = []
+    for l in (3, 3.0000000000001):
+        spin = {"l": l} if experiment == "fig2" else {"l_list": [l, 4]}
+        rc, out = run(tmp_path, experiment, {**payload, **spin})
+        assert rc == 0
+        data.append(read_csv(out)[2])
+    assert data[0] == data[1]
+
+
 def test_scaling_single_l_omits_exponent(tmp_path):
     rc, out = run(tmp_path, "scaling",
                   {"l_list": [8], "z_list": [1.0], "thresholds": [0.9]})
