@@ -305,10 +305,11 @@ def _stepper(ops: SpinOperators, draw_free: bool = True):
     table = {}  # (kind, z[, gamma]) -> factors
     last = [None, None]  # the last step without draw or mask and its factors
 
-    def factors(kind, z, *gamma):
-        if (kind, z, *gamma) not in table:
-            table[kind, z, *gamma] = step_factors(ops.l.twice_l, kind, as_polarization(z), *gamma)
-        return table[kind, z, *gamma]
+    def lookup(*key):
+        if key not in table:
+            kind, z, *gamma = key
+            table[key] = step_factors(ops.l.twice_l, kind, as_polarization(z), *gamma)
+        return table[key]
 
     def take(B: np.ndarray, step, draws=NO_DRAWS):
         if step is last[0]:
@@ -316,14 +317,14 @@ def _stepper(ops: SpinOperators, draw_free: bool = True):
         if isinstance(step, UnitaryStep):
             if step.bands is not None:
                 return step.bands, None
-            found = factors("unitary", step.z, step.gamma)
+            factors = lookup("unitary", step.z, step.gamma)
             if step.where is not None:
-                kicked = apply_factors(B[step.where], *found)
+                kicked = apply_factors(B[step.where], *factors)
                 out = B.astype(np.result_type(B, kicked))  # a copy, complex if the kick is
                 out[step.where] = kicked
                 return out, None
         elif draw_free:
-            found = factors("average", step.z)
+            factors = lookup("average", step.z)
         else:
             u = next(draws)
             p_plus = _p_plus(B[:, 0], step.z, ops)
@@ -332,15 +333,15 @@ def _stepper(ops: SpinOperators, draw_free: bool = True):
                 raise NumericalInvariantError(
                     f"outcome probability left [0, 1]: {p_plus[~valid][0]!r}")
             plus = (p_plus > 1.0 - OUTCOME_EPS) | ((p_plus >= OUTCOME_EPS) & (u < p_plus))
-            diagonal, up, down = factors("selective", step.z)
+            diagonal, up, down = lookup("selective", step.z)
             out = apply_factors(B, diagonal[plus.astype(np.intp)], up, down)
             p = complex_sum(out[:, 0]).real
             if (p <= 0.0).any():
                 raise NumericalInvariantError(f"selected branch has nonpositive weight {p.min()!r}")
             out *= (1.0 / p)[:, None, None]  # the bits of out / p for complex out, as for real
             return out, np.where(plus, np.int8(1), np.int8(-1))
-        last[:] = step, found
-        return apply_factors(B, *found), None
+        last[:] = step, factors
+        return apply_factors(B, *factors), None
 
     return take
 
