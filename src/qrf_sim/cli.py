@@ -172,10 +172,12 @@ def _real_in(low: float, high: float, span: str):
 
 
 def _spin(key: str, l):
-    _require(isinstance(l, (int, float)) and l >= 0.5 and abs(2 * l - round(2 * l)) < 1e-12,
+    _require(isinstance(l, (int, float)) and abs(2 * l - round(2 * l)) < 1e-12
+             and round(2 * l) >= 1,
              f"{key} must be a positive integer or half-integer, got {_echo(l)}")
-    _require(l <= L_MAX, f"{key} must be at most {L_MAX}, got {_echo(l)}")
-    return round(2 * l) / 2 if isinstance(l, float) else l  # the spin the operators are built for
+    spin = round(2 * l) / 2 if isinstance(l, float) else l  # the spin the operators are built for
+    _require(spin <= L_MAX, f"{key} must be at most {L_MAX}, got {_echo(l)}")
+    return spin
 
 
 def _count(key: str, value) -> int:

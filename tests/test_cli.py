@@ -149,16 +149,18 @@ def test_fig5_row_zero_equal_and_correction_dominates(tmp_path):
     assert np.all(stderr[1:] > 0)
 
 
-@pytest.mark.parametrize("experiment, payload", [
-    ("fig2", {"n_steps": 2}),
-    ("scaling", {"z_list": [1.0], "thresholds": [0.9]})])
-def test_a_float_spin_near_an_integer_runs_as_that_integer(tmp_path, experiment, payload):
+@pytest.mark.parametrize("experiment, payload, l, near", [
+    ("fig2", {"n_steps": 2}, 3, 3.0000000000001),
+    ("fig2", {"n_steps": 2}, 0.5, 0.49999999999999994),
+    ("fig2", {"n_steps": 2}, 1024, 1024.0000000000002),
+    ("scaling", {"z_list": [1.0], "thresholds": [0.9]}, 3, 3.0000000000001)])
+def test_a_float_spin_near_a_half_integer_runs_as_it(tmp_path, experiment, payload, l, near):
     # the operators are built for the rounded spin: the rows are divided by it
-    # and write it, as an integer l does
+    # and write it, and the range checks read it, as they do an exact l
     data = []
-    for l in (3, 3.0000000000001):
-        spin = {"l": l} if experiment == "fig2" else {"l_list": [l, 4]}
-        rc, out = run(tmp_path, experiment, {**payload, **spin})
+    for spin in (l, near):
+        rc, out = run(tmp_path, experiment, {**payload, **(
+            {"l": spin} if experiment == "fig2" else {"l_list": [spin, 4]})})
         assert rc == 0
         data.append(read_csv(out)[2])
     assert data[0] == data[1]
