@@ -291,7 +291,7 @@ def _stepper(ops: SpinOperators, draw_free: bool = True):
     kernel factors from one table per run, filled by channels.step_factors
     the first time the run meets its (kind, z[, gamma]), z validated by
     as_polarization: a measurement's average map in a draw-free run and its
-    stacked - and + branches otherwise, a kick's whether masked or not.  A
+    stacked - and + branches otherwise, a kick's, masked or not.  A
     step with no draw and no mask is then kernels.apply_factors alone, and
     the last such step matches by identity, so a repeated step object costs
     no lookup.  A masked kick steps its selected rows alone; a kick that
