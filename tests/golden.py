@@ -40,6 +40,10 @@ CASES = {
     "custom-average-thermal": ("custom", {"state": {"family": "thermal", "r": 0.6},
                                           "record_every": 3}),
     "custom-average-rotated-dicke": ("custom", {"state": {"family": "rotated_dicke", "k": 5}}),
+    "custom-average-mixed-dicke": ("custom", {"state": {"family": "mixed_dicke", "k1": 10,
+                                                        "k2": 4, "p": 0.3}, "theta": 1}),
+    "custom-stochastic-rotated-dicke": ("custom", {**STOCHASTIC,
+                                                   "state": {"family": "rotated_dicke", "k": 5}}),
     **{f"custom-stochastic-{kind}": ("custom", {**STOCHASTIC, "strategy": {"kind": kind}})
        for kind in ("none", "alternating", "unitary_every_k", "unitary_after_each_plus",
                     "conditional")},
