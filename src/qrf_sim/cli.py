@@ -2,20 +2,19 @@
 
 Usage:
 
-    qrf-sim <experiment> --config <path> [--out <path>] [--seeds a,b,c]
-            [--gamma x] [--threads n]
+    qrf-sim <experiment> --config <path> [--out <path>] [--threads n]
 
-Experiments: fig1 fig2 fig3 fig4 fig5 scaling custom.  Configs are single
-JSON documents; unknown keys are rejected (they are usually typos in physics
-parameters), and each known key has one check in KEYS, which states its type
-and range: reals reach the physics as floats and counts lie in [1, 2**63).
-All angles are radians.  Every output CSV embeds the config hash, RNG
-identifier and seed list as '#' header comments and is byte-reproducible for
-a fixed config; a JSON summary sidecar, which echoes the config as given, is
-written next to it.  Exit codes: 0 success, 2 config error (an output path
-that would overwrite the config or the other output, or cannot be written,
-too), 3 numerical-invariant violation (including an output value that is not
-finite).
+Experiments: fig1 fig2 fig3 fig4 fig5 scaling custom.  A run's parameters
+come from its config alone, a single JSON document; unknown keys are rejected
+(they are usually typos in physics parameters), and each known key has one
+check in KEYS, which states its type and range: reals reach the physics as
+floats and counts lie in [1, 2**63).  All angles are radians.  Every output
+CSV embeds the config hash, RNG identifier and seed list as '#' header
+comments and is byte-reproducible for a fixed config; a JSON summary sidecar,
+which echoes the config as given, is written next to it.  Exit codes: 0
+success, 2 config error (an output path that would overwrite the config or
+the other output, or cannot be written, too), 3 numerical-invariant violation
+(including an output value that is not finite).
 --threads is accepted and must be a positive integer, but changes nothing:
 every run is single-threaded and its bytes never depended on it.
 """
@@ -100,7 +99,7 @@ DEFAULTS = {
 }
 
 
-def load_config(experiment: str, path: str, overrides: dict) -> tuple[dict, dict]:
+def load_config(experiment: str, path: str) -> tuple[dict, dict]:
     """The config as given, which the outputs and the config hash echo, and the config
     the physics takes: each key as KEYS checks it, once the checks across keys hold."""
     _require(experiment in DEFAULTS,
@@ -120,7 +119,7 @@ def load_config(experiment: str, path: str, overrides: dict) -> tuple[dict, dict
     unknown = set(raw) - allowed
     _require(not unknown, f"unknown config keys for {experiment}: {_echo(sorted(unknown))} "
              f"(allowed: {sorted(allowed)})")
-    config = {**DEFAULTS[experiment], **raw, **{k: v for k, v in overrides.items() if k in allowed}}
+    config = {**DEFAULTS[experiment], **raw}
     _check_leaves(config)
     physics = {key: KEYS[key](key, value) for key, value in config.items()}
     if experiment == "fig1":
@@ -603,41 +602,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment", choices=sorted(DEFAULTS))
     parser.add_argument("--config", required=True, help="path to the JSON config")
     parser.add_argument("--out", default=None, help="output CSV path (default <experiment>.csv)")
-    parser.add_argument("--seeds", default=None, help="comma-separated seed list override")
-    parser.add_argument("--gamma", type=float, default=None, help="kick-angle override (radians)")
     # --threads stays because perfbench/worker.py passes --threads 1
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility and validated; runs are "
                              "single-threaded")
+    parser.error = _usage_error  # one config-error line and exit 2, not a usage block
     return parser
 
 
-def _flag_overrides(args) -> dict:
-    """Config overrides from the command-line flags; a flag that sets no key
-    of the experiment is an error rather than silently ignored."""
-    keys = DEFAULTS[args.experiment]
-    overrides: dict = {}
-    if args.seeds is not None:
-        _require("seeds" in keys, f"--seeds does not apply to {args.experiment}: it has no seeds")
-        try:
-            overrides["seeds"] = [int(s) for s in args.seeds.split(",") if s]
-        except ValueError:
-            raise ConfigError("--seeds must be comma-separated integers") from None
-    if args.gamma is not None:
-        _require("gamma" in keys or "gammas" in keys,
-                 f"--gamma does not apply to {args.experiment}: it has no kick angle")
-        overrides["gamma"] = args.gamma
-        overrides["gammas"] = [args.gamma]
-    return overrides
+def _usage_error(message: str):
+    raise ConfigError(message)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _require(args.threads >= 1, f"--threads must be a positive integer, got {args.threads}")
         out = args.out or f"{args.experiment}.csv"
         side = sidecar_path(args.config, out)
-        cfg, physics = load_config(args.experiment, args.config, _flag_overrides(args))
+        cfg, physics = load_config(args.experiment, args.config)
         columns, rows, sidecar = RUNNERS[args.experiment](physics)
         write_outputs(out, side, args.experiment, cfg, columns, rows, sidecar)
     except ConfigError as exc:  # a failed write included

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -44,9 +45,10 @@ def read_csv(path):
 
 
 def run(tmp_path, experiment, payload, extra=()):
-    cfg = write_config(tmp_path, payload)
+    """main on payload as the config, or with no --config for payload None."""
+    config = () if payload is None else ("--config", write_config(tmp_path, payload))
     out = str(tmp_path / f"{experiment}.csv")
-    rc = main([experiment, "--config", cfg, "--out", out, *extra])
+    rc = main([experiment, *config, "--out", out, *extra])
     return rc, out
 
 
@@ -66,7 +68,7 @@ def test_fig2_columns_and_header_comments(tmp_path):
 
 
 def test_fig2_zero_kick_is_constant_and_default_tilts(tmp_path):
-    rc, out = run(tmp_path, "fig2", {"n_steps": 8}, extra=("--gamma", "0"))
+    rc, out = run(tmp_path, "fig2", {"n_steps": 8, "gamma": 0})
     _, _, rows = read_csv(out)
     cols = np.array(rows, dtype=float)
     assert np.abs(cols[:, 1] - cols[0, 1]).max() < 1e-14
@@ -363,14 +365,6 @@ def test_conditional_theta_known_null_is_the_initial_inclination(tmp_path):
     assert data[0] == data[1]
 
 
-def test_seeds_flag_overrides_config(tmp_path):
-    rc, out = run(tmp_path, "fig5", {"n_measure": 4, "seeds": [1, 2, 3, 4, 5]},
-                  extra=("--seeds", "7,9"))
-    assert rc == 0
-    comments, _, _ = read_csv(out)
-    assert any(line == "# seeds: 7,9" for line in comments)
-
-
 def test_unknown_config_key_is_exit_2(tmp_path):
     rc, _ = run(tmp_path, "fig2", {"lmax": 3})
     assert rc == 2
@@ -427,12 +421,15 @@ BAD_CONFIGS = [
     ("custom", {"record_every": 2**63}),  # counts lie below 2**63, within a C long
     ("scaling", {"l_list": [8, 9], "z_list": [1.0], "thresholds": [0.9], "step_cap": 2**63}),
 ]
-BAD_INVOCATIONS = [
-    ("fig1", {}, ("--gamma", "1.0")),
-    ("scaling", {}, ("--gamma", "1.0")),
-    ("fig2", {}, ("--seeds", "1,2")),
+BAD_INVOCATIONS = [  # a run's parameters come from its config alone: no flag sets one
+    ("fig2", {}, ("--gamma", "1.0")),
+    ("fig3", {}, ("--gamma", "1.0")),
+    ("fig5", {}, ("--seeds", "7,9")),
     ("fig2", {}, ("--threads", "-4")),
     ("fig2", {}, ("--threads", "0")),
+    ("fig2", {}, ("--threads", "x")),
+    ("fig9", {}, ()),
+    ("fig2", None, ()),
 ]
 
 
@@ -452,8 +449,9 @@ BAD_INVOCATIONS = [
          "fig2-gamma-1e400", "fig3-gamma-1e400", "fig4-gamma-1e400", "fig5-gamma-1e400",
          "strategy-gamma-1e400", "seed-1e50", "seed-base-count-past-2**128",
          "record-every-2**63", "step-cap-2**63",
-         "gamma-flag-without-gamma", "gamma-flag-on-scaling", "seeds-flag-without-seeds",
-         "negative-threads", "zero-threads"])
+         "unknown-flag-gamma", "unknown-flag-gamma-on-fig3", "unknown-flag-seeds",
+         "negative-threads", "zero-threads", "non-integer-threads", "unknown-experiment",
+         "missing-config-flag"])
 def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, payload, extra):
     rc, _ = run(tmp_path, experiment, payload, extra)
     assert rc == 2
@@ -699,11 +697,23 @@ def test_mismatched_experiment_name_is_exit_2(tmp_path):
     assert rc == 2
 
 
-def test_unknown_experiment_is_usage_error(tmp_path):
+def test_unknown_experiment_is_usage_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {})
-    with pytest.raises(SystemExit) as exc:
-        main(["fig9", "--config", cfg])
-    assert exc.value.code == 2
+    assert main(["fig9", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config-error: ") and "'fig9'" in err[0]
+
+
+def test_documented_usage_names_exactly_the_parser_options():
+    # the usage of cli's docstring and of the README's CLI section name every option
+    # build_parser offers, and no other
+    options = {flag for action in cli.build_parser()._actions for flag in action.option_strings
+               if flag not in ("-h", "--help")}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    usages = {"cli docstring": cli.__doc__.split("Usage:")[1].split("Experiments:")[0],
+              "README": readme.split("## Experiment CLI")[1].split("```")[1]}
+    for where, usage in usages.items():
+        assert set(re.findall(r"--[a-z-]+", usage)) == options, where
 
 
 def test_positivity_failure_is_exit_3(tmp_path):
@@ -773,14 +783,14 @@ def test_custom_average_gamma_pi_kicks_leave_ly_exactly_zero(tmp_path, gamma):
 def test_custom_gamma_is_the_default_kick_angle(tmp_path):
     cfg = {"mode": "stochastic", "n_measure": 6, "seeds": [0, 1],
            "strategy": {"kind": "unitary_every_k", "k": 2}}
-    rc, flagged = run(tmp_path, "custom", cfg, extra=("--gamma", "1.0"))
+    rc, top = run(tmp_path, "custom", {**cfg, "gamma": 1.0})
     assert rc == 0
-    flagged_rows = read_csv(flagged)[2]
+    top_rows = read_csv(top)[2]
     explicit = {**cfg, "strategy": {**cfg["strategy"], "gamma": 1.0}}
     rc, out = run(tmp_path, "custom", explicit)
-    assert rc == 0 and read_csv(out)[2] == flagged_rows
+    assert rc == 0 and read_csv(out)[2] == top_rows
     rc, out = run(tmp_path, "custom", cfg)
-    assert rc == 0 and read_csv(out)[2] != flagged_rows
+    assert rc == 0 and read_csv(out)[2] != top_rows
 
 
 def test_float_formatting_17_digits(tmp_path):
