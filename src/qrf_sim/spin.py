@@ -144,12 +144,14 @@ def _ly_eigensystem(twice_l: int):
 
 
 def rotation_y(beta: float, ops: SpinOperators) -> np.ndarray:
-    """Unitary exp(-i beta Ly), via the eigendecomposition of Ly."""
+    """Unitary exp(-i beta Ly), via the eigendecomposition of Ly; real in this
+    basis, so the rounding residue of its imaginary part is dropped and the
+    starts it tilts are exactly real."""
     if not np.isfinite(beta):
         raise ValueError(f"rotation angle must be finite, got {beta!r}")
     evals, evecs = _ly_eigensystem(ops.l.twice_l)
     phases = np.exp(-1j * beta * evals)
-    return (evecs * phases) @ evecs.conj().T
+    return ((evecs * phases) @ evecs.conj().T).real
 
 
 def check_density_matrix(rho: np.ndarray, *, name: str = "state") -> np.ndarray:

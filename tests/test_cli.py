@@ -780,6 +780,16 @@ def test_custom_average_gamma_pi_kicks_leave_ly_exactly_zero(tmp_path, gamma):
     assert [float(row[header.index("Ly_over_l")]) for row in rows] == [0.0] * 31
 
 
+def test_custom_average_rotated_start_leaves_ly_exactly_zero(tmp_path):
+    # a start tilted in the X-Z plane by rotation_y is exactly real, so no imaginary
+    # residue of the rotation reaches the Ly column
+    rc, out = run(tmp_path, "custom", {"n_steps": 30,
+                                       "state": {"family": "rotated_dicke", "k": 5}})
+    assert rc == 0
+    _, header, rows = read_csv(out)
+    assert [float(row[header.index("Ly_over_l")]) for row in rows] == [0.0] * 31
+
+
 def test_custom_gamma_is_the_default_kick_angle(tmp_path):
     cfg = {"mode": "stochastic", "n_measure": 6, "seeds": [0, 1],
            "strategy": {"kind": "unitary_every_k", "k": 2}}

@@ -5,7 +5,8 @@ from qrf_sim.channels import (_coeffs_average, _coeffs_selective, _coeffs_unitar
                               step_factors)
 from qrf_sim.kernels import apply_factors, apply_structured, band_factors, complex_sum, to_bands
 from qrf_sim.metrics import band_mean_L
-from qrf_sim.spin import build_spin_operators, coherent_state
+from qrf_sim.spin import (build_spin_operators, coherent_state, mixed_dicke_state,
+                          rotated_dicke_state, thermal_partial_coherent)
 
 from helpers import random_density
 
@@ -105,6 +106,10 @@ def test_band_step_with_per_seed_coefficients_equals_one_step_per_seed():
 def test_bands_and_factors_are_real_where_the_physics_is_real():
     ops = build_spin_operators(16)
     assert to_bands(coherent_state(16, 1.1)).dtype == np.float64  # an X-Z plane start
+    # the starts rotation_y tilts into the X-Z plane are real too: exp(-i beta Ly) is real
+    for start in (rotated_dicke_state(16, 10, 1.0), mixed_dicke_state(16, 10, 4, 0.3, 1.0),
+                  thermal_partial_coherent(16, 0.6, 1.0)):
+        assert to_bands(start).dtype == np.float64
     phase = np.exp(0.3j * ops.m_diag)  # the same start turned out of the plane about Z
     assert to_bands(coherent_state(16, 1.1) * np.outer(phase, phase.conj())).dtype == np.complex128
     # a kick's [Lz, .] coefficient i z sin(gamma)/d is the only complex one; it is
