@@ -144,9 +144,8 @@ def _ly_eigensystem(twice_l: int):
 
 
 def rotation_y(beta: float, ops: SpinOperators) -> np.ndarray:
-    """Unitary exp(-i beta Ly), via the eigendecomposition of Ly; real in this
-    basis, so the rounding residue of its imaginary part is dropped and the
-    starts it tilts are exactly real."""
+    """Unitary exp(-i beta Ly), via the eigendecomposition of Ly: a real matrix in
+    this basis, so the starts it tilts are exactly real, with no rounding residue."""
     if not np.isfinite(beta):
         raise ValueError(f"rotation angle must be finite, got {beta!r}")
     evals, evecs = _ly_eigensystem(ops.l.twice_l)

@@ -285,13 +285,13 @@ class TrajectoryRecord:
 # the stepping loop
 # ---------------------------------------------------------------------------
 
-def _stepper(ops: SpinOperators, draw_free: bool = True):
+def _stepper(ops: SpinOperators):
     """The one step function of a run, take(B, step, draws) -> (state,
     outcomes), on a band array or an (S, 2, d) batch.  Every step takes its
     kernel factors from one table per run, filled by channels.step_factors
     the first time the run meets its (kind, z[, gamma]), z validated by
-    as_polarization: a measurement's average map in a draw-free run and its
-    stacked - and + branches otherwise, a kick's, masked or not.  A
+    as_polarization: a measurement's average map when draws is NO_DRAWS and
+    its stacked - and + branches otherwise, a kick's, masked or not.  A
     step with no draw and no mask is then kernels.apply_factors alone, and
     the last such step matches by identity, so a repeated step object costs
     no lookup.  A masked kick steps its selected rows alone; a kick that
@@ -323,7 +323,7 @@ def _stepper(ops: SpinOperators, draw_free: bool = True):
                 out = B.astype(np.result_type(B, kicked))  # a copy, complex if the kick is
                 out[step.where] = kicked
                 return out, None
-        elif draw_free:
+        elif draws is NO_DRAWS:
             factors = lookup("average", step.z)
         else:
             u = next(draws)
@@ -371,7 +371,7 @@ def _evolve(B: np.ndarray, steps, strategy, ops: SpinOperators, theta0: float, d
     errors are those of checking each state.
     """
     steps = enumerate(steps)
-    take = _stepper(ops, draws is NO_DRAWS)
+    take = _stepper(ops)
 
     def run(B, block, checked):
         states, ends, log = [], [], []

@@ -566,8 +566,8 @@ def test_band_run_steps_match_dense_loop(l):
             sigma = selective_unnormalized(rho, z, ops, outcome)
             rho = dense_hygiene(sigma / sigma.trace().real)
             u = 0.5 * p_plus if outcome > 0 else 0.5 * (1.0 + p_plus)
-            batch, drawn = trajectory._stepper(ops, False)(B[None], MeasureStep(z),
-                                                           iter([np.array([u])]))
+            batch, drawn = trajectory._stepper(ops)(B[None], MeasureStep(z),
+                                                    iter([np.array([u])]))
             assert drawn.tolist() == [outcome]
             B = trajectory._checked(batch)[0]
         else:
