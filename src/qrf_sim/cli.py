@@ -12,9 +12,9 @@ floats and counts lie in [1, 2**63).  All angles are radians.  Every output
 CSV embeds the config hash, RNG identifier and seed list as '#' header
 comments and is byte-reproducible for a fixed config; a JSON summary sidecar,
 which echoes the config as given, is written next to it.  Exit codes: 0
-success, 2 config error (an output path that would overwrite the config or
-the other output, or cannot be written, too), 3 numerical-invariant violation
-(including an output value that is not finite).
+success, 2 config error (a bad invocation too, and an output path that would
+overwrite the config or the other output or cannot be written), 3
+numerical-invariant violation (including an output value that is not finite).
 --threads is accepted and must be a positive integer, but changes nothing:
 every run is single-threaded and its bytes never depended on it.
 """
@@ -611,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _usage_error(message: str):
-    raise ConfigError(message)
+    raise ConfigError(" ".join(message.split()))  # one line, whatever the arguments hold
 
 
 def main(argv=None) -> int:

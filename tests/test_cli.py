@@ -421,10 +421,11 @@ BAD_CONFIGS = [
     ("custom", {"record_every": 2**63}),  # counts lie below 2**63, within a C long
     ("scaling", {"l_list": [8, 9], "z_list": [1.0], "thresholds": [0.9], "step_cap": 2**63}),
 ]
-BAD_INVOCATIONS = [  # a run's parameters come from its config alone: no flag sets one
+BAD_INVOCATIONS = [  # unknown flags (no flag sets a config key), bad --threads and experiment
     ("fig2", {}, ("--gamma", "1.0")),
     ("fig3", {}, ("--gamma", "1.0")),
     ("fig5", {}, ("--seeds", "7,9")),
+    ("fig2", {}, ("--a\nb",)),
     ("fig2", {}, ("--threads", "-4")),
     ("fig2", {}, ("--threads", "0")),
     ("fig2", {}, ("--threads", "x")),
@@ -450,6 +451,7 @@ BAD_INVOCATIONS = [  # a run's parameters come from its config alone: no flag se
          "strategy-gamma-1e400", "seed-1e50", "seed-base-count-past-2**128",
          "record-every-2**63", "step-cap-2**63",
          "unknown-flag-gamma", "unknown-flag-gamma-on-fig3", "unknown-flag-seeds",
+         "unknown-flag-with-newline",
          "negative-threads", "zero-threads", "non-integer-threads", "unknown-experiment",
          "missing-config-flag"])
 def test_bad_config_value_is_exit_2_with_one_line(tmp_path, capsys, experiment, payload, extra):
